@@ -3,14 +3,16 @@
 One block is the keyed bijection ``(c0, c1, c2, c3) -> 4 x uint64`` of
 Philox4x64 with 10 rounds (the algorithm behind ``numpy.random.Philox``;
 this implementation is tested bit-for-bit against it).  We only ever use
-counters of the form ``(block, 0, 0, 0)`` and a two-word key
-``(seed, stream)``, which gives every (seed, stream) pair an independent,
-randomly-accessible sequence of 64-bit words:
+counters of the form ``(stream, block, 0, 0)`` and the key ``(seed, 0)``,
+which gives every (seed, stream) pair an independent, randomly-accessible
+sequence of 64-bit words:
 
-    word[stream, 4*block + lane] = philox(counter=(block,0,0,0), key=(seed, stream))[lane]
+    word[stream, 4*block + lane] = philox(counter=(stream, block, 0, 0), key=(seed, 0))[lane]
 
 Random access is the point: a consumer may evaluate any (stream, index)
-in any order, on any worker, and always sees the same bits.
+in any order, on any worker, and always sees the same bits.  Streams of
+one block sit at consecutive counters, which is what lets ``rng`` draw a
+run of them from numpy's C Philox in one call.
 """
 
 from __future__ import annotations
@@ -63,22 +65,21 @@ def _mulhilo(ml, mh, c, t1, t2, t3, hi):
     return hi, lo
 
 
-def philox_block(block, key0, key1):
-    """Evaluate Philox4x64-10 at counter (block, 0, 0, 0).
+def philox_block(c0, c1, seed):
+    """Evaluate Philox4x64-10 at counter (c0, c1, 0, 0) under key (seed, 0).
 
-    ``block``, ``key0``, ``key1`` broadcast against each other; the result
-    is a tuple of four uint64 arrays (the output lanes), each with the
-    broadcast shape.
+    ``c0``, ``c1``, ``seed`` broadcast against each other; the result is a
+    uint64 array of the broadcast shape plus a last axis holding the four
+    output lanes.
     """
-    b = np.broadcast(np.asarray(block, np.uint64), np.asarray(key0, np.uint64),
-                     np.asarray(key1, np.uint64))
-    shape = b.shape
-    c0 = np.broadcast_to(np.asarray(block, np.uint64), shape).astype(np.uint64)
-    c1 = np.zeros(shape, np.uint64)
+    c0, c1, k0 = (np.asarray(v, np.uint64) for v in (c0, c1, seed))
+    shape = np.broadcast_shapes(c0.shape, c1.shape, k0.shape)
+    c0 = np.broadcast_to(c0, shape).astype(np.uint64)
+    c1 = np.broadcast_to(c1, shape).astype(np.uint64)
     c2 = np.zeros(shape, np.uint64)
     c3 = np.zeros(shape, np.uint64)
-    k0 = np.broadcast_to(np.asarray(key0, np.uint64), shape).astype(np.uint64)
-    k1 = np.broadcast_to(np.asarray(key1, np.uint64), shape).astype(np.uint64)
+    k0 = np.broadcast_to(k0, shape).astype(np.uint64)
+    k1 = np.zeros(shape, np.uint64)
     t1 = np.empty(shape, np.uint64)
     t2 = np.empty(shape, np.uint64)
     t3 = np.empty(shape, np.uint64)
@@ -96,22 +97,22 @@ def philox_block(block, key0, key1):
         np.bitwise_xor(hi0, k1, out=hi0)
         # old counter buffers become next round's scratch
         c0, c1, c2, c3, h0, h1 = hi1, lo1, hi0, lo0, c0, c2
-    return c0, c1, c2, c3
+    out = np.empty(shape + (4,), np.uint64)
+    for lane, word in enumerate((c0, c1, c2, c3)):
+        out[..., lane] = word
+    return out
 
 
 def words_to_uniform(words):
     """Map uint64 words to float64 uniforms strictly inside (0, 1)."""
-    return ((words >> _S11).astype(np.float64) + 0.5) * _U53
+    u = (words >> _S11).astype(np.float64)
+    u += 0.5
+    u *= _U53
+    return u
 
 
-def uniform_block(block, key0, key1):
-    """Four lanes of (0,1) uniforms for one counter block; shape (..., 4)."""
-    lanes = philox_block(block, key0, key1)
-    return np.stack([words_to_uniform(w) for w in lanes], axis=-1)
-
-
-def uniform_run(key0, key1, start, count):
-    """``count`` consecutive uniforms of stream (key0, key1) from index ``start``.
+def uniform_run(seed, stream, start, count):
+    """``count`` consecutive uniforms of stream (seed, stream) from index ``start``.
 
     Draw index j lives in lane j % 4 of counter block j // 4, so arbitrary
     runs are cut out of whole blocks.
@@ -121,6 +122,6 @@ def uniform_run(key0, key1, start, count):
     b0 = start >> 2
     b1 = (start + count - 1) >> 2
     blocks = np.arange(b0, b1 + 1, dtype=np.uint64)
-    flat = uniform_block(blocks, np.uint64(key0), np.uint64(key1)).ravel()
+    words = philox_block(np.uint64(stream), blocks, np.uint64(seed))
     off = start - 4 * b0
-    return flat[off:off + count]
+    return words_to_uniform(words.ravel()[off:off + count])

@@ -6,11 +6,12 @@ p_N(x) = P(tau_x > N).  The engine draws one crossing time per path with the
 horizon set to the largest grid entry, so tail counts serve every horizon in
 one pass.
 
-Reproducibility: path i of a run with seed s consumes the counter-based
-uniform stream (s, i) (see rng).  Innovations are therefore a pure function
-of (seed, path, step), which makes estimates bit-identical for any worker
-count and any chunking, and makes runs at different barriers share their
-noise (common random numbers).
+Reproducibility: innovation j of path i in a run with seed s is built from
+lane j%4 of Philox4x64-10 at key (s, 0) and counter (i, j//4, 0, 0) (see
+rng).  Innovations are therefore a pure function of (seed, path, step),
+which makes estimates bit-identical for any worker count and any tiling,
+and makes runs at different barriers share their noise (common random
+numbers).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .bounds import integrate_params
 from .coeffs import ARParams, ar2_closed_form, Branch
 from .innovations import InnovationSpec, spec_from_json
 from .rng import RNGStream, path_uniform_block
-from ._philox import uniform_block
 
 __all__ = [
     "SurvivalCurve",
@@ -41,11 +41,22 @@ __all__ = [
     "resolve_workers",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-RNG_PROVENANCE = ("philox4x64-10 counter mode; stream key = (seed, path); "
-                  "draw j = lane j%4 of counter block j//4; "
+# curve files of these versions carry the same fields; version 1 curves were
+# drawn from the earlier stream layout key = (seed, path), counter = (j//4, 0, 0, 0)
+_READABLE_SCHEMA_VERSIONS = (1, 2)
+
+RNG_PROVENANCE = ("philox4x64-10 counter mode; key = (seed, 0); "
+                  "draw j of path i = lane j%4 of counter (i, j//4, 0, 0); "
                   "uniform = ((word >> 11) + 0.5) * 2^-53; inverse-cdf transform")
+
+# paths per tile at most; tiles bound the engine's memory for any path count
+_TILE_PATHS = 65_536
+
+# the benchmark's tracer (perfbench/spans.py) lists mc.uniform_block among the
+# rng entry points; nothing here calls it, the name stays until that list drops it
+uniform_block = path_uniform_block
 
 # estimates with more than this fraction of non-finite paths are invalid
 _NONFINITE_LIMIT = 1e-3
@@ -178,12 +189,68 @@ def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
     return tau, nonfinite
 
 
-def _range_worker(args):
+def _tile_worker(args):
+    """Survivor counts on the grid and the non-finite count of one tile."""
     params, spec, x, n_max, seed, lo, hi, grid = args
     tau, nonfinite = _crossing_times_range(params, spec, x, n_max, seed, lo, hi)
-    tau.sort()
-    counts = [int(tau.size - np.searchsorted(tau, n, side="right")) for n in grid]
-    return counts, nonfinite
+    # at_least[k] counts paths with tau >= k, so survivors of horizon n are
+    # at_least[n + 1]; non-finite paths (tau = 0) fall below every horizon
+    at_least = np.cumsum(np.bincount(tau, minlength=n_max + 2)[::-1])[::-1]
+    return at_least[np.asarray(grid) + 1], nonfinite
+
+
+def _drain(jobs, next_tile):
+    """Run the tiles a shared counter hands out until none is left."""
+    done = []
+    while True:
+        with next_tile.get_lock():
+            i = next_tile.value
+            next_tile.value = i + 1
+        if i >= len(jobs):
+            return done
+        done.append(_tile_worker(jobs[i]))
+
+
+def _drain_into(jobs, next_tile, conn):
+    conn.send(_drain(jobs, next_tile))
+    conn.close()
+
+
+def _run_tiles(jobs, workers):
+    """Tile results from the calling process and ``workers - 1`` forked ones.
+
+    Each process takes the next unclaimed tile when it finishes one, so a
+    process that starts late or runs slow takes fewer tiles.  The calling
+    process works too, which saves a fork and its cold heap.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    next_tile = ctx.Value("q", 0)
+    procs, readers = [], []
+    try:
+        for _ in range(workers - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_drain_into, args=(jobs, next_tile, writer),
+                               daemon=True)
+            proc.start()
+            writer.close()
+            procs.append(proc)
+            readers.append(reader)
+        results = _drain(jobs, next_tile)
+        for reader in readers:
+            try:
+                results += reader.recv()
+            except EOFError:
+                raise RuntimeError("a simulation worker exited without its result") from None
+        return results
+    finally:
+        for reader in readers:
+            reader.close()
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
 
 
 @dataclass(eq=False)
@@ -252,7 +319,7 @@ class SurvivalCurve:
     def from_json_dict(cls, obj: dict) -> "SurvivalCurve":
         if obj.get("type") != "survival_curve":
             raise ValueError("not a survival_curve object")
-        if obj.get("schema_version") != SCHEMA_VERSION:
+        if obj.get("schema_version") not in _READABLE_SCHEMA_VERSIONS:
             raise ValueError(f"unsupported schema_version {obj.get('schema_version')!r}")
         return cls(
             params=ARParams(tuple(obj["params"]["a"])),
@@ -282,10 +349,11 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
                       paths: int, seed: int, workers: int | None = None) -> SurvivalCurve:
     """Estimate p_N(x) on a grid of horizons from ``paths`` simulated paths.
 
-    One crossing time per path serves the whole grid.  Paths are partitioned
-    into contiguous index ranges, one per worker; since every path owns a
-    counter-based stream keyed by (seed, path index), the result does not
-    depend on the partition.
+    One crossing time per path serves the whole grid.  Paths are cut into
+    equal contiguous tiles of at most 65,536 paths, at least one per worker,
+    and the workers take tiles until none is left.  Every path owns a
+    counter-based stream keyed by (seed, path index), so the result does not
+    depend on the tiling or the worker count.
     """
     grid = np.asarray(grid, dtype=np.int64)
     if grid.ndim != 1 or grid.size == 0:
@@ -296,17 +364,14 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
         raise ValueError("paths must be >= 1")
     workers = resolve_workers(workers)
     n_max = int(grid[-1])
-    bounds = np.linspace(0, paths, min(workers, paths) + 1).astype(int)
+    n_tiles = min(paths, max(workers, -(-paths // _TILE_PATHS)))
+    cuts = np.linspace(0, paths, n_tiles + 1).astype(int)
     jobs = [(params, spec, x, n_max, seed, int(lo), int(hi), tuple(int(n) for n in grid))
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(jobs) == 1:
-        results = [_range_worker(jobs[0])]
+            for lo, hi in zip(cuts[:-1], cuts[1:])]
+    if workers == 1 or len(jobs) == 1:
+        results = [_tile_worker(job) for job in jobs]
     else:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=len(jobs)) as pool:
-            results = pool.map(_range_worker, jobs)
+        results = _run_tiles(jobs, min(workers, len(jobs)))
     survivors = np.zeros(grid.size, dtype=np.int64)
     nonfinite = 0
     for counts, bad in results:
@@ -324,9 +389,10 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
 def _innovation_matrix(spec: InnovationSpec, seed: int, paths: int, n: int) -> np.ndarray:
     """Innovations Y[path, step] for steps 1..n of paths 0..paths-1."""
     n_blocks = (n + 3) // 4
-    blocks = np.arange(n_blocks, dtype=np.uint64)[None, :]
-    ids = np.arange(paths, dtype=np.uint64)[:, None]
-    u = uniform_block(blocks, np.uint64(seed), ids)   # (paths, blocks, 4)
+    ids = np.arange(paths, dtype=np.uint64)
+    u = np.empty((paths, n_blocks, 4))
+    for b in range(n_blocks):
+        u[:, b] = path_uniform_block(seed, ids, b)
     return spec.transform(u.reshape(paths, 4 * n_blocks)[:, :n])
 
 

@@ -63,7 +63,7 @@ def test_simulate_writes_deterministic_outputs(tmp_path, capsys):
     json_text = (tmp_path / "curve.json").read_text()
     csv_text = (tmp_path / "curve.csv").read_text()
     obj = json.loads(json_text)
-    assert obj["schema_version"] == 1
+    assert obj["schema_version"] == 2
     assert obj["survivors"][0] >= obj["survivors"][-1]
     assert csv_text.splitlines()[0] == "N,survivors,paths,p_hat,stderr,zero_flag"
     # byte-identical on rerun
@@ -111,11 +111,12 @@ def test_simulate_invalid_estimate_exit_code(tmp_path, capsys):
     assert json.loads((tmp_path / "curve.json").read_text())["invalid"] is True
 
 
-def test_fit_roundtrip_on_synthetic_curve(tmp_path, capsys):
+def _synthetic_curve(schema_version):
+    """Curve file of exact 2^-N survival, as the given schema version."""
     paths = 10 ** 9
     grid = list(range(1, 31))
-    curve = {
-        "schema_version": 1, "type": "survival_curve",
+    return {
+        "schema_version": schema_version, "type": "survival_curve",
         "params": {"a": [1.0]},
         "innovation": {"kind": "rademacher", "params": {}},
         "x": 0.0, "grid": grid,
@@ -127,8 +128,11 @@ def test_fit_roundtrip_on_synthetic_curve(tmp_path, capsys):
         "zero_upper_bound": 3.0 / paths,
         "seed": 0, "nonfinite_paths": 0, "invalid": False, "rng": "",
     }
+
+
+def test_fit_roundtrip_on_synthetic_curve(tmp_path, capsys):
     path = tmp_path / "synthetic.json"
-    path.write_text(json.dumps(curve))
+    path.write_text(json.dumps(_synthetic_curve(1)))
     code, out, _ = run_cli(capsys, "fit", str(path))
     assert code == 0
     fit = json.loads(out)
@@ -138,9 +142,10 @@ def test_fit_roundtrip_on_synthetic_curve(tmp_path, capsys):
 
 def test_fit_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"type": "something_else"}))
-    code, _, err = run_cli(capsys, "fit", str(path))
-    assert code == 3 and "invalid curve file" in err
+    for bad in ({"type": "something_else"}, _synthetic_curve(3)):
+        path.write_text(json.dumps(bad))
+        code, _, err = run_cli(capsys, "fit", str(path))
+        assert code == 3 and "invalid curve file" in err
 
 
 def test_bounds_matches_closed_form(capsys):

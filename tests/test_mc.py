@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,14 +107,44 @@ def test_monotone_in_barrier_under_common_random_numbers():
 
 
 def test_worker_count_does_not_change_counts():
-    grid = [1, 4, 16, 64]
-    base = estimate_survival(ar_params([0.5, 0.25]), gaussian(), 0.0, grid,
-                             20_000, 13, workers=1)
-    for workers in (2, 8):
-        other = estimate_survival(ar_params([0.5, 0.25]), gaussian(), 0.0, grid,
-                                  20_000, 13, workers=workers)
-        assert (other.survivors == base.survivors).all()
-        assert other.nonfinite_paths == base.nonfinite_paths
+    # 20k paths make one tile per worker; 140k paths make three tiles, so
+    # two workers take more than one tile each
+    for grid, paths, counts in [([1, 4, 16, 64], 20_000, (2, 8)),
+                                ([1, 4], 140_000, (2, 3))]:
+        base = estimate_survival(ar_params([0.5, 0.25]), gaussian(), 0.0, grid,
+                                 paths, 13, workers=1)
+        for workers in counts:
+            other = estimate_survival(ar_params([0.5, 0.25]), gaussian(), 0.0, grid,
+                                      paths, 13, workers=workers)
+            assert (other.survivors == base.survivors).all()
+            assert other.nonfinite_paths == base.nonfinite_paths
+
+
+def test_worker_failure_raises_instead_of_hanging(monkeypatch):
+    from arsurvival import mc
+
+    caller = os.getpid()
+    real = mc._drain
+
+    def drain(jobs, next_tile):
+        if os.getpid() != caller:
+            raise MemoryError("worker failed")
+        return real(jobs, next_tile)
+
+    monkeypatch.setattr(mc, "_drain", drain)
+    with pytest.raises(RuntimeError, match="without its result"):
+        estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=3)
+
+
+def test_engine_memory_is_bounded_by_tiles():
+    tracemalloc.start()
+    try:
+        estimate_survival(ar_params([-0.4, -0.4]), gaussian(), 0.0, [1, 2, 3, 4],
+                          2_000_000, 5, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_workers_env_default(monkeypatch):
@@ -164,7 +196,7 @@ def test_finite_run_is_valid():
 def test_json_round_trip():
     curve = estimate_survival(IRW, rademacher(), 0.0, [2, 4, 8], 5_000, 77)
     obj = curve.to_json_dict()
-    assert obj["schema_version"] == 1
+    assert obj["schema_version"] == 2
     back = SurvivalCurve.from_json_dict(json.loads(json.dumps(obj)))
     assert back.params == curve.params and back.spec == curve.spec
     assert (back.survivors == curve.survivors).all()
