@@ -12,12 +12,11 @@ from .regions import (Major, RegionLabel, Sub, ar3_integrated_region,
                       classify_ar2, in_delta_p)
 from .innovations import (HypothesisReport, InnovationSpec, Kind, TheoremId,
                           exponential_centered, gaussian, hypothesis_check,
-                          rademacher, sample, spec_from_json, two_point, uniform)
-from .rng import RNGStream
+                          rademacher, spec_from_json, two_point, uniform)
 from .mc import (ConstraintError, NonFiniteSampleError, ReductionKind,
                  ReductionReport, SurvivalCurve, crossing_time_from_innovations,
                  estimate_survival, pair_survival_frequency,
-                 pathwise_reduction_check, simulate_crossing_time)
+                 pathwise_reduction_check)
 from .oracle import (BudgetExceededError, enumerate_survival,
                      gaussian_pair_probability, pair_orthant_probability)
 from .asymptotics import DecayClass, DecayFit, Prediction, fit_decay, predict

@@ -110,18 +110,3 @@ def words_to_uniform(words):
     u *= _U53
     return u
 
-
-def uniform_run(seed, stream, start, count):
-    """``count`` consecutive uniforms of stream (seed, stream) from index ``start``.
-
-    Draw index j lives in lane j % 4 of counter block j // 4, so arbitrary
-    runs are cut out of whole blocks.
-    """
-    if count == 0:
-        return np.empty(0, np.float64)
-    b0 = start >> 2
-    b1 = (start + count - 1) >> 2
-    blocks = np.arange(b0, b1 + 1, dtype=np.uint64)
-    words = philox_block(np.uint64(stream), blocks, np.uint64(seed))
-    off = start - 4 * b0
-    return words_to_uniform(words.ravel()[off:off + count])

@@ -77,10 +77,6 @@ def _split_coefficients(params: ARParams) -> tuple[float, float]:
     return float(a[a > 0].sum()), float(a[a < 0].sum())
 
 
-def _interval_prob_at(spec, alpha: float, a_plus: float, abs_minus: float) -> float:
-    return spec.interval_prob(alpha * (1.0 - a_plus), alpha * abs_minus)
-
-
 def _golden_max(f, lo: float, hi: float):
     """Golden-section maximum of f on [lo, hi]; returns the best point seen."""
     best_x, best_f = lo, f(lo)
@@ -149,8 +145,9 @@ def exp_lower_bound(params: ARParams, spec, method: str = "auto") -> LowerBoundR
                                 a_minus=a_minus, A=cap_a,
                                 method=BoundMethod.GAUSSIAN_CLOSED_FORM)
 
-    def objective(alpha: float) -> float:
-        return _interval_prob_at(spec, alpha, a_plus, abs_minus)
+    def objective(alpha):
+        # P(Y in [alpha (1 - a_+), alpha |a_-|]) at a float or an array of them
+        return spec.interval_prob(alpha * (1.0 - a_plus), alpha * abs_minus)
 
     seeds = list(-np.logspace(math.log10(_SCAN_LO), math.log10(_SCAN_HI), _SCAN_POINTS))
     atoms = spec.atoms()
@@ -160,9 +157,9 @@ def exp_lower_bound(params: ARParams, spec, method: str = "auto") -> LowerBoundR
                 lo_a, hi_a = v / abs_minus, v / (1.0 - a_plus)
                 seeds += [lo_a, hi_a, -math.sqrt(lo_a * hi_a)]
     seeds.sort()
-    values = [objective(s) for s in seeds]
+    values = objective(np.array(seeds))
     i = int(np.argmax(values))
-    best_alpha, best_c = seeds[i], values[i]
+    best_alpha, best_c = seeds[i], float(values[i])
     lo = seeds[max(0, i - 1)]
     hi = seeds[min(len(seeds) - 1, i + 1)]
     if hi > lo:

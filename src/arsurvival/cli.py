@@ -28,7 +28,7 @@ from .bounds import (DegenerateBoundError, PreconditionError, e1_rate_bound,
                      e3_sign_change_index, exp_lower_bound)
 from .coeffs import ar_params, coeff_limit_class
 from .innovations import InnovationSpec, spec_from_json
-from .mc import SurvivalCurve, estimate_survival
+from .mc import SurvivalCurve, estimate_survival, resolve_workers
 from .regions import Sub, classify_ar2
 
 EXIT_OK = 0
@@ -144,8 +144,12 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    curve = estimate_survival(params, spec, x, grid, paths, seed,
-                              workers=args.workers)
+    workers = resolve_workers(args.workers)
+    try:
+        curve = estimate_survival(params, spec, x, grid, paths, seed, workers=workers)
+    except ValueError as exc:
+        print(f"error: invalid config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     _write_atomic(out + ".json", _dump(curve.to_json_dict()))
     _write_atomic(out + ".csv", curve.to_csv_text())
     if cfg.get("gnuplot", False):

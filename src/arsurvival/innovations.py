@@ -27,8 +27,6 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .rng import RNGStream
-
 __all__ = [
     "Kind",
     "InnovationSpec",
@@ -37,7 +35,6 @@ __all__ = [
     "two_point",
     "uniform",
     "exponential_centered",
-    "sample",
     "TheoremId",
     "HypothesisReport",
     "hypothesis_check",
@@ -176,14 +173,21 @@ class InnovationSpec:
     def prob_nonpositive(self) -> float:
         return float(self.cdf(0.0))
 
-    def interval_prob(self, lo: float, hi: float) -> float:
-        """P(Y in [lo, hi]) with closed endpoints."""
-        if hi < lo:
-            return 0.0
+    def interval_prob(self, lo, hi):
+        """P(Y in [lo, hi]) with closed endpoints, 0 when hi < lo; vectorized.
+
+        Scalar endpoints give a float, arrays an array of their broadcast shape.
+        """
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
         atoms = self.atoms()
         if atoms is not None:
-            return float(sum(p for v, p in atoms if lo <= v <= hi))
-        return float(max(0.0, self.cdf(hi) - self.cdf(lo)))
+            prob = sum(p * ((lo <= v) & (v <= hi)) for v, p in atoms)
+        else:
+            # fmax, like max(0.0, .), reads a NaN difference as 0
+            prob = np.fmax(0.0, self.cdf(hi) - self.cdf(lo))
+        prob = np.where(hi < lo, 0.0, prob)
+        return float(prob) if prob.ndim == 0 else prob
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         """Map (0,1) uniforms to Y samples by the inverse cdf."""
@@ -255,11 +259,6 @@ def spec_from_json(obj: dict) -> InnovationSpec:
     if set(given) != set(names):
         raise ValueError(f"{kind.value} needs params {list(names)}, got {sorted(given)}")
     return InnovationSpec(kind, tuple(given[n] for n in names))
-
-
-def sample(spec: InnovationSpec, stream: RNGStream, count: int) -> np.ndarray:
-    """``count`` i.i.d. draws from ``spec``, deterministic in the stream state."""
-    return spec.transform(stream.uniforms(count))
 
 
 # ---- theorem hypothesis catalog ---------------------------------------------

@@ -25,14 +25,13 @@ import numpy as np
 from .bounds import integrate_params
 from .coeffs import ARParams, ar2_closed_form, Branch
 from .innovations import InnovationSpec, spec_from_json
-from .rng import RNGStream, path_uniform_block
+from .rng import path_uniform_block
 
 __all__ = [
     "SurvivalCurve",
     "NonFiniteSampleError",
     "ConstraintError",
     "crossing_time_from_innovations",
-    "simulate_crossing_time",
     "estimate_survival",
     "pair_survival_frequency",
     "ReductionKind",
@@ -87,8 +86,9 @@ def resolve_workers(workers: int | None) -> int:
 def crossing_time_from_innovations(params: ARParams, x: float, y) -> int:
     """First n with X_n > x for a given innovation sequence, len(y)+1 if none.
 
-    Overflow resolves faithfully: +inf exceeds any finite barrier, -inf
-    survives one; an indeterminate NaN state raises.
+    The scalar reference that the vectorized engine is tested against, path
+    for path.  Overflow resolves faithfully: +inf exceeds any finite
+    barrier, -inf survives one; an indeterminate NaN state raises.
     """
     a = params.a
     p = params.p
@@ -105,37 +105,6 @@ def crossing_time_from_innovations(params: ARParams, x: float, y) -> int:
         state.insert(0, xval)
         state.pop()
     return len(y) + 1
-
-
-def simulate_crossing_time(params: ARParams, spec: InnovationSpec, x: float,
-                           n_max: int, stream: RNGStream) -> int:
-    """Simulate one path and return tau_x, or n_max + 1 when it never crosses.
-
-    O(p) state; innovations are drawn lazily in chunks, so the draw positions
-    consumed for step n are exactly draws 0..n-1 of the stream.  Matches the
-    vectorized estimator path for path: NaN states raise, signed overflow
-    resolves as in crossing_time_from_innovations.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    a = params.a
-    p = params.p
-    state = [0.0] * p
-    n = 0
-    while n < n_max:
-        block = spec.transform(stream.uniforms(min(256, n_max - n)))
-        for yn in block:
-            n += 1
-            xval = float(yn)
-            for k in range(p):
-                xval += a[k] * state[k]
-            if np.isnan(xval):
-                raise NonFiniteSampleError(f"X_{n} is indeterminate (NaN)")
-            if xval > x:
-                return n
-            state.insert(0, xval)
-            state.pop()
-    return n_max + 1
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +320,10 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
 
     One crossing time per path serves the whole grid.  Paths are cut into
     equal contiguous tiles of at most 65,536 paths, at least one per worker,
-    and the workers take tiles until none is left.  Every path owns a
-    counter-based stream keyed by (seed, path index), so the result does not
-    depend on the tiling or the worker count.
+    and the workers take tiles until none is left.  Innovation j of path i
+    is read from Philox at key (seed, 0) and counter (i, j//4, 0, 0), so the
+    result does not depend on the tiling or the worker count.  A NaN barrier
+    raises ValueError; +-inf is allowed.
     """
     grid = np.asarray(grid, dtype=np.int64)
     if grid.ndim != 1 or grid.size == 0:
@@ -362,6 +332,8 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
         raise ValueError("grid must be strictly increasing horizons >= 1")
     if paths < 1:
         raise ValueError("paths must be >= 1")
+    if np.isnan(x):
+        raise ValueError("barrier x must not be NaN")
     workers = resolve_workers(workers)
     n_max = int(grid[-1])
     n_tiles = min(paths, max(workers, -(-paths // _TILE_PATHS)))

@@ -7,8 +7,7 @@ Streams are counter-based: stream (seed, index) produces the fixed sequence
 of uniforms on (0, 1).  Because u_j is a pure function of (seed, index, j),
 results are bit-identical regardless of how work is chunked or spread over
 workers, and independent streams are derived by index rather than by
-splitting state.  A stream object is a cursor over this sequence and is
-meant to have a single logical owner at a time.
+splitting state.
 
 Block j//4 of consecutive streams sits at consecutive counters, so
 ``path_uniform_block`` draws a dense set of streams from numpy's C Philox
@@ -18,14 +17,12 @@ give the same words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.random import Philox
 
-from ._philox import philox_block, uniform_run, words_to_uniform
+from ._philox import philox_block, words_to_uniform
 
-__all__ = ["RNGStream"]
+__all__ = ["path_uniform_block"]
 
 _MASK64 = (1 << 64) - 1
 _MASK256 = (1 << 256) - 1
@@ -38,23 +35,6 @@ _DENSE_SHARE = 1 / 6
 
 def _as_u64(value: int) -> int:
     return int(value) & _MASK64
-
-
-@dataclass
-class RNGStream:
-    """Cursor over the uniform sequence of stream ``(seed, stream)``."""
-
-    seed: int
-    stream: int = 0
-    cursor: int = 0
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """Draw ``count`` uniforms on (0, 1), advancing the cursor."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        u = uniform_run(_as_u64(self.seed), _as_u64(self.stream), self.cursor, count)
-        self.cursor += count
-        return u
 
 
 def _dense_words(seed: int, ids: np.ndarray, block: int) -> np.ndarray:

@@ -16,12 +16,9 @@ from arsurvival.regions import Sub, classify_ar2
 
 
 def _dense_scan(spec, a_plus, a_minus, n=1_000_000, lo=-10.0):
-    alphas = np.linspace(lo, -1e-9, n)
-    best = 0.0
-    for alpha in alphas[:: max(1, n // 1_000_000)]:
-        best = max(best, spec.interval_prob(alpha * (1 - a_plus),
-                                            alpha * abs(a_minus)))
-    return best
+    alphas = np.linspace(lo, -1e-9, n)[:: max(1, n // 1_000_000)]
+    probs = spec.interval_prob(alphas * (1 - a_plus), alphas * abs(a_minus))
+    return max(0.0, float(probs.max()))
 
 
 def test_gaussian_closed_form_example():

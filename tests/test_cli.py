@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from arsurvival.cli import main
 
 
@@ -109,6 +111,26 @@ def test_simulate_invalid_estimate_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", str(cfg))
     assert code == 4 and "non-finite" in err
     assert json.loads((tmp_path / "curve.json").read_text())["invalid"] is True
+
+
+@pytest.mark.parametrize("bad", [
+    {"grid": [16, 4]}, {"grid": [0, 4]},
+    {"paths": 0}, {"paths": -5},
+    {"x": math.nan}, {"x": "nan"},
+], ids=["grid-decreasing", "grid-zero", "paths-zero", "paths-negative", "x-nan",
+        "x-nan-text"])
+def test_simulate_invalid_config_values_exit_3(tmp_path, capsys, bad):
+    cfg = _write_config(tmp_path, **bad)
+    code, _, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 3 and "invalid config" in err
+    assert not list(tmp_path.glob("curve.*"))
+
+
+def test_simulate_bad_workers_is_malformed_input(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    code, _, err = run_cli(capsys, "simulate", str(cfg), "--workers", "0")
+    assert code == 2 and "workers" in err
+    assert not list(tmp_path.glob("curve.*"))
 
 
 def _synthetic_curve(schema_version):

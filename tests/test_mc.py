@@ -10,11 +10,10 @@ from arsurvival.coeffs import ar_params
 from arsurvival.innovations import gaussian, rademacher, two_point, uniform
 from arsurvival.mc import (ConstraintError, NonFiniteSampleError, ReductionKind,
                            SurvivalCurve, _crossing_times_range,
-                           crossing_time_from_innovations, estimate_survival,
-                           pair_survival_frequency, pathwise_reduction_check,
-                           simulate_crossing_time)
+                           _innovation_matrix, crossing_time_from_innovations,
+                           estimate_survival, pair_survival_frequency,
+                           pathwise_reduction_check)
 from arsurvival.oracle import enumerate_survival
-from arsurvival.rng import RNGStream
 
 RW = ar_params([1.0])
 IRW = ar_params([2.0, -1.0])
@@ -30,19 +29,24 @@ def test_crossing_time_hand_cases():
     assert crossing_time_from_innovations(RW, 10.0, [1.0] * 5) == 6
 
 
-def test_simulate_crossing_time_never_crosses_large_barrier():
-    tau = simulate_crossing_time(ar_params([0.0]), two_point(1.0), 1e9, 50,
-                                 RNGStream(3, 0))
-    assert tau == 51
+def test_engine_never_crosses_large_barrier():
+    tau, bad = _crossing_times_range(ar_params([0.0]), two_point(1.0), 1e9, 50, 3, 0, 1)
+    assert bad == 0 and tau.tolist() == [51]
 
 
-def test_simulate_crossing_time_matches_vector_engine():
-    params = ar_params([0.5, 0.25])
-    spec = gaussian()
-    tau_vec, bad = _crossing_times_range(params, spec, 0.0, 64, 99, 0, 300)
+@pytest.mark.parametrize("a, spec, x", [
+    ((0.5, 0.25), gaussian(), 0.0),
+    ((2.0, -1.0), rademacher(), 0.0),       # lattice laws hit X_n = x exactly
+    ((1.0, 1.0, -1.0), rademacher(), 1.0),
+    ((0.5, -0.3), two_point(2.0), 0.5),
+], ids=["ar2-gaussian", "iw-rademacher", "ar3-rademacher", "ar2-two_point"])
+def test_engine_matches_scalar_reference(a, spec, x):
+    # row i of the innovation matrix is stream (99, i), the engine's path i
+    params = ar_params(a)
+    tau_vec, bad = _crossing_times_range(params, spec, x, 64, 99, 0, 300)
     assert bad == 0
-    tau_scalar = [simulate_crossing_time(params, spec, 0.0, 64, RNGStream(99, i))
-                  for i in range(300)]
+    y = _innovation_matrix(spec, 99, 300, 64)
+    tau_scalar = [crossing_time_from_innovations(params, x, row) for row in y]
     assert (tau_vec == np.array(tau_scalar)).all()
 
 
@@ -172,6 +176,11 @@ def test_grid_validation():
         estimate_survival(RW, gaussian(), 0.0, [], 100, 1)
     with pytest.raises(ValueError):
         estimate_survival(RW, gaussian(), 0.0, [4], 0, 1)
+    # no path would ever cross a NaN barrier; infinite barriers are valid
+    with pytest.raises(ValueError, match="NaN"):
+        estimate_survival(RW, gaussian(), math.nan, [4], 100, 1)
+    for x, survivors in [(math.inf, 100), (-math.inf, 0)]:
+        assert estimate_survival(RW, gaussian(), x, [4], 100, 1).survivors[0] == survivors
 
 
 def test_nonfinite_paths_marked_invalid():
@@ -182,7 +191,8 @@ def test_nonfinite_paths_marked_invalid():
     assert curve.nonfinite_paths > 0
     assert curve.invalid
     with pytest.raises(NonFiniteSampleError):
-        simulate_crossing_time(params, gaussian(), math.inf, 2200, RNGStream(19, 0))
+        crossing_time_from_innovations(params, math.inf,
+                                       _innovation_matrix(gaussian(), 19, 1, 2200)[0])
 
 
 def test_finite_run_is_valid():

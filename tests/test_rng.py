@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-from arsurvival._philox import philox_block, uniform_run
-from arsurvival.rng import RNGStream, _dense_words, path_uniform_block
+from arsurvival._philox import philox_block, words_to_uniform
+from arsurvival.rng import _dense_words, path_uniform_block
 
 M64 = 2**64
 
@@ -17,6 +17,12 @@ def numpy_words(seed, path, block):
     counter = (path + (block << 64) - 1) % 2**256
     key = np.array([seed % M64, 0], dtype=np.uint64)
     return Philox(key=key, counter=counter).random_raw(4)
+
+
+def stream_uniforms(seed, path, n):
+    """Draws 0..n-1 of stream (seed, path), cut from whole counter blocks."""
+    blocks = np.arange(-(-n // 4), dtype=np.uint64)
+    return words_to_uniform(philox_block(np.uint64(path), blocks, seed)).ravel()[:n]
 
 
 @pytest.mark.parametrize("key", [(0, 0), (12345, 678), (2**64 - 1, 3), (42, 2**63)])
@@ -39,6 +45,8 @@ def test_philox_block_zero_matches_numpy():
     (5, 0, 0),              # ... down to the all-ones counter
     (5, 2**64 - 1, 3),      # last path: the top of the c0 word
     (-1, 11, 2),            # seed -1 is key word 2^64 - 1
+    (-1, 2**64 - 1, 0),     # ... with the last path, at blocks 0 and 1
+    (-1, 2**64 - 1, 1),
 ])
 def test_counter_carry_edges_match_numpy(seed, path, block):
     ref = (((numpy_words(seed, path, block) >> np.uint64(11)).astype(np.float64) + 0.5)
@@ -72,32 +80,18 @@ def test_philox_vectorized_consistent_with_scalar():
 
 
 def test_uniforms_open_interval_and_deterministic():
-    u = uniform_run(123, 45, 0, 10_000)
+    u = stream_uniforms(123, 45, 10_000)
     assert ((u > 0.0) & (u < 1.0)).all()
-    assert (u == uniform_run(123, 45, 0, 10_000)).all()
+    assert (u == stream_uniforms(123, 45, 10_000)).all()
     assert abs(u.mean() - 0.5) < 0.02
 
 
-def test_uniform_run_slices_blocks_consistently():
-    whole = uniform_run(9, 1, 0, 40)
-    assert (uniform_run(9, 1, 7, 12) == whole[7:19]).all()
-    assert uniform_run(9, 1, 13, 0).size == 0
-
-
-def test_stream_cursor_matches_run():
-    s = RNGStream(seed=77, stream=5)
-    a = s.uniforms(7)
-    b = s.uniforms(9)
-    assert (np.concatenate([a, b]) == uniform_run(77, 5, 0, 16)).all()
-    assert s.cursor == 16
-
-
 def test_streams_are_independent_and_reproducible():
-    u1 = RNGStream(1, 0).uniforms(256)
-    u2 = RNGStream(1, 1).uniforms(256)
-    u3 = RNGStream(2, 0).uniforms(256)
+    u1 = stream_uniforms(1, 0, 256)
+    u2 = stream_uniforms(1, 1, 256)
+    u3 = stream_uniforms(2, 0, 256)
     assert (u1 != u2).any() and (u1 != u3).any()
-    assert (RNGStream(1, 0).uniforms(256) == u1).all()
+    assert (stream_uniforms(1, 0, 256) == u1).all()
 
 
 def test_path_uniform_block_matches_streams():
@@ -105,12 +99,5 @@ def test_path_uniform_block_matches_streams():
     for ids in (np.arange(10, dtype=np.uint64), np.array([3, 9000], np.uint64)):
         block = path_uniform_block(99, ids, 3)
         for row, i in zip(block, ids):
-            expect = uniform_run(99, int(i), 12, 4)
+            expect = words_to_uniform(numpy_words(99, int(i), 3))
             assert (row == expect).all()
-
-
-def test_negative_seed_and_large_stream_wrap():
-    s = RNGStream(seed=-1, stream=2**64 - 1)
-    u = s.uniforms(8)
-    assert ((u > 0) & (u < 1)).all()
-    assert (u == uniform_run(2**64 - 1, 2**64 - 1, 0, 8)).all()
