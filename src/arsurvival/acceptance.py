@@ -187,7 +187,7 @@ def criterion_c1(quick: bool = False) -> CriterionResult:
 
 
 def criterion_o1(quick: bool = False) -> CriterionResult:
-    """MC agrees with exhaustive enumeration in at least 11 of 12 cells."""
+    """MC agrees with the exact oracle in at least 11 of 12 cells."""
     paths = 100_000 if quick else 1_000_000
     cases = ([1.0, 0.0], [2.0, -1.0], [0.5, 0.5], [-0.4, -0.4])
     horizons = [4, 8, 12]

@@ -86,6 +86,9 @@ def cmd_classify(args) -> int:
     if not (math.isfinite(args.a1) and math.isfinite(args.a2)):
         print("error: coefficients must be finite", file=sys.stderr)
         return EXIT_USAGE
+    if math.isnan(args.x):
+        print("error: barrier x must not be NaN", file=sys.stderr)
+        return EXIT_USAGE
     spec = _parse_spec(args.innovation, args.innovation_params)
     label = classify_ar2(args.a1, args.a2)
     limit = coeff_limit_class(args.a1, args.a2)

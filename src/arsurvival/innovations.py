@@ -60,6 +60,8 @@ class InnovationSpec:
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
         k, q = self.kind, self.params
+        if not all(math.isfinite(v) for v in q):
+            raise ValueError(f"{k.value} parameters must be finite, got {q}")
         if k is Kind.GAUSSIAN:
             if len(q) != 2 or q[1] <= 0:
                 raise ValueError("gaussian needs (mu, sigma) with sigma > 0")

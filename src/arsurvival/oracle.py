@@ -1,9 +1,12 @@
-"""Exact small-instance survival probabilities.
+"""Exact survival probabilities.
 
 Two independent routes to p_N(x) that never touch the simulator:
 
-* exhaustive enumeration over all innovation sequences when Y has finite
-  support (the ground truth every Monte Carlo estimate is tested against),
+* exact enumeration when Y has finite support (the ground truth every
+  Monte Carlo estimate is tested against), run as a dynamic programme over
+  the distinct states (X_n, ..., X_{n-p+1}) of the surviving paths, so its
+  cost grows with the number of distinct states rather than with the
+  |support|^N innovation sequences,
 * the bivariate-normal orthant formula for the consecutive-pair bound
   P(X_{n-1} <= 0, X_n <= 0) under centered Gaussian innovations.
 """
@@ -23,56 +26,68 @@ __all__ = [
     "gaussian_pair_probability",
 ]
 
-# at most 2^22 innovation sequences per call
+# at most 2^22 candidate states (surviving states x |support|) per step
 _BUDGET = 1 << 22
 
 
 class BudgetExceededError(ValueError):
-    """The enumeration would visit too many sequences."""
+    """The enumeration would expand too many states in one step."""
 
 
 def enumerate_survival(params: ARParams, support, x: float, n: int) -> float:
     """Exact p_n(x) = P(X_k <= x, k = 1..n) for finite-support innovations.
 
-    ``support`` is a sequence of (value, probability) pairs whose
-    probabilities must sum to 1 within 1e-12.  Sums P(sequence) over every
-    innovation sequence whose path survives, by depth-first search that
-    prunes a subtree at the first crossing.  Leaf probabilities are
-    accumulated smallest-first through math.fsum, so the result is exact to
-    the last few ulps.
+    ``support`` is a sequence of (value, probability) pairs with finite
+    values whose probabilities must sum to 1 within 1e-12; ``x`` may be
+    +-inf but not NaN.
+
+    The frontier after step k is an (m, p) array of the distinct states
+    (X_k, ..., X_{k-p+1}) reached without crossing, each with the total
+    probability of the sequences reaching it.  A step expands every state by
+    every support value, drops candidates with X > x and merges bitwise
+    identical rows, summing their masses.  The new value y + a_1 s_1 + ... +
+    a_p s_p is evaluated left to right in the float operations of a
+    path-by-path recursion on that path's own state, so every survive/cross
+    decision is the one that recursion makes.  The result is the correctly
+    rounded ``math.fsum`` of the final masses; with dyadic probabilities
+    they are exact while path counts fit in 53 bits.
+
+    Raises BudgetExceededError before a step whose candidates (states x
+    |support|) would exceed 2^22, which bounds memory; every input with
+    |support|^n <= 2^22 stays inside the budget.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    values = [float(v) for v, _ in support]
-    probs = [float(q) for _, q in support]
-    if any(q < 0.0 for q in probs) or abs(math.fsum(probs) - 1.0) > 1e-12:
+    values = np.array([float(v) for v, _ in support])
+    probs = np.array([float(q) for _, q in support])
+    if not np.isfinite(values).all():
+        raise ValueError(f"support values must be finite, got {values.tolist()}")
+    if not (probs >= 0.0).all() or not abs(math.fsum(probs) - 1.0) <= 1e-12:
         raise ValueError("support probabilities must be >= 0 and sum to 1")
-    if len(values) ** n > _BUDGET:
-        raise BudgetExceededError(
-            f"|support|^n = {len(values)}^{n} exceeds the {_BUDGET} budget")
-    if n == 0:
-        return 1.0
-    a = params.a
-    p = params.p
     x = float(x)
-    branches = list(zip(values, probs))
-    leaves: list[float] = []
-
-    def descend(depth: int, state: tuple[float, ...], prob: float) -> None:
-        for value, q in branches:
-            xval = value
-            for k in range(p):
-                xval += a[k] * state[k]
-            if xval > x:
-                continue
-            if depth == n:
-                leaves.append(prob * q)
-            else:
-                descend(depth + 1, (xval,) + state[:-1], prob * q)
-
-    descend(1, (0.0,) * p, 1.0)
-    leaves.sort()
-    return math.fsum(leaves)
+    if math.isnan(x):
+        raise ValueError("barrier x must not be NaN")
+    a, p = params.a, params.p
+    row = np.dtype((np.void, 8 * p))
+    states = np.zeros((1, p))
+    mass = np.ones(1)
+    for step in range(n):
+        if mass.size * values.size > _BUDGET:
+            raise BudgetExceededError(
+                f"{mass.size} states x {values.size} support values at step "
+                f"{step + 1} exceed the {_BUDGET} budget")
+        xval = values + a[0] * states[:, :1]
+        for k in range(1, p):
+            xval = xval + a[k] * states[:, k:k + 1]
+        # not (X > x), the recursion's own test: a NaN from overflow survives
+        rows, cols = np.nonzero(~(xval > x))
+        nxt = np.empty((rows.size, p))
+        nxt[:, 0] = xval[rows, cols]
+        nxt[:, 1:] = states[rows, :-1]
+        keys, inverse = np.unique(nxt.view(row).ravel(), return_inverse=True)
+        states = keys.view(np.float64).reshape(-1, p)
+        mass = np.bincount(inverse, weights=mass[rows] * probs[cols])
+    return math.fsum(mass.tolist())
 
 
 def pair_orthant_probability(rho: float) -> float:

@@ -36,6 +36,17 @@ def test_classify_rejects_non_finite(capsys):
     assert code == 2 and "finite" in err
 
 
+def test_classify_rejects_nan_barrier(capsys):
+    code, out, err = run_cli(capsys, "classify", "--a1", "0.5", "--a2", "0.25",
+                             "--x", "nan")
+    assert code == 2 and "NaN" in err and out == ""
+    # infinite barriers stay valid, as in estimate_survival
+    for x in ("inf", "-inf"):
+        code, out, _ = run_cli(capsys, "classify", "--a1", "0.5", "--a2", "0.25",
+                               f"--x={x}")
+        assert code == 0 and json.loads(out)["region"] == "E"
+
+
 def test_classify_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "classify", "--a1", "0.5", "--a2", "0.25")
     _, out2, _ = run_cli(capsys, "classify", "--a1", "0.5", "--a2", "0.25")
@@ -117,8 +128,10 @@ def test_simulate_invalid_estimate_exit_code(tmp_path, capsys):
     {"grid": [16, 4]}, {"grid": [0, 4]},
     {"paths": 0}, {"paths": -5},
     {"x": math.nan}, {"x": "nan"},
+    {"innovation": {"kind": "gaussian", "params": {"mu": math.nan, "sigma": 1.0}}},
+    {"innovation": {"kind": "uniform", "params": {"lo": 0.0, "hi": math.inf}}},
 ], ids=["grid-decreasing", "grid-zero", "paths-zero", "paths-negative", "x-nan",
-        "x-nan-text"])
+        "x-nan-text", "innovation-nan", "innovation-inf"])
 def test_simulate_invalid_config_values_exit_3(tmp_path, capsys, bad):
     cfg = _write_config(tmp_path, **bad)
     code, _, err = run_cli(capsys, "simulate", str(cfg))
@@ -201,6 +214,14 @@ def test_bounds_precondition_reported(capsys):
 def test_bounds_rejects_bad_coefficients(capsys):
     code, _, err = run_cli(capsys, "bounds", "--a", "0.3,oops")
     assert code == 2
+
+
+@pytest.mark.parametrize("params", ['{"mu": NaN, "sigma": 1}',
+                                    '{"mu": 0, "sigma": Infinity}'])
+def test_bounds_rejects_nonfinite_innovation(capsys, params):
+    code, out, err = run_cli(capsys, "bounds", "--a", "0.3,0.2",
+                             "--innovation-params", params)
+    assert code == 2 and "finite" in err and out == ""
 
 
 def test_verify_single_criterion(capsys):

@@ -34,6 +34,22 @@ def test_factory_validation():
         InnovationSpec(Kind.RADEMACHER, (1.0,))
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("gaussian", {"mu": math.nan, "sigma": 1.0}),
+    ("gaussian", {"mu": 0.0, "sigma": math.inf}),
+    ("gaussian", {"mu": -math.inf, "sigma": 1.0}),
+    ("two_point", {"y": math.inf}),
+    ("two_point", {"y": math.nan}),
+    ("uniform", {"lo": -math.inf, "hi": 1.0}),
+    ("uniform", {"lo": 0.0, "hi": math.nan}),
+    ("exponential_centered", {"rate": math.inf}),
+    ("exponential_centered", {"rate": math.nan}),
+])
+def test_nonfinite_parameters_rejected(kind, params):
+    with pytest.raises(ValueError, match="finite"):
+        spec_from_json({"kind": kind, "params": params})
+
+
 def test_sample_support():
     r = sample(rademacher(), 11, 0, 1000)
     assert set(np.unique(r)) == {-1.0, 1.0}

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,14 +6,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arsurvival.coeffs import ar_params, coeff_recursion
-from arsurvival.innovations import gaussian
+from arsurvival.innovations import gaussian, rademacher
 from arsurvival.mc import estimate_survival, pair_survival_frequency
 from arsurvival.oracle import (BudgetExceededError, enumerate_survival,
                                gaussian_pair_probability,
                                pair_orthant_probability)
 
 SIGNS = ((-1.0, 0.5), (1.0, 0.5))
+THREE_POINT = ((-1.0, 0.3), (0.0, 0.4), (1.0, 0.3))
 RW = ar_params([1.0])
+
+
+def brute_force(a, support, x, n):
+    """p_n(x) by walking every innovation sequence, and whether a surviving
+    path touches the barrier exactly."""
+    leaves, touched = [], False
+    for seq in itertools.product(support, repeat=n):
+        past = [0.0] * len(a)
+        prob = 1.0
+        for value, q in seq:
+            xval = value
+            for k in range(len(a)):
+                xval += a[k] * past[k]
+            if xval > x:
+                break
+            touched |= xval == x
+            past = [xval] + past[:-1]
+            prob *= q
+        else:
+            leaves.append(prob)
+    return math.fsum(leaves), touched
 
 
 def test_random_walk_two_steps():
@@ -53,10 +76,46 @@ def test_three_point_support():
 
 
 def test_budget_guard():
+    # 64 values and an irrational coefficient: no two states ever merge and
+    # nothing is pruned, so step 4 would expand 64^3 states x 64 > 2^22
+    wide = tuple((float(v), 1 / 64) for v in range(-32, 32))
+    params = ar_params([math.pi / 4])
+    assert enumerate_survival(params, wide, 1e9, 3) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(BudgetExceededError):
-        enumerate_survival(RW, SIGNS, 0.0, 23)
-    # N = 22 is inside the budget (pruning makes the all-crossing case fast)
-    assert enumerate_survival(RW, SIGNS, -10.0, 22) == 0.0
+        enumerate_survival(params, wide, 1e9, 4)
+    # the walk has at most n + 1 states, so horizons far past 2^n <= 2^22 run
+    for n in (23, 1024):
+        expect = math.comb(n, n // 2) / 2 ** n
+        assert abs(enumerate_survival(RW, SIGNS, 0.0, n) - expect) <= 1e-15 * expect
+
+
+@pytest.mark.parametrize("a, support, x, n, touches", [
+    ((-0.4, -0.4), SIGNS, 0.0, 10, False),
+    ((0.5, 0.5), SIGNS, 0.0, 10, False),
+    ((1.0, 1.0, -1.0), SIGNS, 1.0, 10, True),
+    ((0.3, -0.2, 0.4), SIGNS, 0.2, 9, False),
+    ((1.0,), THREE_POINT, 0.0, 8, True),
+    ((0.5, 0.5), THREE_POINT, 0.0, 8, True),
+    ((1.0,), SIGNS, 1.0, 10, True),
+    ((0.5, -0.3), ((-2.0, 0.5), (2.0, 0.5)), 0.5, 10, False),
+], ids=["e1", "walk_sum", "ar3", "ar3-irregular", "three_point-walk",
+        "three_point-ar2", "walk-x1", "two_point"])
+def test_matches_brute_force(a, support, x, n, touches):
+    # touches: some surviving path has X_k == x exactly (the barrier is inclusive)
+    expect, touched = brute_force(a, support, x, n)
+    assert touched == touches
+    assert abs(enumerate_survival(ar_params(a), support, x, n) - expect) <= 1e-15
+
+
+def test_rejects_nonfinite_input():
+    with pytest.raises(ValueError, match="NaN"):
+        enumerate_survival(RW, SIGNS, math.nan, 5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            enumerate_survival(RW, ((bad, 0.5), (1.0, 0.5)), 0.0, 5)
+    # infinite barriers are valid
+    assert enumerate_survival(RW, SIGNS, math.inf, 5) == 1.0
+    assert enumerate_survival(RW, SIGNS, -math.inf, 5) == 0.0
 
 
 def test_probability_validation():
@@ -64,6 +123,8 @@ def test_probability_validation():
         enumerate_survival(RW, ((-1.0, 0.6), (1.0, 0.6)), 0.0, 2)
     with pytest.raises(ValueError):
         enumerate_survival(RW, ((-1.0, -0.5), (1.0, 1.5)), 0.0, 2)
+    with pytest.raises(ValueError):
+        enumerate_survival(RW, ((-1.0, math.nan), (1.0, 0.5)), 0.0, 2)
 
 
 def test_zero_horizon_is_one():
@@ -133,3 +194,16 @@ def test_pair_probability_upper_bounds_survival():
     bound = gaussian_pair_probability(params, 6)
     curve = estimate_survival(params, gaussian(), 0.0, [6], 100_000, 313)
     assert curve.p_hat[0] <= bound + 3 * curve.stderr[0]
+
+
+@pytest.mark.parametrize("a, horizons, seed", [
+    ((1.0,), [64, 128, 256], 401),
+    ((0.0, 1.0), [64, 128, 256], 402),
+    ((2.0, -1.0), [64], 403),
+], ids=["walk", "interleaved", "integrated"])
+def test_engine_matches_exact_dp_past_n12(a, horizons, seed):
+    params = ar_params(a)
+    curve = estimate_survival(params, rademacher(), 0.0, horizons, 100_000, seed)
+    for i, n in enumerate(horizons):
+        exact = enumerate_survival(params, SIGNS, 0.0, n)
+        assert abs(curve.p_hat[i] - exact) <= 4 * curve.stderr[i]
