@@ -49,9 +49,6 @@ class CriterionResult:
         return f"{self.cid:4s} {status}  {self.description}"
 
 
-_RADEMACHER_SUPPORT = ((-1.0, 0.5), (1.0, 0.5))
-
-
 def _dyadic(lo: int, hi: int) -> list[int]:
     return [2 ** k for k in range(lo, hi + 1)]
 
@@ -116,10 +113,10 @@ def criterion_p3(quick: bool = False) -> CriterionResult:
     # and exactly, via enumeration, for sign innovations
     n_top = 8 if quick else 10
     worst = 0.0
+    signs = rademacher().atoms()
     for n in range(1, n_top + 1):
-        both = enumerate_survival(ar_params([0.0, 1.0]), _RADEMACHER_SUPPORT,
-                                  0.0, 2 * n)
-        one = enumerate_survival(ar_params([1.0]), _RADEMACHER_SUPPORT, 0.0, n)
+        both = enumerate_survival(ar_params([0.0, 1.0]), signs, 0.0, 2 * n)
+        one = enumerate_survival(ar_params([1.0]), signs, 0.0, n)
         worst = max(worst, abs(both - one * one))
     ok_exact = worst <= 1e-12
     details.append(f"enumeration identity max |diff| = {worst:.2e} (tol 1e-12)")
@@ -198,7 +195,7 @@ def criterion_o1(quick: bool = False) -> CriterionResult:
         curve = estimate_survival(params, rademacher(), 0.0, horizons, paths,
                                   107 + i)
         for j, n in enumerate(horizons):
-            exact = enumerate_survival(params, _RADEMACHER_SUPPORT, 0.0, n)
+            exact = enumerate_survival(params, rademacher().atoms(), 0.0, n)
             err = abs(float(curve.p_hat[j]) - exact)
             tol = 3.0 * float(curve.stderr[j])
             ok = err <= tol

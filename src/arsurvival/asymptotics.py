@@ -218,81 +218,62 @@ def _rate_upper(a1: float, a2: float, spec: InnovationSpec) -> float | None:
     return -math.log(res.c)
 
 
+_NO_UPWARD_MASS = ("no upward mass",)
+
+# region (sub-region on E) -> theorem whose hypotheses are reported, the class
+# predicted when the region's rule holds, and the notes added when it does not
+_REGIONS = {
+    Major.P: (TheoremId.POLYNOMIAL_DECAY, DecayClass.POLYNOMIAL, ()),
+    Major.C: (TheoremId.POSITIVE_LIMIT, DecayClass.POSITIVE_LIMIT, ()),
+    Sub.E1: (TheoremId.ALTERNATING_RATE, DecayClass.EXPONENTIAL, ()),
+    Sub.E2: (TheoremId.SUPERPOLYNOMIAL_DECAY, DecayClass.EXPONENTIAL, _NO_UPWARD_MASS),
+    Sub.E3: (TheoremId.SUPERPOLYNOMIAL_DECAY, DecayClass.EXPONENTIAL, _NO_UPWARD_MASS),
+    Sub.E_OTHER: (TheoremId.SUPERPOLYNOMIAL_DECAY, DecayClass.EXPONENTIAL, ()),
+}
+
+
+def _rule(region: Major | Sub, a1: float, a2: float, spec: InnovationSpec,
+          satisfied: bool) -> tuple[bool, dict]:
+    """Whether the region's prediction holds, and its extra Prediction fields."""
+    centered = spec.kind is Kind.GAUSSIAN and spec.params[0] == 0.0
+    if region is Major.P:
+        # a2 = 1: two interleaved walks; a2 = -1: the integrated walk
+        return satisfied, {"theta": {1.0: 1.0, -1.0: 0.25}.get(a2, 0.5)}
+    if region is Major.C:
+        return satisfied, {}
+    if region is Sub.E1:
+        return satisfied or centered, {"rate_lower_bound": e1_rate_bound(a1, a2)}
+    if region is Sub.E2:
+        # all-nonpositive coefficients force Y_k <= 0 along a surviving path,
+        # so p_N <= P(Y <= 0)^N needs only upward mass
+        pnp = spec.prob_nonpositive()
+        rate_low = -math.log(pnp) if pnp > 0.0 else math.inf
+        return spec.pos_mass, {"rate_lower_bound": rate_low}
+    if region is Sub.E3:
+        return spec.pos_mass, {}
+    # vanishing weights or the a2 = 1 + a1 strip: general laws only guarantee
+    # exp(-c N / log N), which is flagged, not resolved
+    two_sided = spec.bounded_by is not None and spec.pos_mass and spec.neg_mass
+    return centered or satisfied or two_sided, {"log_corrected_plausible": not centered}
+
+
 def predict(a1: float, a2: float, spec: InnovationSpec, x: float) -> Prediction:
     """Predicted decay class for the AR(2) process (a1, a2) at barrier x.
 
     A pure function of the region label and the innovation's analytic flags.
-    When the innovation violates the hypotheses of every applicable result
-    the prediction is INCONCLUSIVE and carries the violated list.  The
-    comparison with fitted curves is only claimed for x >= 0.
+    When the region's rule does not hold for the innovation the prediction
+    is INCONCLUSIVE and carries the hypothesis report.  The comparison with
+    fitted curves is only claimed for x >= 0.
     """
-    region = classify_ar2(a1, a2)
-    notes: list[str] = []
-    if x < 0.0:
-        notes.append("predictions are stated for barriers x >= 0")
-    if region.major is Major.P:
-        hyp = hypothesis_check(spec, TheoremId.POLYNOMIAL_DECAY)
-        if a2 == 1.0:
-            theta = 1.0       # two interleaved walks
-        elif a2 == -1.0:
-            theta = 0.25      # integrated walk
-        else:
-            theta = 0.5
-        if not hyp.satisfied:
-            return Prediction(region, DecayClass.INCONCLUSIVE, hypotheses=hyp,
-                              notes=tuple(notes))
-        return Prediction(region, DecayClass.POLYNOMIAL, theta=theta,
-                          hypotheses=hyp, notes=tuple(notes))
-    if region.major is Major.C:
-        hyp = hypothesis_check(spec, TheoremId.POSITIVE_LIMIT)
-        cls = DecayClass.POSITIVE_LIMIT if hyp.satisfied else DecayClass.INCONCLUSIVE
-        return Prediction(region, cls, hypotheses=hyp, notes=tuple(notes))
-
-    # region E: some exponential-type upper bound, depending on the sub-region
-    rate_up = _rate_upper(a1, a2, spec)
-    gaussian_centered = spec.kind is Kind.GAUSSIAN and spec.params[0] == 0.0
-    rate_low = None
-    log_corrected = False
-    if region.sub is Sub.E2:
-        hyp = hypothesis_check(spec, TheoremId.SUPERPOLYNOMIAL_DECAY)
-        # all-nonpositive coefficients force Y_k <= 0 along a surviving path,
-        # so p_N <= P(Y <= 0)^N needs only upward mass
-        if spec.pos_mass:
-            pnp = spec.prob_nonpositive()
-            rate_low = -math.log(pnp) if pnp > 0.0 else math.inf
-            return Prediction(region, DecayClass.EXPONENTIAL,
-                              rate_lower_bound=rate_low, rate_upper_bound=rate_up,
-                              hypotheses=hyp, notes=tuple(notes))
-        return Prediction(region, DecayClass.INCONCLUSIVE, hypotheses=hyp,
-                          notes=tuple(notes) + ("no upward mass",))
-    if region.sub is Sub.E3:
-        hyp = hypothesis_check(spec, TheoremId.SUPERPOLYNOMIAL_DECAY)
-        if spec.pos_mass:
-            return Prediction(region, DecayClass.EXPONENTIAL,
-                              rate_upper_bound=rate_up, hypotheses=hyp,
-                              notes=tuple(notes))
-        return Prediction(region, DecayClass.INCONCLUSIVE, hypotheses=hyp,
-                          notes=tuple(notes) + ("no upward mass",))
-    if region.sub is Sub.E1:
-        hyp = hypothesis_check(spec, TheoremId.ALTERNATING_RATE)
-        if hyp.satisfied or gaussian_centered:
-            rate_low = e1_rate_bound(a1, a2)
-            return Prediction(region, DecayClass.EXPONENTIAL,
-                              rate_lower_bound=rate_low, rate_upper_bound=rate_up,
-                              hypotheses=hyp, notes=tuple(notes))
-        return Prediction(region, DecayClass.INCONCLUSIVE, hypotheses=hyp,
-                          notes=tuple(notes))
-    # remaining E: vanishing weights or the a2 = 1 + a1 strip
-    hyp = hypothesis_check(spec, TheoremId.SUPERPOLYNOMIAL_DECAY)
-    if gaussian_centered:
-        return Prediction(region, DecayClass.EXPONENTIAL, rate_upper_bound=rate_up,
-                          hypotheses=hyp, notes=tuple(notes))
-    if hyp.satisfied or (spec.bounded_by is not None and spec.pos_mass
-                         and spec.neg_mass):
-        # general laws only guarantee exp(-c N / log N); flagged, not resolved
-        log_corrected = True
-        return Prediction(region, DecayClass.EXPONENTIAL, rate_upper_bound=rate_up,
-                          log_corrected_plausible=log_corrected,
-                          hypotheses=hyp, notes=tuple(notes))
-    return Prediction(region, DecayClass.INCONCLUSIVE, hypotheses=hyp,
-                      notes=tuple(notes))
+    label = classify_ar2(a1, a2)
+    notes = ("predictions are stated for barriers x >= 0",) if x < 0.0 else ()
+    region = label.sub or label.major
+    theorem, decay_class, fail_notes = _REGIONS[region]
+    hyp = hypothesis_check(spec, theorem)
+    holds, extra = _rule(region, a1, a2, spec, hyp.satisfied)
+    if not holds:
+        return Prediction(label, DecayClass.INCONCLUSIVE, hypotheses=hyp,
+                          notes=notes + fail_notes)
+    if decay_class is DecayClass.EXPONENTIAL:
+        extra["rate_upper_bound"] = _rate_upper(a1, a2, spec)
+    return Prediction(label, decay_class, hypotheses=hyp, notes=notes, **extra)

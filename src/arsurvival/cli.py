@@ -90,14 +90,11 @@ def cmd_classify(args) -> int:
         print("error: barrier x must not be NaN", file=sys.stderr)
         return EXIT_USAGE
     spec = _parse_spec(args.innovation, args.innovation_params)
-    label = classify_ar2(args.a1, args.a2)
     limit = coeff_limit_class(args.a1, args.a2)
     pred = predict(args.a1, args.a2, spec, args.x)
     out = {
         "a1": args.a1,
         "a2": args.a2,
-        "region": label.major.value,
-        "sub": label.sub.value if label.sub else None,
         "coeff_limit": {"kind": limit.kind.value, "limit": limit.limit},
         **pred.to_json_dict(),
     }

@@ -58,7 +58,11 @@ class InnovationSpec:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
+        try:
+            object.__setattr__(self, "params", tuple(float(v) for v in self.params))
+        except (TypeError, ValueError):
+            raise ValueError(f"{self.kind.value} parameters must be numbers, "
+                             f"got {self.params!r}") from None
         k, q = self.kind, self.params
         if not all(math.isfinite(v) for v in q):
             raise ValueError(f"{k.value} parameters must be finite, got {q}")
@@ -258,6 +262,8 @@ def spec_from_json(obj: dict) -> InnovationSpec:
         raise ValueError(f"unknown innovation kind: {obj.get('kind')!r}") from None
     names = _PARAM_NAMES[kind]
     given = obj.get("params", {}) or {}
+    if not isinstance(given, dict):
+        raise ValueError(f"{kind.value} params must be an object, got {given!r}")
     if set(given) != set(names):
         raise ValueError(f"{kind.value} needs params {list(names)}, got {sorted(given)}")
     return InnovationSpec(kind, tuple(given[n] for n in names))

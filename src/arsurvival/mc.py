@@ -222,14 +222,26 @@ def _run_tiles(jobs, workers):
             proc.join()
 
 
+def _check_grid(grid) -> np.ndarray:
+    """The grid as int64; ValueError unless 1-d, non-empty and increasing from 1."""
+    grid = np.asarray(grid, dtype=np.int64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a non-empty 1-d sequence")
+    if grid[0] < 1 or (np.diff(grid) <= 0).any():
+        raise ValueError("grid must be strictly increasing horizons >= 1")
+    return grid
+
+
 @dataclass(eq=False)
 class SurvivalCurve:
     """Monte Carlo survival estimates over a grid of horizons.
 
-    survivors[i] counts paths with tau > grid[i]; it is non-increasing along
-    the grid by construction.  Entries with zero survivors are censored
-    (zero_flag): p_hat is reported as 0 and only the rule-of-three bound
-    3/paths is claimed.  nonfinite_paths counts paths whose state became
+    survivors[i] counts paths with tau > grid[i].  Construction checks what
+    estimate_survival guarantees, so a curve read from a file obeys it too:
+    paths >= 1, a grid strictly increasing from 1, and survivors in
+    [0, paths] that do not increase along the grid.  Entries with zero
+    survivors are censored (zero_flag): p_hat is reported as 0 and only the
+    rule-of-three bound 3/paths is claimed.  nonfinite_paths counts paths whose state became
     indeterminate (NaN); they are counted as non-survivors everywhere, and
     once they exceed 0.1% of all paths the whole estimate is invalid.
     """
@@ -247,10 +259,15 @@ class SurvivalCurve:
     zero_flag: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=np.int64)
+        self.grid = _check_grid(self.grid)
         self.survivors = np.asarray(self.survivors, dtype=np.int64)
         if self.grid.shape != self.survivors.shape:
             raise ValueError("grid and survivors must have equal length")
+        if self.paths < 1:
+            raise ValueError("paths must be >= 1")
+        if self.survivors[0] > self.paths or self.survivors[-1] < 0 or (
+                np.diff(self.survivors) > 0).any():
+            raise ValueError("survivors must be non-increasing counts in [0, paths]")
         self.p_hat = self.survivors / self.paths
         self.stderr = np.sqrt(self.p_hat * (1.0 - self.p_hat) / self.paths)
         self.zero_flag = self.survivors == 0
@@ -325,11 +342,7 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
     result does not depend on the tiling or the worker count.  A NaN barrier
     raises ValueError; +-inf is allowed.
     """
-    grid = np.asarray(grid, dtype=np.int64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a non-empty 1-d sequence")
-    if grid[0] < 1 or (np.diff(grid) <= 0).any():
-        raise ValueError("grid must be strictly increasing horizons >= 1")
+    grid = _check_grid(grid)
     if paths < 1:
         raise ValueError("paths must be >= 1")
     if np.isnan(x):
@@ -439,20 +452,15 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
         if params.p != 2:
             raise ConstraintError(f"{kind.value} applies to order-2 processes")
         a1, a2 = a
-    y = _innovation_matrix(spec, seed, paths, n_max)
-    xs = _path_matrix(params, y)
+    # the AR(1) kinds check Z_n = X_n - s X_{n-1} = r Z_{n-1} + Y_n
     if kind is ReductionKind.PAIR_SUM:
         if a2 != a1 + 1.0:
             raise ConstraintError(f"pair_sum needs a2 = a1 + 1, got {a}")
-        z = xs[:, 1:] + xs[:, :-1]
-        z_prev = np.concatenate([np.zeros((paths, 1)), z[:, :-1]], axis=1)
-        violations, worst = _count_violations(z, a2 * z_prev + y)
+        s, r = -1.0, a2
     elif kind is ReductionKind.WALK_SUM:
         if a1 + a2 != 1.0:
             raise ConstraintError(f"walk_sum needs a1 + a2 = 1, got {a}")
-        s = xs[:, 1:] + a2 * xs[:, :-1]
-        s_prev = np.concatenate([np.zeros((paths, 1)), s[:, :-1]], axis=1)
-        violations, worst = _count_violations(s, s_prev + y)
+        s, r = -a2, 1.0
     elif kind is ReductionKind.ROOT_SHIFT:
         sol = ar2_closed_form(a1, a2)
         ok = sol.branch is Branch.DISTINCT_REAL and (
@@ -461,16 +469,17 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
             raise ConstraintError(
                 f"root_shift needs a1^2 + 4a2 > 0 and (a1, a2 < 0 or "
                 f"a2 > 0 with a1 + a2 < 1), got {a}")
-        s2 = sol.s2.real
-        rho = -a2 / s2
-        z = xs[:, 1:] - s2 * xs[:, :-1]
-        z_prev = np.concatenate([np.zeros((paths, 1)), z[:, :-1]], axis=1)
-        violations, worst = _count_violations(z, rho * z_prev + y)
-    elif kind is ReductionKind.INTEGRATED:
+        s = sol.s2.real
+        r = rho = -a2 / s
+    y = _innovation_matrix(spec, seed, paths, n_max)
+    xs = _path_matrix(params, y)
+    if kind is ReductionKind.INTEGRATED:
         lifted = integrate_params(params)
         ws = _path_matrix(lifted, y)
         violations, worst = _count_violations(ws[:, 1:], np.cumsum(xs[:, 1:], axis=1))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown reduction kind {kind!r}")
+    else:
+        z = xs[:, 1:] - s * xs[:, :-1]
+        z_prev = np.concatenate([np.zeros((paths, 1)), z[:, :-1]], axis=1)
+        violations, worst = _count_violations(z, r * z_prev + y)
     return ReductionReport(kind=kind, paths=paths, n_max=n_max,
                            violations=violations, max_rel_err=worst, rho=rho)

@@ -45,7 +45,7 @@ def test_exponential_recovery_other_rate():
 
 def test_plateau_detection():
     grid = [2 ** k for k in range(4, 12)]
-    fit = fit_decay(synthetic_curve(grid, [0.3 + 1e-9 * k for k in range(8)]))
+    fit = fit_decay(synthetic_curve(grid, [0.3 - 1e-9 * k for k in range(8)]))
     assert fit.decay_class is DecayClass.POSITIVE_LIMIT
     assert fit.p_inf == pytest.approx(0.3, rel=1e-4)
     assert fit.plateau_stat <= 2.0
@@ -135,6 +135,26 @@ def test_predict_log_corrected_flag_for_non_gaussian():
     assert p.region == type(p.region)(Major.E, Sub.E_OTHER)
     assert p.decay_class is DecayClass.EXPONENTIAL
     assert p.log_corrected_plausible
+
+
+@pytest.mark.parametrize("a1, a2, spec, cls, note", [
+    (1.0, 1.0, uniform(0.5, 1.0), DecayClass.INCONCLUSIVE, None),
+    (-0.4, -0.4, uniform(-1.0, 0.0), DecayClass.INCONCLUSIVE, "no upward mass"),
+    (0.5, -0.5, uniform(-1.0, 0.0), DecayClass.INCONCLUSIVE, "no upward mass"),
+    (0.5, 0.25, rademacher(), DecayClass.EXPONENTIAL, None),
+    (0.5, 0.25, uniform(0.0, 1.0), DecayClass.INCONCLUSIVE, None),
+], ids=["C-no-downward-mass", "E2-no-upward-mass", "E3-no-upward-mass",
+        "Eother-lattice", "Eother-one-sided"])
+def test_predict_region_rules(a1, a2, spec, cls, note):
+    p = predict(a1, a2, spec, 0.0)
+    assert p.decay_class is cls
+    if note is not None:
+        assert note in p.notes
+    if cls is DecayClass.EXPONENTIAL:
+        assert p.log_corrected_plausible
+    else:
+        assert p.theta is None and not p.log_corrected_plausible
+        assert p.rate_lower_bound is None and p.rate_upper_bound is None
 
 
 def test_predict_is_pure():

@@ -130,8 +130,12 @@ def test_simulate_invalid_estimate_exit_code(tmp_path, capsys):
     {"x": math.nan}, {"x": "nan"},
     {"innovation": {"kind": "gaussian", "params": {"mu": math.nan, "sigma": 1.0}}},
     {"innovation": {"kind": "uniform", "params": {"lo": 0.0, "hi": math.inf}}},
+    {"innovation": {"kind": "gaussian", "params": 1}},
+    {"innovation": {"kind": "gaussian", "params": ["mu", "sigma"]}},
+    {"innovation": {"kind": "gaussian", "params": {"mu": None, "sigma": 1.0}}},
 ], ids=["grid-decreasing", "grid-zero", "paths-zero", "paths-negative", "x-nan",
-        "x-nan-text", "innovation-nan", "innovation-inf"])
+        "x-nan-text", "innovation-nan", "innovation-inf", "innovation-params-number",
+        "innovation-params-list", "innovation-params-null"])
 def test_simulate_invalid_config_values_exit_3(tmp_path, capsys, bad):
     cfg = _write_config(tmp_path, **bad)
     code, _, err = run_cli(capsys, "simulate", str(cfg))
@@ -175,12 +179,25 @@ def test_fit_roundtrip_on_synthetic_curve(tmp_path, capsys):
     assert abs(fit["lambda"] - math.log(2.0)) < 0.05 * math.log(2.0)
 
 
+def _impossible_curves():
+    """Version-2 curve files that no simulation can produce."""
+    for key, edit in [("paths", lambda p: 0),
+                      ("survivors", lambda s: [10 ** 9 + 1] + s[1:]),
+                      ("survivors", lambda s: s[:-1] + [-1]),
+                      ("survivors", lambda s: [s[1], s[0]] + s[2:]),
+                      ("grid", lambda g: [0] + g[1:]),
+                      ("grid", lambda g: g[::-1])]:
+        curve = _synthetic_curve(2)
+        curve[key] = edit(curve[key])
+        yield curve
+
+
 def test_fit_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for bad in ({"type": "something_else"}, _synthetic_curve(3)):
+    for bad in ({"type": "something_else"}, _synthetic_curve(3), *_impossible_curves()):
         path.write_text(json.dumps(bad))
-        code, _, err = run_cli(capsys, "fit", str(path))
-        assert code == 3 and "invalid curve file" in err
+        code, out, err = run_cli(capsys, "fit", str(path))
+        assert code == 3 and "invalid curve file" in err and out == ""
 
 
 def test_bounds_matches_closed_form(capsys):
@@ -214,6 +231,14 @@ def test_bounds_precondition_reported(capsys):
 def test_bounds_rejects_bad_coefficients(capsys):
     code, _, err = run_cli(capsys, "bounds", "--a", "0.3,oops")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["classify", "--a1", "0.5", "--a2", "0.25"],
+                                     ["bounds", "--a", "0.3,0.2"]])
+@pytest.mark.parametrize("params", ["1", '["mu", "sigma"]', '{"mu": null, "sigma": 1}'])
+def test_malformed_innovation_params_exit_2(capsys, command, params):
+    code, out, err = run_cli(capsys, *command, "--innovation-params", params)
+    assert code == 2 and err.startswith("error: ") and out == ""
 
 
 @pytest.mark.parametrize("params", ['{"mu": NaN, "sigma": 1}',

@@ -182,6 +182,9 @@ def test_json_round_trip():
     with pytest.raises(ValueError):
         spec_from_json({"kind": "gaussian", "params": {"mu": 0, "sigma": 1},
                         "extra": 1})
+    for params in (1, ["mu", "sigma"], {"mu": None, "sigma": 1}):
+        with pytest.raises(ValueError):
+            spec_from_json({"kind": "gaussian", "params": params})
 
 
 def test_str_forms():
