@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr
 
-from .coeffs import ARParams, ar_params
+from .coeffs import ARParams, ar_params, ar_step
 from .innovations import Kind
 from .regions import Major, Sub, classify_ar2
 
@@ -138,7 +138,8 @@ def exp_lower_bound(params: ARParams, spec, method: str = "auto") -> LowerBoundR
     if closed_ok and method in ("auto", "closed_form"):
         sigma = spec.params[1]
         width = 1.0 - a_plus
-        t_star = -math.sqrt((math.log(width ** 2) - math.log(abs_minus ** 2))
+        # 2 log|a_-|, not log(|a_-|^2): the square underflows below ~1e-162
+        t_star = -math.sqrt((2 * math.log(width) - 2 * math.log(abs_minus))
                             / (width ** 2 - abs_minus ** 2))
         c = float(ndtr(t_star * abs_minus) - ndtr(t_star * width))
         return LowerBoundResult(c=c, alpha_star=sigma * t_star, a_plus=a_plus,
@@ -207,7 +208,7 @@ def e3_sign_change_index(a1: float, a2: float) -> int:
     while k <= cap:
         if c_cur <= 0.0:
             return k
-        c_prev, c_cur = c_cur, a1 * c_cur + a2 * c_prev
+        c_prev, c_cur = c_cur, ar_step((a1, a2), 0.0, (c_cur, c_prev))
         k += 1
     raise RuntimeError(
         f"no sign change up to the proven cap {cap} for ({a1}, {a2}); "

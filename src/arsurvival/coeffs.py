@@ -32,6 +32,7 @@ __all__ = [
     "CoeffLimit",
     "CoeffOverflowError",
     "RootSolveError",
+    "ar_step",
     "coeff_recursion",
     "ar2_closed_form",
     "ar2_coeff_at",
@@ -118,20 +119,36 @@ class CoeffSolution:
     modulus: float | None = None
 
 
+def ar_step(a, y, state):
+    """One AR step: y + a[0]*state[0] + ... + a[p-1]*state[p-1], left to right.
+
+    state[k] holds X_{n-1-k}.  Works on floats and on broadcastable arrays;
+    the later terms must broadcast to the shape of y + a[0]*state[0].
+    Every recursion in the package steps through here, so all of them make
+    the same survive/cross decision when a lattice path hits the barrier
+    exactly.
+    """
+    acc = y + a[0] * state[0]
+    for k in range(1, len(a)):
+        acc += a[k] * state[k]      # in place on the fresh sum: no new array
+    return acc
+
+
 def coeff_recursion(params: ARParams, n_max: int) -> np.ndarray:
-    """c_0 .. c_{n_max} by direct recursion in double precision."""
+    """c_0 .. c_{n_max} by direct recursion in double precision.
+
+    The impulse response of ar_step: y = 0 and the state starts at
+    (c_0, c_{-1}, ...) = (1, 0, ...).
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    a = params.a
     p = params.p
-    c = np.zeros(n_max + 1)
-    c[0] = 1.0
-    for n in range(1, n_max + 1):
-        acc = 0.0
-        for k in range(1, min(p, n) + 1):
-            acc += a[k - 1] * c[n - k]
-        c[n] = acc
-    return c
+    # p - 1 zero lags ahead of c_0; c[n - 1::-1] lists the lags of c[n], newest first
+    c = np.zeros(n_max + p)
+    c[p - 1] = 1.0
+    for n in range(p, n_max + p):
+        c[n] = ar_step(params.a, 0.0, c[n - 1::-1])
+    return c[p - 1:]
 
 
 def ar2_closed_form(a1: float, a2: float) -> CoeffSolution:

@@ -15,7 +15,7 @@ hypothesis in the catalog below can be decided without sampling.
     exponential_centered    rate > 0        [-1/rate, inf)
 
 Sampling is inverse-cdf over counter-based uniform streams, so a sample is
-a pure function of (spec, seed, stream index, draw index).
+a pure function of (spec, seed, path, step).
 """
 
 from __future__ import annotations
@@ -278,12 +278,7 @@ class TheoremId(Enum):
     POLYNOMIAL_DECAY = "polynomial-decay"          # P-region polynomial law
     SUPERPOLYNOMIAL_DECAY = "superpolynomial-decay"  # E-region upper bound
     POSITIVE_LIMIT = "positive-limit"              # C-region positive limit
-    SUMMABLE_ENVELOPE = "summable-envelope"        # vanishing-weights upper bounds
-    EXP_LOWER_BOUND = "exponential-lower-bound"    # small-coefficient lower bound
     ALTERNATING_RATE = "alternating-rate-bound"    # oscillating-divergence rate
-    PAIR_SUM_AR1 = "pair-sum-ar1"                  # Z_n = X_n + X_{n-1} reduction
-    ROOT_SHIFT_AR1 = "root-shift-ar1"              # Z_n = X_n - s2 X_{n-1} reduction
-    WALK_REDUCTION = "walk-reduction"              # S_n = X_n + a2 X_{n-1} reduction
 
 
 @dataclass(frozen=True)
@@ -318,27 +313,10 @@ def _not_as_positive(spec):
     return spec.prob_nonpositive() > 0.0, "P(Y <= 0) > 0"
 
 
-def _two_sided_mass(spec):
-    ok = spec.pos_mass and spec.neg_mass
-    return ok, "P(Y > d) > 0 and P(Y < -d) > 0 for some d > 0"
-
-
-def _finite_variance(spec):
-    return math.isfinite(spec.variance), "finite variance"
-
-
-def _nondegenerate_variance(spec):
-    return spec.variance > 0.0, "nondegenerate variance"
-
-
 def _log_power_tail(spec):
     # all catalog members have at worst exponential upper tails
     return True, "P(Y >= t) eventually below (log t)^(-a) for some a > 1"
 
-
-_X_LEVEL_NOTE = ("the full hypothesis also needs upward mass at a level scaling "
-                 "with the barrier x; bounded innovations satisfy it only for "
-                 "small enough x")
 
 _CF_BOUND_NOTE = ("the stated |cf| <= delta < |root| condition is checked only "
                   "as characteristic-function decay; the delta/|root| "
@@ -350,12 +328,7 @@ _HYPOTHESES = {
     TheoremId.SUPERPOLYNOMIAL_DECAY: (
         (_pos_mass, _not_as_positive, _exp_moment, _cf_decays), ()),
     TheoremId.POSITIVE_LIMIT: ((_neg_mass, _log_power_tail), ()),
-    TheoremId.SUMMABLE_ENVELOPE: ((_two_sided_mass, _finite_variance), ()),
-    TheoremId.EXP_LOWER_BOUND: ((_nondegenerate_variance,), ()),
     TheoremId.ALTERNATING_RATE: ((_cf_decays, _exp_moment), (_CF_BOUND_NOTE,)),
-    TheoremId.PAIR_SUM_AR1: ((_pos_mass,), (_X_LEVEL_NOTE,)),
-    TheoremId.ROOT_SHIFT_AR1: ((_pos_mass,), (_X_LEVEL_NOTE,)),
-    TheoremId.WALK_REDUCTION: ((_mean_zero, _nondegenerate_variance), ()),
 }
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .bounds import integrate_params
-from .coeffs import ARParams, ar2_closed_form, Branch
+from .coeffs import ARParams, ar2_closed_form, ar_step, Branch
 from .innovations import InnovationSpec, spec_from_json
 from .rng import path_uniform_block
 
@@ -133,9 +133,7 @@ def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
         if lane == 0:
             ybuf = spec.transform(path_uniform_block(seed, ids, j >> 2))
         with np.errstate(invalid="ignore", over="ignore"):
-            xval = ybuf[:, lane] + a[0] * state[0]
-            for k in range(1, p):
-                xval += a[k] * state[k]
+            xval = ar_step(a, ybuf[:, lane], state)
         bad = np.isnan(xval)
         crossed = xval > x
         dead = crossed | bad
@@ -238,12 +236,14 @@ class SurvivalCurve:
 
     survivors[i] counts paths with tau > grid[i].  Construction checks what
     estimate_survival guarantees, so a curve read from a file obeys it too:
-    paths >= 1, a grid strictly increasing from 1, and survivors in
-    [0, paths] that do not increase along the grid.  Entries with zero
-    survivors are censored (zero_flag): p_hat is reported as 0 and only the
-    rule-of-three bound 3/paths is claimed.  nonfinite_paths counts paths whose state became
-    indeterminate (NaN); they are counted as non-survivors everywhere, and
-    once they exceed 0.1% of all paths the whole estimate is invalid.
+    paths >= 1, a grid strictly increasing from 1, survivors in [0, paths]
+    that do not increase along the grid, and nonfinite_paths in
+    [0, paths - survivors[0]].
+    Entries with zero survivors are censored (zero_flag): p_hat is reported
+    as 0 and only the rule-of-three bound 3/paths is claimed.
+    nonfinite_paths counts paths whose state became indeterminate (NaN);
+    they are counted as non-survivors everywhere, and once they exceed 0.1%
+    of all paths the whole estimate is invalid.
     """
 
     params: ARParams
@@ -268,6 +268,9 @@ class SurvivalCurve:
         if self.survivors[0] > self.paths or self.survivors[-1] < 0 or (
                 np.diff(self.survivors) > 0).any():
             raise ValueError("survivors must be non-increasing counts in [0, paths]")
+        # a non-finite path survives no horizon, so it is not among survivors[0]
+        if not 0 <= self.nonfinite_paths <= self.paths - self.survivors[0]:
+            raise ValueError("nonfinite_paths must be in [0, paths - survivors[0]]")
         self.p_hat = self.survivors / self.paths
         self.stderr = np.sqrt(self.p_hat * (1.0 - self.p_hat) / self.paths)
         self.zero_flag = self.survivors == 0
@@ -383,17 +386,14 @@ def _innovation_matrix(spec: InnovationSpec, seed: int, paths: int, n: int) -> n
 
 def _path_matrix(params: ARParams, y: np.ndarray) -> np.ndarray:
     """X[path, n] for n = 0..n_max (column 0 is the zero start)."""
-    a = params.a
     p = params.p
     n_paths, n_max = y.shape
-    xs = np.zeros((n_paths, n_max + 1))
+    # p - 1 zero lags ahead of the zero start; X_n sits in column n + p - 1
+    xs = np.zeros((n_paths, n_max + p))
     for n in range(1, n_max + 1):
-        acc = y[:, n - 1].copy()
-        for k in range(1, p + 1):
-            if n - k >= 1:
-                acc += a[k - 1] * xs[:, n - k]
-        xs[:, n] = acc
-    return xs
+        lags = xs[:, n - 1:n + p - 1][:, ::-1].T      # X_{n-1}, ..., X_{n-p}
+        xs[:, n + p - 1] = ar_step(params.a, y[:, n - 1], lags)
+    return xs[:, p - 1:]
 
 
 def pair_survival_frequency(params: ARParams, spec: InnovationSpec, n: int,

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .coeffs import ARParams, coeff_recursion
+from .coeffs import ARParams, ar_step, coeff_recursion
 
 __all__ = [
     "BudgetExceededError",
@@ -46,11 +46,11 @@ def enumerate_survival(params: ARParams, support, x: float, n: int) -> float:
     probability of the sequences reaching it.  A step expands every state by
     every support value, drops candidates with X > x and merges bitwise
     identical rows, summing their masses.  The new value y + a_1 s_1 + ... +
-    a_p s_p is evaluated left to right in the float operations of a
-    path-by-path recursion on that path's own state, so every survive/cross
-    decision is the one that recursion makes.  The result is the correctly
-    rounded ``math.fsum`` of the final masses; with dyadic probabilities
-    they are exact while path counts fit in 53 bits.
+    a_p s_p comes from ``coeffs.ar_step``, the left-to-right float order the
+    Monte Carlo engine shares, so every survive/cross decision is the one a
+    path-by-path recursion on that path's own state makes.  The result is
+    the correctly rounded ``math.fsum`` of the final masses; with dyadic
+    probabilities they are exact while path counts fit in 53 bits.
 
     Raises BudgetExceededError before a step whose candidates (states x
     |support|) would exceed 2^22, which bounds memory; every input with
@@ -76,9 +76,7 @@ def enumerate_survival(params: ARParams, support, x: float, n: int) -> float:
             raise BudgetExceededError(
                 f"{mass.size} states x {values.size} support values at step "
                 f"{step + 1} exceed the {_BUDGET} budget")
-        xval = values + a[0] * states[:, :1]
-        for k in range(1, p):
-            xval = xval + a[k] * states[:, k:k + 1]
+        xval = ar_step(a, values, states.T[:, :, None])
         # not (X > x), the recursion's own test: a NaN from overflow survives
         rows, cols = np.nonzero(~(xval > x))
         nxt = np.empty((rows.size, p))

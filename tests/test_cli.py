@@ -186,7 +186,11 @@ def _impossible_curves():
                       ("survivors", lambda s: s[:-1] + [-1]),
                       ("survivors", lambda s: [s[1], s[0]] + s[2:]),
                       ("grid", lambda g: [0] + g[1:]),
-                      ("grid", lambda g: g[::-1])]:
+                      ("grid", lambda g: g[::-1]),
+                      ("nonfinite_paths", lambda n: -5),
+                      ("nonfinite_paths", lambda n: 10 ** 9 + 1),
+                      # survivors[0] = paths / 2, so half the paths are left
+                      ("nonfinite_paths", lambda n: 10 ** 9 // 2 + 1)]:
         curve = _synthetic_curve(2)
         curve[key] = edit(curve[key])
         yield curve
@@ -210,6 +214,19 @@ def test_bounds_matches_closed_form(capsys):
     expect = -math.sqrt(math.log((0.7 / 0.2) ** 2) / (0.7 ** 2 - 0.2 ** 2))
     assert abs(res["alpha_star"] - expect) < 1e-12
     assert obj["region"] == "E/E3"
+
+
+def test_tiny_negative_coefficient_gives_finite_bound(capsys):
+    # |a_-|^2 underflows to 0 here; the closed form must not take log(0)
+    code, out, _ = run_cli(capsys, "bounds", "--a=-1e-300,1e-300")
+    assert code == 0
+    res = json.loads(out)["exp_lower_bound"]
+    assert res["method"] == "gaussian_closed_form"
+    assert 0.0 < res["c"] <= 1.0 and math.isfinite(res["alpha_star"])
+    code, out, _ = run_cli(capsys, "classify", "--a1=-1e-300", "--a2=1e-300")
+    assert code == 0
+    # the prediction's upper rate is -log c
+    assert math.isfinite(json.loads(out)["rate_upper_bound"])
 
 
 def test_bounds_reports_region_extras(capsys):

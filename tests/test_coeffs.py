@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from arsurvival.coeffs import (ARParams, Branch, CoeffOverflowError, LimitKind,
                                ar2_closed_form, ar2_coeff_at,
-                               ar2_coeff_via_roots, ar_params, charpoly_roots,
-                               coeff_limit_class, coeff_recursion)
+                               ar2_coeff_via_roots, ar_params, ar_step,
+                               charpoly_roots, coeff_limit_class, coeff_recursion)
 
 
 def test_recursion_hand_unrolled_cases():
@@ -17,6 +17,18 @@ def test_recursion_hand_unrolled_cases():
     assert coeff_recursion(ar_params([1, 0]), 3).tolist() == [1, 1, 1, 1]
     # pure alternation c_n = -c_{n-2}
     assert coeff_recursion(ar_params([0, -1]), 4).tolist() == [1, 0, -1, 0, 1]
+
+
+def test_ar_step_adds_left_to_right():
+    # (1 + 1e16) + -1e16 is 0 in doubles; any other order would give 1
+    assert ar_step((1.0, -1.0), 1.0, (1e16, 1e16)) == 0.0
+    assert ar_step((0.5,), 2.0, [4.0]) == 4.0
+    # arrays broadcast: 2 states x 3 innovations
+    y = np.array([-1.0, 0.0, 1.0])
+    state = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])
+    out = ar_step((2.0, -1.0), y, state)
+    assert out.shape == (2, 3)
+    assert out.tolist() == [[-2.0, -1.0, 0.0], [-1.0, 0.0, 1.0]]
 
 
 def test_recursion_matches_manual_order3():

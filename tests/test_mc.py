@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arsurvival.coeffs import ar_params
+from arsurvival.coeffs import ar_params, coeff_recursion
 from arsurvival.innovations import gaussian, rademacher, two_point, uniform
 from arsurvival.mc import (ConstraintError, NonFiniteSampleError, ReductionKind,
                            SurvivalCurve, _crossing_times_range,
-                           _innovation_matrix, crossing_time_from_innovations,
+                           _innovation_matrix, _path_matrix,
+                           crossing_time_from_innovations,
                            estimate_survival, pair_survival_frequency,
                            pathwise_reduction_check)
 from arsurvival.oracle import enumerate_survival
@@ -48,6 +49,15 @@ def test_engine_matches_scalar_reference(a, spec, x):
     y = _innovation_matrix(spec, 99, 300, 64)
     tau_scalar = [crossing_time_from_innovations(params, x, row) for row in y]
     assert (tau_vec == np.array(tau_scalar)).all()
+    # the full path matrix crosses first at the same step on every row
+    crossed = _path_matrix(params, y)[:, 1:] > x
+    tau_matrix = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 65)
+    assert (tau_matrix == np.array(tau_scalar)).all()
+    # on a unit impulse the path is the coefficient sequence, bit for bit
+    impulse = np.zeros((1, 65))
+    impulse[0, 0] = 1.0
+    assert _path_matrix(params, impulse)[0, 1:].tobytes() == \
+        coeff_recursion(params, 64).tobytes()
 
 
 def test_estimate_rw_single_step_probability():
