@@ -11,7 +11,9 @@ lane j%4 of Philox4x64-10 at key (s, 0) and counter (i, j//4, 0, 0) (see
 rng).  Innovations are therefore a pure function of (seed, path, step),
 which makes estimates bit-identical for any worker count and any tiling,
 and makes runs at different barriers share their noise (common random
-numbers).
+numbers).  For the same reason a tile whose live set has thinned out may
+draw and transform k blocks (4k steps) of its live paths per rng call, with
+k from ``rng.lookahead_blocks``: no innovation changes, only when it is made.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .bounds import integrate_params
 from .coeffs import ARParams, ar2_closed_form, ar_step, Branch
 from .innovations import InnovationSpec, spec_from_json
-from .rng import path_uniform_block
+from .rng import lookahead_blocks, path_uniform_block
 
 __all__ = [
     "SurvivalCurve",
@@ -125,15 +127,19 @@ def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
     pos = np.arange(n_paths, dtype=np.int64)
     ids = np.arange(lo, hi, dtype=np.uint64)
     state = [np.zeros(n_paths) for _ in range(p)]
+    n_blocks = -(-n_max // 4)
+    # ybuf[:, c] holds innovation j0 + c of every live path, up to j_end
     ybuf = None
+    j0 = j_end = 0
     nonfinite = 0
     for n in range(1, n_max + 1):
         j = n - 1
-        lane = j & 3
-        if lane == 0:
-            ybuf = spec.transform(path_uniform_block(seed, ids, j >> 2))
+        if j == j_end:
+            count = lookahead_blocks(ids, n_blocks - (j >> 2))
+            ybuf = spec.transform(path_uniform_block(seed, ids, j >> 2, count))
+            j0, j_end = j, j + 4 * count
         with np.errstate(invalid="ignore", over="ignore"):
-            xval = ar_step(a, ybuf[:, lane], state)
+            xval = ar_step(a, ybuf[:, j - j0], state)
         bad = np.isnan(xval)
         crossed = xval > x
         dead = crossed | bad
@@ -146,7 +152,9 @@ def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
             pos = pos[keep]
             ids = ids[keep]
             xval = xval[keep]
-            ybuf = ybuf[keep]
+            # the used columns are dropped with the dead rows
+            ybuf = ybuf[keep, j + 1 - j0:]
+            j0 = j + 1
             for k in range(p):
                 state[k] = state[k][keep]
             if pos.size == 0:
@@ -340,10 +348,11 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
 
     One crossing time per path serves the whole grid.  Paths are cut into
     equal contiguous tiles of at most 65,536 paths, at least one per worker,
-    and the workers take tiles until none is left.  Innovation j of path i
-    is read from Philox at key (seed, 0) and counter (i, j//4, 0, 0), so the
-    result does not depend on the tiling or the worker count.  A NaN barrier
-    raises ValueError; +-inf is allowed.
+    and the workers take tiles until none is left; no more processes run
+    than the machine has CPUs.  Innovation j of path i is read from Philox
+    at key (seed, 0) and counter (i, j//4, 0, 0), so the result does not
+    depend on the tiling or the worker count.  A NaN barrier raises
+    ValueError; +-inf is allowed.
     """
     grid = _check_grid(grid)
     if paths < 1:
@@ -356,10 +365,12 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
     cuts = np.linspace(0, paths, n_tiles + 1).astype(int)
     jobs = [(params, spec, x, n_max, seed, int(lo), int(hi), tuple(int(n) for n in grid))
             for lo, hi in zip(cuts[:-1], cuts[1:])]
-    if workers == 1 or len(jobs) == 1:
+    # tiles follow the requested count; processes never outnumber the CPUs
+    procs = min(workers, len(jobs), os.cpu_count() or 1)
+    if procs == 1:
         results = [_tile_worker(job) for job in jobs]
     else:
-        results = _run_tiles(jobs, min(workers, len(jobs)))
+        results = _run_tiles(jobs, procs)
     survivors = np.zeros(grid.size, dtype=np.int64)
     nonfinite = 0
     for counts, bad in results:
@@ -376,12 +387,8 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
 
 def _innovation_matrix(spec: InnovationSpec, seed: int, paths: int, n: int) -> np.ndarray:
     """Innovations Y[path, step] for steps 1..n of paths 0..paths-1."""
-    n_blocks = (n + 3) // 4
     ids = np.arange(paths, dtype=np.uint64)
-    u = np.empty((paths, n_blocks, 4))
-    for b in range(n_blocks):
-        u[:, b] = path_uniform_block(seed, ids, b)
-    return spec.transform(u.reshape(paths, 4 * n_blocks)[:, :n])
+    return spec.transform(path_uniform_block(seed, ids, 0, -(-n // 4))[:, :n])
 
 
 def _path_matrix(params: ARParams, y: np.ndarray) -> np.ndarray:

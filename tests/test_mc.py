@@ -15,6 +15,7 @@ from arsurvival.mc import (ConstraintError, NonFiniteSampleError, ReductionKind,
                            estimate_survival, pair_survival_frequency,
                            pathwise_reduction_check)
 from arsurvival.oracle import enumerate_survival
+from arsurvival.rng import path_uniform_block
 
 RW = ar_params([1.0])
 IRW = ar_params([2.0, -1.0])
@@ -58,6 +59,70 @@ def test_engine_matches_scalar_reference(a, spec, x):
     impulse[0, 0] = 1.0
     assert _path_matrix(params, impulse)[0, 1:].tobytes() == \
         coeff_recursion(params, 64).tobytes()
+
+
+@pytest.mark.parametrize("a, spec, x", [
+    ((1.0,), gaussian(), 0.0),
+    ((2.0, -1.0), rademacher(), 0.0),
+    ((0.5, -0.3), two_point(2.0), 0.5),
+], ids=["rw-gaussian", "iw-rademacher", "ar2-two_point"])
+def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
+    # a horizon that ends inside a block, on a tile whose live set thins out
+    # enough for the rng to draw many blocks per call
+    from arsurvival import mc
+
+    n_max, lo, hi = 4 * 97 + 3, 500, 3500
+    drawn = []
+
+    def recorded(seed, ids, block, count=1):
+        drawn.append((block, count))
+        return path_uniform_block(seed, ids, block, count)
+
+    monkeypatch.setattr(mc, "path_uniform_block", recorded)
+    params = ar_params(a)
+    tau, bad = _crossing_times_range(params, spec, x, n_max, 99, lo, hi)
+    assert bad == 0
+    y = _innovation_matrix(spec, 99, hi, n_max)[lo:]
+    assert tau.tolist() == [crossing_time_from_innovations(params, x, row) for row in y]
+    ahead = [(4 * b, 4 * (b + k)) for b, k in drawn if k > 1]
+    assert ahead
+    # paths died before the last column of a look-ahead buffer
+    j = tau[tau <= n_max] - 1
+    assert any(((start <= j) & (j < end - 1)).any() for start, end in ahead)
+
+
+def test_curve_file_independent_of_tiles_and_workers(monkeypatch):
+    from arsurvival import mc
+
+    def curve_json(workers):
+        curve = estimate_survival(RW, gaussian(), 0.0, list(range(1, 300)), 20_000, 8,
+                                  workers=workers)
+        return json.dumps(curve.to_json_dict())
+
+    base = curve_json(1)
+    assert curve_json(2) == base
+    monkeypatch.setattr(mc, "_TILE_PATHS", 1_000)
+    assert curve_json(1) == base
+
+
+def test_processes_capped_at_cpu_count(monkeypatch):
+    # tiles follow the requested worker count, forked processes do not
+    from arsurvival import mc
+
+    started = []
+
+    def run_tiles(jobs, workers):
+        started.append((len(jobs), workers))
+        return [mc._tile_worker(job) for job in jobs]
+
+    monkeypatch.setattr(mc, "_run_tiles", run_tiles)
+    base = estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=1)
+    for cpus, expect in [(3, [(5000, 3)]), (1, []), (None, [])]:
+        started.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        curve = estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=5000)
+        assert started == expect
+        assert (curve.survivors == base.survivors).all()
 
 
 def test_estimate_rw_single_step_probability():
@@ -146,6 +211,8 @@ def test_worker_failure_raises_instead_of_hanging(monkeypatch):
         return real(jobs, next_tile)
 
     monkeypatch.setattr(mc, "_drain", drain)
+    # two forked workers on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     with pytest.raises(RuntimeError, match="without its result"):
         estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=3)
 

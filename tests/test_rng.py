@@ -3,7 +3,8 @@ import pytest
 from numpy.random import Philox
 
 from arsurvival._philox import philox_block, words_to_uniform
-from arsurvival.rng import _dense_words, path_uniform_block
+from arsurvival import rng
+from arsurvival.rng import _dense_words, lookahead_blocks, path_uniform_block
 
 M64 = 2**64
 
@@ -101,3 +102,31 @@ def test_path_uniform_block_matches_streams():
         for row, i in zip(block, ids):
             expect = words_to_uniform(numpy_words(99, int(i), 3))
             assert (row == expect).all()
+
+
+@pytest.mark.parametrize("ids", [
+    np.arange(1000, 1400),
+    np.array([3, 9000]),
+    np.arange(0, 6000, 97),
+], ids=["dense", "two-far", "spread"])
+@pytest.mark.parametrize("block, count", [(0, 1), (5, 3), (2**64 - 2, 5)])
+def test_block_count_equals_single_blocks(ids, block, count):
+    # one call for count blocks reads what count one-block calls read,
+    # through the counter's wrap at 2^64 too
+    ids = ids.astype(np.uint64)
+    many = path_uniform_block(31, ids, block, count)
+    assert many.shape == (ids.size, 4 * count)
+    singles = [path_uniform_block(31, ids, block + i) for i in range(count)]
+    assert many.tobytes() == np.concatenate(singles, axis=1).tobytes()
+
+
+def test_lookahead_only_on_the_sparse_route():
+    dense = np.arange(5000, dtype=np.uint64)
+    assert lookahead_blocks(dense, 100) == 1
+    # ids spread over more than 6 times their count take the vectorized route
+    sparse = np.arange(0, 60 * 1000, 60, dtype=np.uint64)
+    assert sparse.size < rng._DENSE_SHARE * (int(sparse[-1]) + 1)
+    k = lookahead_blocks(sparse, 100)
+    assert 1 < k and 4 * sparse.size * k <= rng._LOOKAHEAD_WORDS
+    assert lookahead_blocks(sparse, 3) == 3
+    assert lookahead_blocks(np.arange(0, 10**6, 10, dtype=np.uint64), 50) == 1
