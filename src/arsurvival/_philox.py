@@ -21,8 +21,10 @@ import numpy as np
 
 _M0 = np.uint64(0xD2E7470EE14C6C93)
 _M1 = np.uint64(0xCA5A826395121157)
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
+# key increments per round, as Python ints so the schedule wraps without warnings
+_W0 = 0x9E3779B97F4A7C15
+_W1 = 0xBB67AE8584CAA73B
+_M64 = 1 << 64
 _MASK32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
@@ -68,27 +70,26 @@ def _mulhilo(ml, mh, c, t1, t2, t3, hi):
 def philox_block(c0, c1, seed):
     """Evaluate Philox4x64-10 at counter (c0, c1, 0, 0) under key (seed, 0).
 
-    ``c0``, ``c1``, ``seed`` broadcast against each other; the result is a
-    uint64 array of the broadcast shape plus a last axis holding the four
-    output lanes.
+    ``c0`` and ``c1`` broadcast against each other; ``seed`` is one scalar in
+    [0, 2^64), so round r uses the scalar key (seed + r W0, r W1) mod 2^64.
+    The result is a uint64 array of the broadcast shape plus a last axis
+    holding the four output lanes.
     """
-    c0, c1, k0 = (np.asarray(v, np.uint64) for v in (c0, c1, seed))
-    shape = np.broadcast_shapes(c0.shape, c1.shape, k0.shape)
+    seed = int(np.uint64(seed))
+    c0, c1 = (np.asarray(v, np.uint64) for v in (c0, c1))
+    shape = np.broadcast_shapes(c0.shape, c1.shape)
     c0 = np.broadcast_to(c0, shape).astype(np.uint64)
     c1 = np.broadcast_to(c1, shape).astype(np.uint64)
     c2 = np.zeros(shape, np.uint64)
     c3 = np.zeros(shape, np.uint64)
-    k0 = np.broadcast_to(k0, shape).astype(np.uint64)
-    k1 = np.zeros(shape, np.uint64)
     t1 = np.empty(shape, np.uint64)
     t2 = np.empty(shape, np.uint64)
     t3 = np.empty(shape, np.uint64)
     h0 = np.empty(shape, np.uint64)
     h1 = np.empty(shape, np.uint64)
     for r in range(ROUNDS):
-        if r:
-            np.add(k0, _W0, out=k0)
-            np.add(k1, _W1, out=k1)
+        k0 = np.uint64((seed + r * _W0) % _M64)
+        k1 = np.uint64(r * _W1 % _M64)
         hi0, lo0 = _mulhilo(_M0L, _M0H, c0, t1, t2, t3, h0)
         hi1, lo1 = _mulhilo(_M1L, _M1H, c2, t1, t2, t3, h1)
         np.bitwise_xor(hi1, c1, out=hi1)

@@ -102,49 +102,42 @@ def _golden_max(f, lo: float, hi: float):
     return best_x, best_f
 
 
-def exp_lower_bound(params: ARParams, spec, method: str = "auto") -> LowerBoundResult:
+def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
     """Constant c with p_N >= c^N for all N, for processes with sum |a_k| < 1.
 
     Maximizes P(Y in [alpha (1 - a_+), alpha |a_-|]) over alpha < 0.  Centered
-    Gaussian innovations use the closed-form maximizer
+    Gaussian innovations with a_- != 0 use the closed-form maximizer
 
-        alpha* = -sigma * sqrt((log(1-a_+)^2 - log|a_-|^2) / ((1-a_+)^2 - |a_-|^2))
+        alpha* = -sigma * sqrt((log(1-a_+)^2 - log|a_-|^2) / ((1-a_+)^2 - |a_-|^2));
 
-    (requires a_- != 0); everything else is a log-spaced scan of 1000 seed
-    points on |alpha| in [1e-6, 1e6] followed by golden-section refinement.
-    For purely discrete innovations the interval endpoints generated by each
-    negative atom are added as extra seeds.  The reported c is the best value
-    actually evaluated, hence always a certified lower bound even when the
-    supremum is only attained in a limit (flat tails are reported at the
-    bracket edge).
-
-    ``method`` may be "auto", "scan" or "closed_form" (the latter only for
-    centered Gaussians with a_- != 0).
+    everything else is a log-spaced scan of 1000 seed points on |alpha| in
+    [1e-6, 1e6] followed by golden-section refinement.  For purely discrete
+    innovations the interval endpoints generated by each negative atom are
+    added as extra seeds.  The reported c is the best value actually
+    evaluated, hence always a certified lower bound even when the supremum is
+    only attained in a limit (flat tails are reported at the bracket edge).
     """
     total = float(np.abs(np.asarray(params.a)).sum())
     if not total < 1.0:
         raise PreconditionError(f"needs sum |a_k| < 1, got {total}")
     a_plus, a_minus = _split_coefficients(params)
     abs_minus = -a_minus
-    cap_a = abs_minus / (1.0 - a_plus)
-    gaussian_centered = spec.kind is Kind.GAUSSIAN and spec.params[0] == 0.0
-    closed_ok = gaussian_centered and abs_minus > 0.0
-    if method == "closed_form" and not closed_ok:
-        raise PreconditionError("closed form needs centered Gaussian innovations "
-                                "and at least one negative coefficient")
-    if method not in ("auto", "scan", "closed_form"):
-        raise ValueError(f"unknown method {method!r}")
+    if not (spec.kind is Kind.GAUSSIAN and spec.params[0] == 0.0 and abs_minus > 0.0):
+        return _scan_lower_bound(spec, a_plus, a_minus)
+    sigma = spec.params[1]
+    width = 1.0 - a_plus
+    # 2 log|a_-|, not log(|a_-|^2): the square underflows below ~1e-162
+    t_star = -math.sqrt((2 * math.log(width) - 2 * math.log(abs_minus))
+                        / (width ** 2 - abs_minus ** 2))
+    c = float(ndtr(t_star * abs_minus) - ndtr(t_star * width))
+    return LowerBoundResult(c=c, alpha_star=sigma * t_star, a_plus=a_plus,
+                            a_minus=a_minus, A=abs_minus / width,
+                            method=BoundMethod.GAUSSIAN_CLOSED_FORM)
 
-    if closed_ok and method in ("auto", "closed_form"):
-        sigma = spec.params[1]
-        width = 1.0 - a_plus
-        # 2 log|a_-|, not log(|a_-|^2): the square underflows below ~1e-162
-        t_star = -math.sqrt((2 * math.log(width) - 2 * math.log(abs_minus))
-                            / (width ** 2 - abs_minus ** 2))
-        c = float(ndtr(t_star * abs_minus) - ndtr(t_star * width))
-        return LowerBoundResult(c=c, alpha_star=sigma * t_star, a_plus=a_plus,
-                                a_minus=a_minus, A=cap_a,
-                                method=BoundMethod.GAUSSIAN_CLOSED_FORM)
+
+def _scan_lower_bound(spec, a_plus: float, a_minus: float) -> LowerBoundResult:
+    """exp_lower_bound's numeric scan, for any innovation law."""
+    abs_minus = -a_minus
 
     def objective(alpha):
         # P(Y in [alpha (1 - a_+), alpha |a_-|]) at a float or an array of them
@@ -172,7 +165,8 @@ def exp_lower_bound(params: ARParams, spec, method: str = "auto") -> LowerBoundR
             "no negative interval carries innovation mass; the certified "
             "constant would be 0")
     return LowerBoundResult(c=best_c, alpha_star=best_alpha, a_plus=a_plus,
-                            a_minus=a_minus, A=cap_a, method=BoundMethod.NUMERIC_SCAN)
+                            a_minus=a_minus, A=abs_minus / (1.0 - a_plus),
+                            method=BoundMethod.NUMERIC_SCAN)
 
 
 def e1_rate_bound(a1: float, a2: float) -> float:

@@ -235,8 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("config", help="JSON config with keys "
                    "a, innovation, x, grid, paths, seed, out (optional gnuplot)")
     s.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default $ARSURVIVAL_WORKERS or 1, "
-                        "at most the CPU count); does not change the numbers")
+                   help="worker processes, each simulating one contiguous range "
+                        "of paths in tiles of at most 65,536 (default "
+                        "$ARSURVIVAL_WORKERS or 1, at most the CPU count); "
+                        "does not change the numbers")
     s.set_defaults(func=cmd_simulate)
 
     f = sub.add_parser("fit", help="fit the decay class of a stored curve")

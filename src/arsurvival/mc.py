@@ -164,58 +164,59 @@ def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
     return tau, nonfinite
 
 
-def _tile_worker(args):
-    """Survivor counts on the grid and the non-finite count of one tile."""
-    params, spec, x, n_max, seed, lo, hi, grid = args
-    tau, nonfinite = _crossing_times_range(params, spec, x, n_max, seed, lo, hi)
+def _cuts(lo: int, hi: int, parts: int) -> list[int]:
+    """parts + 1 cut points that split lo..hi into parts differing by at most one."""
+    return [lo + (hi - lo) * k // parts for k in range(parts + 1)]
+
+
+def _range_counts(params: ARParams, spec: InnovationSpec, x: float, grid: np.ndarray,
+                  seed: int, lo: int, hi: int):
+    """Survivor counts on the grid and the non-finite count of paths lo..hi-1.
+
+    The range is walked in equal tiles of at most ``_TILE_PATHS`` paths, which
+    bounds the engine's memory; the tiles' crossing times share one histogram.
+    """
+    n_max = int(grid[-1])
+    hist = np.zeros(n_max + 2, dtype=np.int64)
+    nonfinite = 0
+    cuts = _cuts(lo, hi, -(-(hi - lo) // _TILE_PATHS))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        tau, bad = _crossing_times_range(params, spec, x, n_max, seed, a, b)
+        hist += np.bincount(tau, minlength=n_max + 2)
+        nonfinite += bad
     # at_least[k] counts paths with tau >= k, so survivors of horizon n are
     # at_least[n + 1]; non-finite paths (tau = 0) fall below every horizon
-    at_least = np.cumsum(np.bincount(tau, minlength=n_max + 2)[::-1])[::-1]
-    return at_least[np.asarray(grid) + 1], nonfinite
+    at_least = np.cumsum(hist[::-1])[::-1]
+    return at_least[grid + 1], nonfinite
 
 
-def _drain(jobs, next_tile):
-    """Run the tiles a shared counter hands out until none is left."""
-    done = []
-    while True:
-        with next_tile.get_lock():
-            i = next_tile.value
-            next_tile.value = i + 1
-        if i >= len(jobs):
-            return done
-        done.append(_tile_worker(jobs[i]))
-
-
-def _drain_into(jobs, next_tile, conn):
-    conn.send(_drain(jobs, next_tile))
+def _send_counts(job, conn):
+    conn.send(_range_counts(*job))
     conn.close()
 
 
-def _run_tiles(jobs, workers):
-    """Tile results from the calling process and ``workers - 1`` forked ones.
+def _fork_ranges(jobs):
+    """Counts of every range: the first in this process, each other in a forked child.
 
-    Each process takes the next unclaimed tile when it finishes one, so a
-    process that starts late or runs slow takes fewer tiles.  The calling
-    process works too, which saves a fork and its cold heap.
+    Running one range here saves a fork and its cold heap.  A child that dies
+    before it sends raises RuntimeError instead of leaving the caller waiting.
     """
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    next_tile = ctx.Value("q", 0)
     procs, readers = [], []
     try:
-        for _ in range(workers - 1):
+        for job in jobs[1:]:
             reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_drain_into, args=(jobs, next_tile, writer),
-                               daemon=True)
+            proc = ctx.Process(target=_send_counts, args=(job, writer), daemon=True)
             proc.start()
             writer.close()
             procs.append(proc)
             readers.append(reader)
-        results = _drain(jobs, next_tile)
+        results = [_range_counts(*jobs[0])]
         for reader in readers:
             try:
-                results += reader.recv()
+                results.append(reader.recv())
             except EOFError:
                 raise RuntimeError("a simulation worker exited without its result") from None
         return results
@@ -347,12 +348,12 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
     """Estimate p_N(x) on a grid of horizons from ``paths`` simulated paths.
 
     One crossing time per path serves the whole grid.  Paths are cut into
-    equal contiguous tiles of at most 65,536 paths, at least one per worker,
-    and the workers take tiles until none is left; no more processes run
-    than the machine has CPUs.  Innovation j of path i is read from Philox
-    at key (seed, 0) and counter (i, j//4, 0, 0), so the result does not
-    depend on the tiling or the worker count.  A NaN barrier raises
-    ValueError; +-inf is allowed.
+    one contiguous range per process, and each process walks its range in
+    equal tiles of at most 65,536 paths.  There are min(workers, paths, CPU
+    count) processes: the calling one and a forked child per further range.
+    Innovation j of path i is read from Philox at key (seed, 0) and counter
+    (i, j//4, 0, 0), so the result does not depend on the ranges, the tiles
+    or the worker count.  A NaN barrier raises ValueError; +-inf is allowed.
     """
     grid = _check_grid(grid)
     if paths < 1:
@@ -360,22 +361,12 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
     if np.isnan(x):
         raise ValueError("barrier x must not be NaN")
     workers = resolve_workers(workers)
-    n_max = int(grid[-1])
-    n_tiles = min(paths, max(workers, -(-paths // _TILE_PATHS)))
-    cuts = np.linspace(0, paths, n_tiles + 1).astype(int)
-    jobs = [(params, spec, x, n_max, seed, int(lo), int(hi), tuple(int(n) for n in grid))
-            for lo, hi in zip(cuts[:-1], cuts[1:])]
-    # tiles follow the requested count; processes never outnumber the CPUs
-    procs = min(workers, len(jobs), os.cpu_count() or 1)
-    if procs == 1:
-        results = [_tile_worker(job) for job in jobs]
-    else:
-        results = _run_tiles(jobs, procs)
-    survivors = np.zeros(grid.size, dtype=np.int64)
-    nonfinite = 0
-    for counts, bad in results:
-        survivors += np.asarray(counts, dtype=np.int64)
-        nonfinite += bad
+    procs = min(workers, paths, os.cpu_count() or 1)
+    cuts = _cuts(0, paths, procs)
+    jobs = [(params, spec, x, grid, seed, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    results = [_range_counts(*jobs[0])] if procs == 1 else _fork_ranges(jobs)
+    survivors = sum(counts for counts, _ in results)
+    nonfinite = sum(bad for _, bad in results)
     return SurvivalCurve(params=params, spec=spec, x=float(x), grid=grid,
                          survivors=survivors, paths=paths, seed=seed,
                          nonfinite_paths=nonfinite)

@@ -6,9 +6,9 @@ from scipy.stats import norm
 
 from arsurvival.asymptotics import DecayClass, fit_decay
 from arsurvival.bounds import (BoundMethod, DegenerateBoundError,
-                               PreconditionError, e1_rate_bound,
-                               e3_sign_change_index, exp_lower_bound,
-                               integrate_params)
+                               PreconditionError, _scan_lower_bound,
+                               e1_rate_bound, e3_sign_change_index,
+                               exp_lower_bound, integrate_params)
 from arsurvival.coeffs import ar_params, charpoly_roots, coeff_recursion
 from arsurvival.innovations import gaussian, rademacher, uniform
 from arsurvival.mc import estimate_survival
@@ -44,8 +44,9 @@ def test_gaussian_closed_form_vs_dense_grid():
 def test_scan_agrees_with_closed_form():
     spec = gaussian()
     for a in [[0.3, -0.2], [-0.4, -0.4], [0.25, -0.35, 0.1]]:
-        closed = exp_lower_bound(ar_params(a), spec, method="closed_form")
-        scanned = exp_lower_bound(ar_params(a), spec, method="scan")
+        closed = exp_lower_bound(ar_params(a), spec)
+        assert closed.method is BoundMethod.GAUSSIAN_CLOSED_FORM
+        scanned = _scan_lower_bound(spec, closed.a_plus, closed.a_minus)
         assert scanned.method is BoundMethod.NUMERIC_SCAN
         assert abs(closed.c - scanned.c) <= 1e-6
 
@@ -84,8 +85,6 @@ def test_preconditions_and_degenerate_cases():
         exp_lower_bound(ar_params([0.7, -0.4]), gaussian())    # sum |a| >= 1
     with pytest.raises(DegenerateBoundError):
         exp_lower_bound(ar_params([0.5]), uniform(3.0, 5.0))   # no mass at <= 0
-    with pytest.raises(PreconditionError):
-        exp_lower_bound(ar_params([0.5]), uniform(-1, 1), method="closed_form")
 
 
 def test_bound_certifies_simulation():

@@ -101,23 +101,37 @@ def test_curve_file_independent_of_tiles_and_workers(monkeypatch):
 
     base = curve_json(1)
     assert curve_json(2) == base
+    real = mc._crossing_times_range
+    walked = []
+
+    def crossing_times_range(params, spec, x, n_max, seed, lo, hi):
+        walked.append((lo, hi))
+        return real(params, spec, x, n_max, seed, lo, hi)
+
+    monkeypatch.setattr(mc, "_crossing_times_range", crossing_times_range)
     monkeypatch.setattr(mc, "_TILE_PATHS", 1_000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert curve_json(1) == base
+    assert curve_json(2) == base
+    # one process walks all paths in 1,000-path tiles; at 2 workers this
+    # process walks range 0 the same way and a forked child the other range
+    assert walked == [(lo, lo + 1_000) for lo in range(0, 20_000, 1_000)] + \
+        [(lo, lo + 1_000) for lo in range(0, 10_000, 1_000)]
 
 
 def test_processes_capped_at_cpu_count(monkeypatch):
-    # tiles follow the requested worker count, forked processes do not
+    # one range of paths per process, and no more processes than CPUs
     from arsurvival import mc
 
     started = []
 
-    def run_tiles(jobs, workers):
-        started.append((len(jobs), workers))
-        return [mc._tile_worker(job) for job in jobs]
+    def fork_ranges(jobs):
+        started.append(len(jobs))
+        return [mc._range_counts(*job) for job in jobs]
 
-    monkeypatch.setattr(mc, "_run_tiles", run_tiles)
+    monkeypatch.setattr(mc, "_fork_ranges", fork_ranges)
     base = estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=1)
-    for cpus, expect in [(3, [(5000, 3)]), (1, []), (None, [])]:
+    for cpus, expect in [(3, [3]), (1, []), (None, [])]:
         started.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         curve = estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=5000)
@@ -186,8 +200,8 @@ def test_monotone_in_barrier_under_common_random_numbers():
 
 
 def test_worker_count_does_not_change_counts():
-    # 20k paths make one tile per worker; 140k paths make three tiles, so
-    # two workers take more than one tile each
+    # 20k paths make one tile per range; 140k paths at two workers make two
+    # ranges of two tiles each
     for grid, paths, counts in [([1, 4, 16, 64], 20_000, (2, 8)),
                                 ([1, 4], 140_000, (2, 3))]:
         base = estimate_survival(ar_params([0.5, 0.25]), gaussian(), 0.0, grid,
@@ -203,14 +217,14 @@ def test_worker_failure_raises_instead_of_hanging(monkeypatch):
     from arsurvival import mc
 
     caller = os.getpid()
-    real = mc._drain
+    real = mc._range_counts
 
-    def drain(jobs, next_tile):
+    def range_counts(*job):
         if os.getpid() != caller:
             raise MemoryError("worker failed")
-        return real(jobs, next_tile)
+        return real(*job)
 
-    monkeypatch.setattr(mc, "_drain", drain)
+    monkeypatch.setattr(mc, "_range_counts", range_counts)
     # two forked workers on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     with pytest.raises(RuntimeError, match="without its result"):
