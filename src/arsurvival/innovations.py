@@ -76,8 +76,8 @@ class InnovationSpec:
             if len(q) != 1 or q[0] <= 0:
                 raise ValueError("two_point needs y > 0")
         elif k is Kind.UNIFORM:
-            if len(q) != 2 or not q[0] < q[1]:
-                raise ValueError("uniform needs lo < hi")
+            if len(q) != 2 or not 0.0 < q[1] - q[0] < math.inf:
+                raise ValueError(f"uniform needs lo < hi and a finite hi - lo, got {q}")
         elif k is Kind.EXPONENTIAL_CENTERED:
             if len(q) != 1 or q[0] <= 0:
                 raise ValueError("exponential_centered needs rate > 0")

@@ -11,8 +11,10 @@ lane j%4 of Philox4x64-10 at key (s, 0) and counter (i, j//4, 0, 0) (see
 rng).  Innovations are therefore a pure function of (seed, path, step),
 which makes estimates bit-identical for any worker count and any tiling,
 and makes runs at different barriers share their noise (common random
-numbers).  For the same reason a tile whose live set has thinned out may
-draw and transform k blocks (4k steps) of its live paths per rng call, with
+numbers).  Every simulation here, the engine, the pair frequency and the
+reduction checks, steps tiles of at most ``_TILE_PATHS`` paths with one
+walker, ``_Walk``, so memory is bounded whatever the path count.  A walker
+whose live set has thinned out draws k blocks (4k steps) per rng call, with
 k from ``rng.lookahead_blocks``: no innovation changes, only when it is made.
 """
 
@@ -113,6 +115,44 @@ def crossing_time_from_innovations(params: ARParams, x: float, y) -> int:
 # vectorized crossing-time engine
 
 
+class _Walk:
+    """Paths lo..hi-1 of one run, stepped together from the zero start.
+
+    ``step()`` returns X_n and leaves Y_n in ``y``; lags[k] is then X_{n-k}.
+    ``keep(rows)`` drops every other row and the used look-ahead columns.
+    """
+
+    def __init__(self, params: ARParams, spec: InnovationSpec, seed: int,
+                 lo: int, hi: int, n_max: int):
+        self.a = params.a
+        self.spec = spec
+        self.seed = seed
+        self.ids = np.arange(lo, hi, dtype=np.uint64)
+        self.lags = [np.zeros(hi - lo) for _ in range(params.p)]
+        self.n_blocks = -(-n_max // 4)
+        # buf[:, c] holds innovation j0 + c of every live path, up to j_end
+        self.j = self.j0 = self.j_end = 0
+
+    def step(self) -> np.ndarray:
+        j = self.j
+        if j == self.j_end:
+            k = lookahead_blocks(self.ids, self.n_blocks - (j >> 2))
+            self.buf = self.spec.transform(path_uniform_block(self.seed, self.ids, j >> 2, k))
+            self.j0, self.j_end = j, j + 4 * k
+        self.y = self.buf[:, j - self.j0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.lags = [ar_step(self.a, self.y, self.lags)] + self.lags[:-1]
+        self.j = j + 1
+        return self.lags[0]
+
+    def keep(self, rows) -> None:
+        self.ids = self.ids[rows]
+        self.lags = [lag[rows] for lag in self.lags]
+        # the used columns are dropped with the dead rows
+        self.buf = self.buf[rows, self.j - self.j0:]
+        self.j0 = self.j
+
+
 def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
                           n_max: int, seed: int, lo: int, hi: int):
     """Crossing times for paths lo..hi-1; returns (tau array, nonfinite count).
@@ -120,26 +160,12 @@ def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
     tau = n_max + 1 marks survival through n_max; tau = 0 marks a path that
     went non-finite (NaN) and is excluded from every survivor count.
     """
-    a = params.a
-    p = params.p
-    n_paths = hi - lo
-    tau = np.full(n_paths, n_max + 1, dtype=np.int64)
-    pos = np.arange(n_paths, dtype=np.int64)
-    ids = np.arange(lo, hi, dtype=np.uint64)
-    state = [np.zeros(n_paths) for _ in range(p)]
-    n_blocks = -(-n_max // 4)
-    # ybuf[:, c] holds innovation j0 + c of every live path, up to j_end
-    ybuf = None
-    j0 = j_end = 0
+    walk = _Walk(params, spec, seed, lo, hi, n_max)
+    tau = np.full(hi - lo, n_max + 1, dtype=np.int64)
+    pos = np.arange(hi - lo, dtype=np.int64)
     nonfinite = 0
     for n in range(1, n_max + 1):
-        j = n - 1
-        if j == j_end:
-            count = lookahead_blocks(ids, n_blocks - (j >> 2))
-            ybuf = spec.transform(path_uniform_block(seed, ids, j >> 2, count))
-            j0, j_end = j, j + 4 * count
-        with np.errstate(invalid="ignore", over="ignore"):
-            xval = ar_step(a, ybuf[:, j - j0], state)
+        xval = walk.step()
         bad = np.isnan(xval)
         crossed = xval > x
         dead = crossed | bad
@@ -150,23 +176,21 @@ def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
                 nonfinite += int(bad.sum())
             keep = ~dead
             pos = pos[keep]
-            ids = ids[keep]
-            xval = xval[keep]
-            # the used columns are dropped with the dead rows
-            ybuf = ybuf[keep, j + 1 - j0:]
-            j0 = j + 1
-            for k in range(p):
-                state[k] = state[k][keep]
+            walk.keep(keep)
             if pos.size == 0:
                 break
-        state.insert(0, xval)
-        state.pop()
     return tau, nonfinite
 
 
 def _cuts(lo: int, hi: int, parts: int) -> list[int]:
     """parts + 1 cut points that split lo..hi into parts differing by at most one."""
     return [lo + (hi - lo) * k // parts for k in range(parts + 1)]
+
+
+def _tiles(lo: int, hi: int):
+    """(lo, hi) of equal tiles of at most ``_TILE_PATHS`` paths that cover lo..hi-1."""
+    cuts = _cuts(lo, hi, -(-(hi - lo) // _TILE_PATHS))
+    return zip(cuts[:-1], cuts[1:])
 
 
 def _range_counts(params: ARParams, spec: InnovationSpec, x: float, grid: np.ndarray,
@@ -179,8 +203,7 @@ def _range_counts(params: ARParams, spec: InnovationSpec, x: float, grid: np.nda
     n_max = int(grid[-1])
     hist = np.zeros(n_max + 2, dtype=np.int64)
     nonfinite = 0
-    cuts = _cuts(lo, hi, -(-(hi - lo) // _TILE_PATHS))
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    for a, b in _tiles(lo, hi):
         tau, bad = _crossing_times_range(params, spec, x, n_max, seed, a, b)
         hist += np.bincount(tau, minlength=n_max + 2)
         nonfinite += bad
@@ -376,32 +399,19 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
 # auxiliary statistics and pathwise identities
 
 
-def _innovation_matrix(spec: InnovationSpec, seed: int, paths: int, n: int) -> np.ndarray:
-    """Innovations Y[path, step] for steps 1..n of paths 0..paths-1."""
-    ids = np.arange(paths, dtype=np.uint64)
-    return spec.transform(path_uniform_block(seed, ids, 0, -(-n // 4))[:, :n])
-
-
-def _path_matrix(params: ARParams, y: np.ndarray) -> np.ndarray:
-    """X[path, n] for n = 0..n_max (column 0 is the zero start)."""
-    p = params.p
-    n_paths, n_max = y.shape
-    # p - 1 zero lags ahead of the zero start; X_n sits in column n + p - 1
-    xs = np.zeros((n_paths, n_max + p))
-    for n in range(1, n_max + 1):
-        lags = xs[:, n - 1:n + p - 1][:, ::-1].T      # X_{n-1}, ..., X_{n-p}
-        xs[:, n + p - 1] = ar_step(params.a, y[:, n - 1], lags)
-    return xs[:, p - 1:]
-
-
 def pair_survival_frequency(params: ARParams, spec: InnovationSpec, n: int,
                             paths: int, seed: int) -> tuple[float, float]:
     """MC frequency of {X_{n-1} <= 0 and X_n <= 0} with its standard error."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    y = _innovation_matrix(spec, seed, paths, n)
-    xs = _path_matrix(params, y)
-    hits = int(np.count_nonzero((xs[:, n - 1] <= 0.0) & (xs[:, n] <= 0.0)))
+    if paths < 1:
+        raise ValueError("paths must be >= 1")
+    hits = 0
+    for lo, hi in _tiles(0, paths):
+        walk = _Walk(params, spec, seed, lo, hi, n)
+        for _ in range(n - 1):
+            prev = walk.step()
+        hits += int(np.count_nonzero((prev <= 0.0) & (walk.step() <= 0.0)))
     freq = hits / paths
     return freq, float(np.sqrt(freq * (1.0 - freq) / paths))
 
@@ -426,12 +436,6 @@ class ReductionReport:
 _REL_TOL = 1e-8
 
 
-def _count_violations(lhs: np.ndarray, rhs: np.ndarray) -> tuple[int, float]:
-    scale = np.maximum(1.0, np.abs(lhs))
-    rel = np.abs(lhs - rhs) / scale
-    return int(np.count_nonzero(rel > _REL_TOL)), float(rel.max())
-
-
 def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
                              kind: ReductionKind | str, paths: int, n_max: int,
                              seed: int) -> ReductionReport:
@@ -444,6 +448,10 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
     """
     if not isinstance(kind, ReductionKind):
         kind = ReductionKind(kind)
+    if paths < 1:
+        raise ValueError("paths must be >= 1")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     a = params.a
     rho = None
     if kind is not ReductionKind.INTEGRATED:
@@ -469,15 +477,23 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
                 f"a2 > 0 with a1 + a2 < 1), got {a}")
         s = sol.s2.real
         r = rho = -a2 / s
-    y = _innovation_matrix(spec, seed, paths, n_max)
-    xs = _path_matrix(params, y)
-    if kind is ReductionKind.INTEGRATED:
-        lifted = integrate_params(params)
-        ws = _path_matrix(lifted, y)
-        violations, worst = _count_violations(ws[:, 1:], np.cumsum(xs[:, 1:], axis=1))
-    else:
-        z = xs[:, 1:] - s * xs[:, :-1]
-        z_prev = np.concatenate([np.zeros((paths, 1)), z[:, :-1]], axis=1)
-        violations, worst = _count_violations(z, r * z_prev + y)
+    lifted = integrate_params(params).a if kind is ReductionKind.INTEGRATED else None
+    violations, worst = 0, 0.0
+    for lo, hi in _tiles(0, paths):
+        walk = _Walk(params, spec, seed, lo, hi, n_max)
+        w_lags = [np.zeros(hi - lo)] * (params.p + 1)
+        z_prev = total = 0.0
+        for _ in range(n_max):
+            xval = walk.step()
+            if lifted is None:
+                rhs = r * z_prev + walk.y
+                lhs = z_prev = xval - s * walk.lags[1]      # order 2: lags[1] is X_{n-1}
+            else:
+                lhs = ar_step(lifted, walk.y, w_lags)       # W_n, the running sum of X
+                w_lags = [lhs] + w_lags[:-1]
+                rhs = total = total + xval
+            rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
+            violations += int(np.count_nonzero(rel > _REL_TOL))
+            worst = np.maximum(worst, rel.max())
     return ReductionReport(kind=kind, paths=paths, n_max=n_max,
-                           violations=violations, max_rel_err=worst, rho=rho)
+                           violations=violations, max_rel_err=float(worst), rho=rho)

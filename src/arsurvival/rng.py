@@ -10,10 +10,10 @@ workers, and independent streams are derived by index rather than by
 splitting state.
 
 Block j//4 of consecutive streams sits at consecutive counters, so
-``path_uniform_block`` draws a dense set of streams from numpy's C Philox
-in one call per block and evaluates a sparse set with the vectorized
-``_philox``, several blocks per call (``lookahead_blocks`` says how many); all
-give the same words, so the choice never changes a draw.
+``path_uniform_block`` draws one block of a dense set from numpy's C Philox
+and anything else (a sparse set, or several blocks, which the walker asks
+for only on a sparse set; see ``lookahead_blocks``) with the vectorized
+``_philox``.  Both give the same words, so the choice never changes a draw.
 """
 
 from __future__ import annotations
@@ -91,14 +91,8 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, block: int,
         return np.empty((0, 4 * count), np.float64)
     seed = _as_u64(seed)
     block = _as_u64(block)
-    if not _is_dense(ids):
-        blocks = np.uint64(block) + np.arange(count, dtype=np.uint64)
-        u = words_to_uniform(philox_block(ids[:, None], blocks[None, :], np.uint64(seed)))
-    elif count == 1:
-        u = words_to_uniform(_dense_words(seed, ids, block))
-    else:
-        # block by block, so no more than one block of words is held at once
-        u = np.empty((ids.size, count, 4))
-        for i in range(count):
-            u[:, i] = words_to_uniform(_dense_words(seed, ids, _as_u64(block + i)))
+    if count == 1 and _is_dense(ids):
+        return words_to_uniform(_dense_words(seed, ids, block))
+    blocks = np.uint64(block) + np.arange(count, dtype=np.uint64)
+    u = words_to_uniform(philox_block(ids[:, None], blocks[None, :], np.uint64(seed)))
     return u.reshape(ids.size, 4 * count)

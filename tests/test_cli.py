@@ -130,12 +130,13 @@ def test_simulate_invalid_estimate_exit_code(tmp_path, capsys):
     {"x": math.nan}, {"x": "nan"},
     {"innovation": {"kind": "gaussian", "params": {"mu": math.nan, "sigma": 1.0}}},
     {"innovation": {"kind": "uniform", "params": {"lo": 0.0, "hi": math.inf}}},
+    {"innovation": {"kind": "uniform", "params": {"lo": -1e308, "hi": 1e308}}},
     {"innovation": {"kind": "gaussian", "params": 1}},
     {"innovation": {"kind": "gaussian", "params": ["mu", "sigma"]}},
     {"innovation": {"kind": "gaussian", "params": {"mu": None, "sigma": 1.0}}},
 ], ids=["grid-decreasing", "grid-zero", "paths-zero", "paths-negative", "x-nan",
-        "x-nan-text", "innovation-nan", "innovation-inf", "innovation-params-number",
-        "innovation-params-list", "innovation-params-null"])
+        "x-nan-text", "innovation-nan", "innovation-inf", "innovation-wide-uniform",
+        "innovation-params-number", "innovation-params-list", "innovation-params-null"])
 def test_simulate_invalid_config_values_exit_3(tmp_path, capsys, bad):
     cfg = _write_config(tmp_path, **bad)
     code, _, err = run_cli(capsys, "simulate", str(cfg))
@@ -263,6 +264,15 @@ def test_malformed_innovation_params_exit_2(capsys, command, params):
 def test_bounds_rejects_nonfinite_innovation(capsys, params):
     code, out, err = run_cli(capsys, "bounds", "--a", "0.3,0.2",
                              "--innovation-params", params)
+    assert code == 2 and "finite" in err and out == ""
+
+
+@pytest.mark.parametrize("command", [["classify", "--a1", "0.5", "--a2", "0.25"],
+                                     ["bounds", "--a", "0.3,0.2"]])
+def test_uniform_with_infinite_width_exit_2(capsys, command):
+    # both ends are finite, but hi - lo overflows to inf
+    code, out, err = run_cli(capsys, *command, "--innovation", "uniform",
+                             "--innovation-params", '{"lo": -1e308, "hi": 1e308}')
     assert code == 2 and "finite" in err and out == ""
 
 

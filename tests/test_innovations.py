@@ -44,6 +44,8 @@ def test_factory_validation():
     ("uniform", {"lo": 0.0, "hi": math.nan}),
     ("exponential_centered", {"rate": math.inf}),
     ("exponential_centered", {"rate": math.nan}),
+    # finite ends whose width hi - lo overflows to inf
+    ("uniform", {"lo": -1e308, "hi": 1e308}),
 ])
 def test_nonfinite_parameters_rejected(kind, params):
     with pytest.raises(ValueError, match="finite"):

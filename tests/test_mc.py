@@ -6,11 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arsurvival.coeffs import ar_params, coeff_recursion
+from arsurvival.coeffs import ar_params
 from arsurvival.innovations import gaussian, rademacher, two_point, uniform
 from arsurvival.mc import (ConstraintError, NonFiniteSampleError, ReductionKind,
-                           SurvivalCurve, _crossing_times_range,
-                           _innovation_matrix, _path_matrix,
+                           SurvivalCurve, _crossing_times_range, _Walk,
                            crossing_time_from_innovations,
                            estimate_survival, pair_survival_frequency,
                            pathwise_reduction_check)
@@ -20,6 +19,11 @@ from arsurvival.rng import path_uniform_block
 RW = ar_params([1.0])
 IRW = ar_params([2.0, -1.0])
 SIGNS = ((-1.0, 0.5), (1.0, 0.5))
+
+
+def innovations(spec, seed, ids, n):
+    """Y[row, step] for steps 1..n of the given paths, straight from the rng."""
+    return spec.transform(path_uniform_block(seed, ids, 0, -(-n // 4)))[:, :n]
 
 
 def test_crossing_time_hand_cases():
@@ -47,18 +51,14 @@ def test_engine_matches_scalar_reference(a, spec, x):
     params = ar_params(a)
     tau_vec, bad = _crossing_times_range(params, spec, x, 64, 99, 0, 300)
     assert bad == 0
-    y = _innovation_matrix(spec, 99, 300, 64)
-    tau_scalar = [crossing_time_from_innovations(params, x, row) for row in y]
-    assert (tau_vec == np.array(tau_scalar)).all()
-    # the full path matrix crosses first at the same step on every row
-    crossed = _path_matrix(params, y)[:, 1:] > x
-    tau_matrix = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 65)
-    assert (tau_matrix == np.array(tau_scalar)).all()
-    # on a unit impulse the path is the coefficient sequence, bit for bit
-    impulse = np.zeros((1, 65))
-    impulse[0, 0] = 1.0
-    assert _path_matrix(params, impulse)[0, 1:].tobytes() == \
-        coeff_recursion(params, 64).tobytes()
+    y = innovations(spec, 99, np.arange(300, dtype=np.uint64), 64)
+    tau_scalar = np.array([crossing_time_from_innovations(params, x, row) for row in y])
+    assert (tau_vec == tau_scalar).all()
+    # a walk that keeps every row crosses first at the same step on every row
+    walk = _Walk(params, spec, 99, 0, 300, 64)
+    crossed = np.array([walk.step() > x for _ in range(64)]).T
+    tau_walk = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 65)
+    assert (tau_walk == tau_scalar).all()
 
 
 @pytest.mark.parametrize("a, spec, x", [
@@ -82,7 +82,7 @@ def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
     params = ar_params(a)
     tau, bad = _crossing_times_range(params, spec, x, n_max, 99, lo, hi)
     assert bad == 0
-    y = _innovation_matrix(spec, 99, hi, n_max)[lo:]
+    y = innovations(spec, 99, np.arange(lo, hi, dtype=np.uint64), n_max)
     assert tau.tolist() == [crossing_time_from_innovations(params, x, row) for row in y]
     ahead = [(4 * b, 4 * (b + k)) for b, k in drawn if k > 1]
     assert ahead
@@ -242,6 +242,22 @@ def test_engine_memory_is_bounded_by_tiles():
     assert peak < 48 * 2**20
 
 
+def test_pathwise_memory_is_bounded_by_tiles():
+    # G1's pair frequency at 1M paths and a long integrated check walk
+    # tiles of paths step by step instead of holding paths x steps matrices
+    for run in (lambda: pair_survival_frequency(ar_params([0.5, 0.25]), gaussian(),
+                                                6, 1_000_000, 110),
+                lambda: pathwise_reduction_check(ar_params([0.5, 0.25]), gaussian(),
+                                                 ReductionKind.INTEGRATED, 2_000, 1_000, 7)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+
 def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("ARSURVIVAL_WORKERS", "2")
     curve = estimate_survival(RW, rademacher(), 0.0, [4], 10_000, 3)
@@ -281,9 +297,9 @@ def test_nonfinite_paths_marked_invalid():
     curve = estimate_survival(params, gaussian(), math.inf, [2200], 64, 19)
     assert curve.nonfinite_paths > 0
     assert curve.invalid
+    y = innovations(gaussian(), 19, np.zeros(1, np.uint64), 2200)[0]
     with pytest.raises(NonFiniteSampleError):
-        crossing_time_from_innovations(params, math.inf,
-                                       _innovation_matrix(gaussian(), 19, 1, 2200)[0])
+        crossing_time_from_innovations(params, math.inf, y)
 
 
 def test_finite_run_is_valid():
@@ -332,6 +348,18 @@ def test_pair_frequency_basics():
     assert abs(freq - 0.5) <= 3 * se
     with pytest.raises(ValueError):
         pair_survival_frequency(RW, rademacher(), 1, 10, 1)
+    for paths in (0, -3):
+        with pytest.raises(ValueError, match="paths must be >= 1"):
+            pair_survival_frequency(RW, rademacher(), 2, paths, 1)
+
+
+def test_pair_frequency_spans_tiles(monkeypatch):
+    # tiles change where a path is walked, never what it counts
+    from arsurvival import mc
+
+    base = pair_survival_frequency(IRW, gaussian(), 5, 2_500, 9)
+    monkeypatch.setattr(mc, "_TILE_PATHS", 1_000)
+    assert pair_survival_frequency(IRW, gaussian(), 5, 2_500, 9) == base
 
 
 @pytest.mark.parametrize("a,kind,rho", [
@@ -360,6 +388,26 @@ def test_integration_identity():
         rep = pathwise_reduction_check(ar_params(a), gaussian(),
                                        ReductionKind.INTEGRATED, 100, 500, 91)
         assert rep.violations == 0, a
+
+
+def test_reduction_sizes_must_be_positive():
+    for paths, n_max, what in [(0, 10, "paths"), (-3, 10, "paths"),
+                               (10, 0, "n_max"), (10, -1, "n_max")]:
+        for kind in ReductionKind:
+            with pytest.raises(ValueError, match=f"{what} must be >= 1"):
+                pathwise_reduction_check(ar_params([-0.5, 0.5]), gaussian(),
+                                         kind, paths, n_max, 1)
+
+
+def test_reductions_span_tiles(monkeypatch):
+    from arsurvival import mc
+
+    checks = [(ar_params([0.5, 0.25]), ReductionKind.ROOT_SHIFT),
+              (ar_params([0.3, -0.2, 0.1]), ReductionKind.INTEGRATED)]
+    base = [pathwise_reduction_check(a, gaussian(), kind, 2_500, 50, 5) for a, kind in checks]
+    monkeypatch.setattr(mc, "_TILE_PATHS", 1_000)
+    assert [pathwise_reduction_check(a, gaussian(), kind, 2_500, 50, 5)
+            for a, kind in checks] == base
 
 
 def test_reduction_constraints_enforced():
