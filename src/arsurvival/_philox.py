@@ -40,6 +40,11 @@ ROUNDS = 10
 # 2**-53; uniforms are ((word >> 11) + 0.5) * 2**-53, open on both ends
 _U53 = np.float64(1.0 / 9007199254740992.0)
 
+# the smallest and the largest uniform words_to_uniform returns: top 53 bits
+# all zero give 2^-54, and all ones would round to 1.0 and are clamped
+U_MIN = 2.0 ** -54
+U_MAX = 1.0 - 2.0 ** -53
+
 
 def _mulhilo(ml, mh, c, t1, t2, t3, hi):
     """hi/lo words of the 128-bit product (ml + 2^32*mh) * c.
@@ -105,9 +110,11 @@ def philox_block(c0, c1, seed):
 
 
 def words_to_uniform(words):
-    """Map uint64 words to float64 uniforms strictly inside (0, 1)."""
+    """Map uint64 words to float64 uniforms in [U_MIN, U_MAX], strictly inside (0, 1)."""
     u = (words >> _S11).astype(np.float64)
     u += 0.5
     u *= _U53
+    # (2^53 - 1) + 0.5 rounds to 2^53, which would give exactly 1.0
+    np.minimum(u, U_MAX, out=u)
     return u
 

@@ -67,7 +67,7 @@ class LowerBoundResult:
 
 
 _SCAN_POINTS = 1000
-_SCAN_LO, _SCAN_HI = 1e-6, 1e6   # |alpha| bracket, log-spaced
+_SCAN_LO, _SCAN_HI = 1e-6, 1e6   # |alpha| bracket over the law's scale, log-spaced
 _GOLDEN_TOL = 1e-8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -77,8 +77,11 @@ def _split_coefficients(params: ARParams) -> tuple[float, float]:
     return float(a[a > 0].sum()), float(a[a < 0].sum())
 
 
-def _golden_max(f, lo: float, hi: float):
-    """Golden-section maximum of f on [lo, hi]; returns the best point seen."""
+def _golden_max(f, lo: float, hi: float, scale: float):
+    """Golden-section maximum of f on [lo, hi]; returns the best point seen.
+
+    Stops once the bracket is narrower than 1e-8 times max(scale, |lo|).
+    """
     best_x, best_f = lo, f(lo)
     fhi = f(hi)
     if fhi > best_f:
@@ -86,7 +89,7 @@ def _golden_max(f, lo: float, hi: float):
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > _GOLDEN_TOL * max(1.0, abs(lo)):
+    while hi - lo > _GOLDEN_TOL * max(scale, abs(lo)):
         if fc > best_f:
             best_x, best_f = c, fc
         if fd > best_f:
@@ -111,7 +114,8 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
         alpha* = -sigma * sqrt((log(1-a_+)^2 - log|a_-|^2) / ((1-a_+)^2 - |a_-|^2));
 
     everything else is a log-spaced scan of 1000 seed points on |alpha| in
-    [1e-6, 1e6] followed by golden-section refinement.  For purely discrete
+    [1e-6, 1e6] times the law's scale (sigma, the bound on |Y| or 1/rate)
+    followed by golden-section refinement.  For purely discrete
     innovations the interval endpoints generated by each negative atom are
     added as extra seeds.  The reported c is the best value actually
     evaluated, hence always a certified lower bound even when the supremum is
@@ -135,15 +139,26 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
                             method=BoundMethod.GAUSSIAN_CLOSED_FORM)
 
 
+def _scale(spec) -> float:
+    """The law's scale: sigma, the bound on |Y|, or 1/rate."""
+    if spec.kind is Kind.GAUSSIAN:
+        return spec.params[1]
+    if spec.kind is Kind.EXPONENTIAL_CENTERED:
+        return 1.0 / spec.params[0]
+    return spec.bounded_by
+
+
 def _scan_lower_bound(spec, a_plus: float, a_minus: float) -> LowerBoundResult:
     """exp_lower_bound's numeric scan, for any innovation law."""
     abs_minus = -a_minus
+    scale = _scale(spec)
 
     def objective(alpha):
         # P(Y in [alpha (1 - a_+), alpha |a_-|]) at a float or an array of them
         return spec.interval_prob(alpha * (1.0 - a_plus), alpha * abs_minus)
 
-    seeds = list(-np.logspace(math.log10(_SCAN_LO), math.log10(_SCAN_HI), _SCAN_POINTS))
+    seeds = list(-scale * np.logspace(math.log10(_SCAN_LO), math.log10(_SCAN_HI),
+                                      _SCAN_POINTS))
     atoms = spec.atoms()
     if atoms is not None and abs_minus > 0.0:
         for v, _ in atoms:
@@ -157,7 +172,7 @@ def _scan_lower_bound(spec, a_plus: float, a_minus: float) -> LowerBoundResult:
     lo = seeds[max(0, i - 1)]
     hi = seeds[min(len(seeds) - 1, i + 1)]
     if hi > lo:
-        x, fx = _golden_max(objective, lo, hi)
+        x, fx = _golden_max(objective, lo, hi, scale)
         if fx > best_c:
             best_alpha, best_c = x, fx
     if best_c <= 0.0:

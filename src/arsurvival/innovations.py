@@ -95,16 +95,19 @@ class InnovationSpec:
 
     @property
     def variance(self) -> float:
+        # products, not ** 2: a float product overflows to inf, a power raises
         k, q = self.kind, self.params
         if k is Kind.GAUSSIAN:
-            return q[1] ** 2
+            return q[1] * q[1]
         if k is Kind.RADEMACHER:
             return 1.0
         if k is Kind.TWO_POINT:
-            return q[0] ** 2
+            return q[0] * q[0]
         if k is Kind.UNIFORM:
-            return (q[1] - q[0]) ** 2 / 12.0
-        return 1.0 / self.params[0] ** 2
+            w = q[1] - q[0]
+            return w * w / 12.0
+        s = 1.0 / q[0]
+        return s * s
 
     @property
     def bounded_by(self) -> float | None:

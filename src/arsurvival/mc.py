@@ -16,6 +16,16 @@ reduction checks, steps tiles of at most ``_TILE_PATHS`` paths with one
 walker, ``_Walk``, so memory is bounded whatever the path count.  A walker
 whose live set has thinned out draws k blocks (4k steps) per rng call, with
 k from ``rng.lookahead_blocks``: no innovation changes, only when it is made.
+
+Survival certificate: innovations are bounded above by B, the largest value
+the transform takes on the rng's uniform range [2^-54, 1 - 2^-53].  When
+every a_k > 0, a level c <= x with B + a_1 c + ... + a_p c <= c in float64,
+summed as ``ar_step`` sums, keeps a path whose lags are all <= c at or below
+c forever, since rounding is monotone: it never crosses and never turns NaN.
+The engine takes c = min(x, -B/(a_1 + ... + a_p - 1)) when the sum exceeds
+1 and c = x otherwise, and before each rng refill drops the live paths whose
+lags are all <= c with tau = n_max + 1, which is what walking them would
+give.  Words are counter-based, so no other path's draws change.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._philox import U_MAX, U_MIN
 from .bounds import integrate_params
 from .coeffs import ARParams, ar2_closed_form, ar_step, Branch
 from .innovations import InnovationSpec, spec_from_json
@@ -44,15 +55,17 @@ __all__ = [
     "resolve_workers",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # curve files of these versions carry the same fields; version 1 curves were
-# drawn from the earlier stream layout key = (seed, path), counter = (j//4, 0, 0, 0)
-_READABLE_SCHEMA_VERSIONS = (1, 2)
+# drawn from the earlier stream layout key = (seed, path), counter = (j//4, 0, 0, 0),
+# and version 2 mapped a word whose top 53 bits are all ones to 1.0, not 1 - 2^-53
+_READABLE_SCHEMA_VERSIONS = (1, 2, 3)
 
 RNG_PROVENANCE = ("philox4x64-10 counter mode; key = (seed, 0); "
                   "draw j of path i = lane j%4 of counter (i, j//4, 0, 0); "
-                  "uniform = ((word >> 11) + 0.5) * 2^-53; inverse-cdf transform")
+                  "uniform = min(((word >> 11) + 0.5) * 2^-53, 1 - 2^-53); "
+                  "inverse-cdf transform")
 
 # paths per tile at most; tiles bound the engine's memory for any path count
 _TILE_PATHS = 65_536
@@ -131,6 +144,7 @@ class _Walk:
         self.lags = [np.zeros(hi - lo) for _ in range(params.p)]
         self.n_blocks = -(-n_max // 4)
         # buf[:, c] holds innovation j0 + c of every live path, up to j_end
+        self.buf = np.empty((hi - lo, 0))
         self.j = self.j0 = self.j_end = 0
 
     def step(self) -> np.ndarray:
@@ -153,18 +167,52 @@ class _Walk:
         self.j0 = self.j
 
 
+def _innovation_bound(spec: InnovationSpec) -> float:
+    """The largest innovation the rng can give: every transform is monotone,
+    so it is taken at an end of the uniform range [U_MIN, U_MAX]."""
+    return float(spec.transform(np.array([U_MIN, U_MAX])).max())
+
+
+def _survival_level(params: ARParams, spec: InnovationSpec, x: float) -> float | None:
+    """A level c <= x that a path whose lags are all <= c never leaves, or None.
+
+    Needs every a_k > 0 (0 times a -inf lag is NaN) and the float64 check
+    ar_step(a, B, [c]*p) <= c, with B = ``_innovation_bound(spec)``.
+    """
+    a = params.a
+    if min(a) <= 0.0:
+        return None
+    b = _innovation_bound(spec)
+    total = sum(a)
+    c = min(x, -b / (total - 1.0)) if total > 1.0 else x
+    return c if ar_step(a, b, [c] * params.p) <= c <= x else None
+
+
 def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
                           n_max: int, seed: int, lo: int, hi: int):
     """Crossing times for paths lo..hi-1; returns (tau array, nonfinite count).
 
     tau = n_max + 1 marks survival through n_max; tau = 0 marks a path that
-    went non-finite (NaN) and is excluded from every survivor count.
+    went non-finite (NaN) and is excluded from every survivor count.  Before
+    each refill of the look-ahead buffer, paths held below the survival level
+    are dropped, since they can never cross.
     """
     walk = _Walk(params, spec, seed, lo, hi, n_max)
+    level = _survival_level(params, spec, x)
     tau = np.full(hi - lo, n_max + 1, dtype=np.int64)
     pos = np.arange(hi - lo, dtype=np.int64)
     nonfinite = 0
     for n in range(1, n_max + 1):
+        if level is not None and walk.j == walk.j_end:
+            held = walk.lags[0] <= level
+            for lag in walk.lags[1:]:
+                held &= lag <= level
+            if held.any():
+                keep = ~held
+                pos = pos[keep]
+                walk.keep(keep)
+                if pos.size == 0:
+                    break
         xval = walk.step()
         bad = np.isnan(xval)
         crossed = xval > x

@@ -2,12 +2,13 @@
 
 Streams are counter-based: stream (seed, index) produces the fixed sequence
 
-    u_j = ((philox4x64_10((index, j//4, 0, 0), key=(seed, 0))[j % 4] >> 11) + 0.5) * 2^-53
+    u_j = min(((philox4x64_10((index, j//4, 0, 0), key=(seed, 0))[j % 4] >> 11) + 0.5) * 2^-53,
+              1 - 2^-53)
 
-of uniforms on (0, 1).  Because u_j is a pure function of (seed, index, j),
-results are bit-identical regardless of how work is chunked or spread over
-workers, and independent streams are derived by index rather than by
-splitting state.
+of uniforms in [2^-54, 1 - 2^-53], strictly inside (0, 1).  Because u_j is
+a pure function of (seed, index, j), results are bit-identical regardless of
+how work is chunked or spread over workers, and independent streams are
+derived by index rather than by splitting state.
 
 Block j//4 of consecutive streams sits at consecutive counters, so
 ``path_uniform_block`` draws one block of a dense set from numpy's C Philox

@@ -58,6 +58,15 @@ def test_gaussian_scaled_sigma_same_c():
     assert scaled.alpha_star == pytest.approx(3.0 * base.alpha_star, rel=1e-12)
 
 
+def test_scan_follows_the_law_scale():
+    # the |alpha| bracket scales with the law, so c does not depend on its unit
+    base = exp_lower_bound(ar_params([0.3, -0.2]), uniform(-1.0, 1.0))
+    for s in (1e-9, 1e3, 1e8, 1e15):
+        res = exp_lower_bound(ar_params([0.3, -0.2]), uniform(-s, s))
+        assert res.c == pytest.approx(base.c, rel=1e-6)
+        assert res.alpha_star == pytest.approx(s * base.alpha_star, rel=1e-6)
+
+
 def test_uniform_scan_vs_dense_grid():
     spec = uniform(-1, 1)
     res = exp_lower_bound(ar_params([0.3, -0.2]), spec)

@@ -76,7 +76,7 @@ def test_simulate_writes_deterministic_outputs(tmp_path, capsys):
     json_text = (tmp_path / "curve.json").read_text()
     csv_text = (tmp_path / "curve.csv").read_text()
     obj = json.loads(json_text)
-    assert obj["schema_version"] == 2
+    assert obj["schema_version"] == 3
     assert obj["survivors"][0] >= obj["survivors"][-1]
     assert csv_text.splitlines()[0] == "N,survivors,paths,p_hat,stderr,zero_flag"
     # byte-identical on rerun
@@ -199,7 +199,7 @@ def _impossible_curves():
 
 def test_fit_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for bad in ({"type": "something_else"}, _synthetic_curve(3), *_impossible_curves()):
+    for bad in ({"type": "something_else"}, _synthetic_curve(4), *_impossible_curves()):
         path.write_text(json.dumps(bad))
         code, out, err = run_cli(capsys, "fit", str(path))
         assert code == 3 and "invalid curve file" in err and out == ""

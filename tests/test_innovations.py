@@ -86,6 +86,12 @@ def test_sample_moments_match_flags(spec):
         assert (np.abs(vals) <= spec.bounded_by + 1e-12).all()
 
 
+@pytest.mark.parametrize("spec", [uniform(0.0, 1e300), gaussian(0.0, 1e200),
+                                  two_point(1e200), exponential_centered(1e-200)])
+def test_variance_overflows_to_inf(spec):
+    assert spec.variance == math.inf
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_flags_are_total(spec):
     assert math.isfinite(spec.mean)

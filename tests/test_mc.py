@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from arsurvival.coeffs import ar_params
-from arsurvival.innovations import gaussian, rademacher, two_point, uniform
+from arsurvival._philox import words_to_uniform
+from arsurvival.innovations import (exponential_centered, gaussian, rademacher,
+                                    two_point, uniform)
 from arsurvival.mc import (ConstraintError, NonFiniteSampleError, ReductionKind,
-                           SurvivalCurve, _crossing_times_range, _Walk,
-                           crossing_time_from_innovations,
+                           SurvivalCurve, _crossing_times_range, _innovation_bound,
+                           _survival_level, _Walk, crossing_time_from_innovations,
                            estimate_survival, pair_survival_frequency,
                            pathwise_reduction_check)
 from arsurvival.oracle import enumerate_survival
@@ -89,6 +91,74 @@ def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
     # paths died before the last column of a look-ahead buffer
     j = tau[tau <= n_max] - 1
     assert any(((start <= j) & (j < end - 1)).any() for start, end in ahead)
+
+
+@pytest.mark.parametrize("a, spec, x", [
+    ((1.0, 1.0), gaussian(), 0.0),
+    ((1.0, 1.0), rademacher(), 0.0),
+    ((0.5, 0.8, 0.3), uniform(-1.0, 1.0), 0.0),
+    ((1.5,), exponential_centered(1.0), -0.5),
+    # sum a < 1 and x above B / (1 - sum a): no path is ever walked
+    ((0.3, 0.2), uniform(-1.0, 1.0), 2.0),
+], ids=["c1-gaussian", "c1-rademacher", "ar3-uniform", "ar1-exponential",
+        "stable-uniform"])
+def test_certified_paths_keep_their_crossing_times(monkeypatch, a, spec, x):
+    from arsurvival import mc
+
+    params, n_max, lo, hi = ar_params(a), 301, 100, 700
+    assert _survival_level(params, spec, x) is not None
+    words = []
+
+    def counted(seed, ids, block, count=1):
+        words.append(4 * count * len(ids))
+        return path_uniform_block(seed, ids, block, count)
+
+    monkeypatch.setattr(mc, "path_uniform_block", counted)
+    tau, bad = _crossing_times_range(params, spec, x, n_max, 5, lo, hi)
+    certified = sum(words)
+    y = innovations(spec, 5, np.arange(lo, hi, dtype=np.uint64), n_max)
+    assert bad == 0
+    assert tau.tolist() == [crossing_time_from_innovations(params, x, row) for row in y]
+    words.clear()
+    monkeypatch.setattr(mc, "_survival_level", lambda *args: None)
+    walked, bad = _crossing_times_range(params, spec, x, n_max, 5, lo, hi)
+    assert bad == 0 and (walked == tau).all()
+    # held rows were dropped: fewer words drawn than by the full walk
+    assert certified < sum(words)
+
+
+def test_no_certificate_without_positive_coefficients(monkeypatch):
+    from arsurvival import mc
+
+    for a in [(0.0, 9.0), (2.0, -1.0), (1.0, -0.5, 1.0)]:
+        assert _survival_level(ar_params(a), gaussian(), 0.0) is None
+    # 0 times a lag at -inf is NaN: the run overflows and counts those paths
+    params = ar_params([0.0, 9.0])
+    curve = estimate_survival(params, gaussian(), 0.0, [700], 2_000, 5)
+    assert curve.nonfinite_paths > 0
+    monkeypatch.setattr(mc, "_survival_level", lambda *args: None)
+    walked = estimate_survival(params, gaussian(), 0.0, [700], 2_000, 5)
+    assert json.dumps(walked.to_json_dict()) == json.dumps(curve.to_json_dict())
+
+
+@pytest.mark.parametrize("spec", [gaussian(0.3, 2.0), rademacher(), two_point(2.0),
+                                  uniform(-0.5, 1.5), exponential_centered(2.5)],
+                         ids=lambda spec: spec.kind.value)
+def test_innovation_bound_covers_both_ends(spec):
+    # the 2^20 smallest and the 2^20 largest 53-bit values the rng can give
+    k = np.arange(2**20, dtype=np.uint64)
+    words = np.concatenate([k, np.uint64(2**53 - 1) - k]) << np.uint64(11)
+    samples = spec.transform(words_to_uniform(words))
+    assert samples.max() <= _innovation_bound(spec) < math.inf
+
+
+def test_c1_curve_file_independent_of_workers(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    c1 = ar_params([1.0, 1.0])
+    files = [json.dumps(estimate_survival(c1, gaussian(), 0.0, list(range(1, 513)),
+                                          20_000, 6, workers=w).to_json_dict())
+             for w in (1, 2)]
+    assert files[0] == files[1]
 
 
 def test_curve_file_independent_of_tiles_and_workers(monkeypatch):
@@ -313,7 +383,7 @@ def test_finite_run_is_valid():
 def test_json_round_trip():
     curve = estimate_survival(IRW, rademacher(), 0.0, [2, 4, 8], 5_000, 77)
     obj = curve.to_json_dict()
-    assert obj["schema_version"] == 2
+    assert obj["schema_version"] == 3
     back = SurvivalCurve.from_json_dict(json.loads(json.dumps(obj)))
     assert back.params == curve.params and back.spec == curve.spec
     assert (back.survivors == curve.survivors).all()

@@ -87,6 +87,16 @@ def test_uniforms_open_interval_and_deterministic():
     assert abs(u.mean() - 0.5) < 0.02
 
 
+def test_top_words_map_below_one():
+    # top 53 bits all ones: (2^53 - 1) + 0.5 rounds to 2^53, which must not give 1.0
+    from scipy.special import ndtri
+
+    u = words_to_uniform(np.array([2**64 - 1, 2**64 - 2**11], np.uint64))
+    assert (u < 1.0).all() and (u == 1.0 - 2.0**-53).all()
+    assert np.isfinite(ndtri(u)).all()
+    assert words_to_uniform(np.array([0, 2**11 - 1], np.uint64)).tolist() == [2.0**-54] * 2
+
+
 def test_streams_are_independent_and_reproducible():
     u1 = stream_uniforms(1, 0, 256)
     u2 = stream_uniforms(1, 1, 256)
