@@ -6,8 +6,8 @@ that an AR(p) process stays at or below a constant barrier through time N.
 
 from .coeffs import (ARParams, Branch, CoeffLimit, CoeffOverflowError,
                      CoeffSolution, LimitKind, RootSolveError, ar2_closed_form,
-                     ar2_coeff_at, ar_params, charpoly_roots, coeff_limit_class,
-                     coeff_recursion)
+                     ar2_coeff_at, ar2_coeffs, ar_params, charpoly_roots,
+                     coeff_limit_class, coeff_recursion)
 from .regions import (Major, RegionLabel, Sub, ar3_integrated_region,
                       classify_ar2, in_delta_p)
 from .innovations import (HypothesisReport, InnovationSpec, Kind, TheoremId,

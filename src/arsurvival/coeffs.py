@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "ar_step",
     "coeff_recursion",
     "ar2_closed_form",
+    "ar2_coeffs",
     "ar2_coeff_at",
     "charpoly_roots",
     "coeff_limit_class",
@@ -194,47 +195,89 @@ def _oscillatory_dps(modulus: float, n: int) -> int:
     return 25 + int(growth)
 
 
-def ar2_coeff_at(sol: CoeffSolution, n: int) -> float:
-    """Evaluate c_n from the closed form.
+def _complex_pair_coeffs(sol: CoeffSolution, n_max: int) -> list[float]:
+    """c_0 .. c_{n_max} on the COMPLEX_PAIR branch, in integer arithmetic.
 
-    Raises CoeffOverflowError instead of returning an IEEE infinity when the
+    The trig form is Re(s1^n) + (a1/h_tilde) Im(s1^n), since
+    s1^n = |a2|^(n/2) e^(i n phi).  s1 = (a1 + i h_tilde)/2 is held as
+    (zr + i zi) 2^-k with `bits` bits, h_tilde from math.isqrt of the exact
+    dyadic h_tilde^2 = -(a1^2 + 4 a2); s1^n = (wr + i wi) 2^e is advanced
+    by one integer complex product per step and cut back to `bits` bits.
+    Each truncation costs about 2^-bits of the envelope |a2|^(n/2), so
+    the bits carry 25 digits (as the extended-precision phase did) plus the
+    digits of n_max lost to n_max truncations, plus guard bits.  Each value
+    is one correctly rounded integer division,
+    c_n = (zi wr + zr wi) 2^e / zi.
+    """
+    bits = 10 * (25 + len(str(n_max)) + 1) // 3 + 8
+    a1 = Fraction(sol.a1)
+    h_sq = -(a1 * a1 + 4 * Fraction(sol.a2))
+    k = bits - math.frexp(sol.modulus)[1]      # |s1| 2^k in [2^(bits-1), 2^bits)
+    zr = math.floor(a1 * Fraction(2) ** (k - 1))
+    zi = math.isqrt(math.floor(h_sq * Fraction(4) ** (k - 1)))
+    wr, wi, e = 1, 0, 0
+    out = []
+    for _ in range(n_max + 1):
+        num = zi * wr + zr * wi
+        out.append((num << e) / zi if e >= 0 else num / (zi << -e))
+        wr, wi = wr * zr - wi * zi, wr * zi + wi * zr
+        e -= k
+        cut = max(abs(wr), abs(wi)).bit_length() - bits
+        if cut > 0:
+            wr >>= cut
+            wi >>= cut
+            e += cut
+    return out
+
+
+def ar2_coeffs(sol: CoeffSolution, n_max: int) -> np.ndarray:
+    """c_0 .. c_{n_max} from the closed form, in one pass.
+
+    Raises CoeffOverflowError instead of returning an IEEE infinity when a
     value leaves the double range, so callers never see non-finite numbers.
-    The oscillatory branch is evaluated in extended precision: double
+    The real branches take scalar Python powers per index: a1 = 0 gives
+    s2 = -s1, and (-s)**m == s**m exactly for even m, so the odd-index
+    zeros the recursion keeps come out exact (np.power does not keep them).
+    The oscillatory branch is evaluated in integer arithmetic: double
     precision trig cannot reproduce the resonance zeros (angle a rational
     multiple of pi) that the recursion keeps exactly.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     try:
         if sol.branch is Branch.DOUBLE_ROOT:
-            val = (sol.a1 / 2.0) ** n * (n + 1)
+            s = sol.a1 / 2.0
+            vals = [s ** n * (n + 1) for n in range(n_max + 1)]
         elif sol.branch is Branch.DISTINCT_REAL:
             s1 = sol.s1.real
             s2 = sol.s2.real
-            val = (s1 ** (n + 1) - s2 ** (n + 1)) / sol.h.real
+            h = sol.h.real
+            vals = [(s1 ** (n + 1) - s2 ** (n + 1)) / h for n in range(n_max + 1)]
         else:
-            with mpmath.workdps(_oscillatory_dps(sol.modulus, n)):
-                a1 = mpmath.mpf(sol.a1)
-                a2 = mpmath.mpf(sol.a2)
-                h_tilde = mpmath.sqrt(-(a1 * a1 + 4 * a2))
-                phi = mpmath.atan2(h_tilde, a1)
-                amp = mpmath.sqrt(abs(a2)) ** n
-                osc = mpmath.cos(n * phi) + (a1 / h_tilde) * mpmath.sin(n * phi)
-                val = float(amp * osc)
+            vals = _complex_pair_coeffs(sol, n_max)
     except OverflowError as exc:
-        raise CoeffOverflowError(f"c_{n} overflows double precision") from exc
-    if not math.isfinite(val):
-        raise CoeffOverflowError(f"c_{n} overflows double precision")
-    return val
+        raise CoeffOverflowError(f"c_n for n <= {n_max} overflows double precision") \
+            from exc
+    out = np.array(vals)
+    if not np.isfinite(out).all():
+        raise CoeffOverflowError(f"c_n for n <= {n_max} overflows double precision")
+    return out
+
+
+def ar2_coeff_at(sol: CoeffSolution, n: int) -> float:
+    """c_n from the closed form: the last value of ``ar2_coeffs(sol, n)``."""
+    return float(ar2_coeffs(sol, n)[n])
 
 
 def ar2_coeff_via_roots(sol: CoeffSolution, n: int) -> tuple[float, float]:
     """Evaluate c_n as (s1^(n+1) - s2^(n+1)) / h in complex arithmetic.
 
     Returns (value, |imaginary residue|).  The residue is analytically zero;
-    it is reported so tests can assert the evaluation stays real.  Uses the
-    same extended precision as the oscillatory closed form.
+    it is reported so tests can assert the evaluation stays real.  Evaluated
+    with mpmath at the digits of ``_oscillatory_dps``.
     """
+    import mpmath
+
     if n < 0:
         raise ValueError("n must be >= 0")
     if sol.branch is Branch.DOUBLE_ROOT:

@@ -22,10 +22,12 @@ the transform takes on the rng's uniform range [2^-54, 1 - 2^-53].  When
 every a_k > 0, a level c <= x with B + a_1 c + ... + a_p c <= c in float64,
 summed as ``ar_step`` sums, keeps a path whose lags are all <= c at or below
 c forever, since rounding is monotone: it never crosses and never turns NaN.
-The engine takes c = min(x, -B/(a_1 + ... + a_p - 1)) when the sum exceeds
-1 and c = x otherwise, and before each rng refill drops the live paths whose
-lags are all <= c with tau = n_max + 1, which is what walking them would
-give.  Words are counter-based, so no other path's draws change.
+The engine takes the first of c* = -B/(a_1 + ... + a_p - 1) and 2c*, each
+capped at x, that passes the check when the sum exceeds 1 (c* itself is the
+fixed point, where rounding decides), and c = x otherwise.  Before each rng
+refill it drops the live paths whose lags are all <= c with tau = n_max + 1,
+which is what walking them would give.  Words are counter-based, so no other
+path's draws change.
 """
 
 from __future__ import annotations
@@ -177,15 +179,25 @@ def _survival_level(params: ARParams, spec: InnovationSpec, x: float) -> float |
     """A level c <= x that a path whose lags are all <= c never leaves, or None.
 
     Needs every a_k > 0 (0 times a -inf lag is NaN) and the float64 check
-    ar_step(a, B, [c]*p) <= c, with B = ``_innovation_bound(spec)``.
+    ar_step(a, B, [c]*p) <= c, with B = ``_innovation_bound(spec)``.  When
+    sum(a) > 1 the candidates are c* = -B/(sum(a) - 1) and then 2c*, each
+    capped at x: c* is the fixed point itself, where rounding can fail the
+    check, and any level below it holds too.
     """
     a = params.a
     if min(a) <= 0.0:
         return None
     b = _innovation_bound(spec)
     total = sum(a)
-    c = min(x, -b / (total - 1.0)) if total > 1.0 else x
-    return c if ar_step(a, b, [c] * params.p) <= c <= x else None
+    if total > 1.0:
+        star = -b / (total - 1.0)
+        levels = (min(x, star), min(x, 2.0 * star))
+    else:
+        levels = (x,)
+    for c in levels:
+        if ar_step(a, b, [c] * params.p) <= c <= x:
+            return c
+    return None
 
 
 def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,

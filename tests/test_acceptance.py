@@ -2,7 +2,8 @@
 
 import pytest
 
-from arsurvival.acceptance import CRITERIA, SUITES, run_suite
+from arsurvival.acceptance import (CRITERIA, SUITES, coefficient_grid_discrepancy,
+                                   criterion_f1, run_suite)
 
 
 @pytest.mark.parametrize("cid", list(CRITERIA))
@@ -21,3 +22,10 @@ def test_suite_registry_shape():
     assert set(SUITES["quick"]) <= set(SUITES["full"])
     with pytest.raises(ValueError):
         run_suite("nope")
+
+
+def test_coefficient_grid_counts():
+    assert coefficient_grid_discrepancy(200, 11)[1] == 8978
+    f1 = criterion_f1()
+    assert f1.metrics["values"] == 133260
+    assert f1.metrics["skipped"] == 41 * 41 * 201 - 133260

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -287,3 +290,11 @@ def test_verify_single_criterion(capsys):
 def test_verify_unknown_suite_or_criterion(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "full", "--only", "ZZ")
     assert code == 2 and "unknown criteria" in err
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    code = "import sys, arsurvival.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

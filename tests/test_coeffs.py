@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arsurvival.coeffs import (ARParams, Branch, CoeffOverflowError, LimitKind,
-                               ar2_closed_form, ar2_coeff_at,
+                               ar2_closed_form, ar2_coeff_at, ar2_coeffs,
                                ar2_coeff_via_roots, ar_params, ar_step,
                                charpoly_roots, coeff_limit_class, coeff_recursion)
 
@@ -95,8 +96,49 @@ def test_coeff_at_overflow_reported():
         ar2_coeff_at(ar2_closed_form(3.0, 1.0), 3000)
     with pytest.raises(CoeffOverflowError):
         ar2_coeff_at(ar2_closed_form(4.0, -4.0), 2000)   # double root at 2
+    with pytest.raises(CoeffOverflowError):
+        ar2_coeff_at(ar2_closed_form(0.0, -3.0), 1300)   # 3^650 on the complex branch
+    assert ar2_coeff_at(ar2_closed_form(0.0, -3.0), 1200) == float(3 ** 600)
     with pytest.raises(ValueError):
         ar2_coeff_at(ar2_closed_form(1.0, 0.0), -1)
+
+
+def exact_coeffs(a1: float, a2: float, n_max: int) -> list[float]:
+    """c_0 .. c_{n_max} by the recursion in exact dyadic arithmetic, each
+    correctly rounded: c_n = u_n / 2^(d n) with integer u_n."""
+    d = max(Fraction(a1).denominator, Fraction(a2).denominator).bit_length() - 1
+    b1, b2 = int(Fraction(a1) * 2 ** d), int(Fraction(a2) * 4 ** d)
+    prev, cur, out = 0, 1, []
+    for n in range(n_max + 1):
+        out.append(cur / (1 << (d * n)))
+        prev, cur = cur, b1 * cur + b2 * prev
+    return out
+
+
+def test_complex_pair_matches_exact_coefficients():
+    n_max = 200
+    for a1 in np.linspace(-3, 3, 41):
+        for a2 in np.linspace(-3, 3, 41):
+            sol = ar2_closed_form(a1, a2)
+            if sol.branch is not Branch.COMPLEX_PAIR:
+                continue
+            got = ar2_coeffs(sol, n_max)
+            ref = np.array(exact_coeffs(float(a1), float(a2), n_max))
+            # a true zero (angle a rational multiple of pi) is resolved to the
+            # 25 digits the closed form carries; every other value to 2 ulp
+            zero = ref == 0.0
+            env = sol.modulus ** np.arange(n_max + 1)
+            assert (np.abs(got[zero]) <= 1e-25 * env[zero]).all(), (a1, a2)
+            assert (np.abs(got - ref)[~zero] <= 2 * np.spacing(np.abs(ref[~zero]))).all(), \
+                (a1, a2)
+
+
+def test_odd_coefficients_vanish_exactly():
+    # a1 = 0: c_n = a2 c_{n-2}, so every odd c_n is 0 on both branches
+    for a2, branch in [(3.0, Branch.DISTINCT_REAL), (-1.0, Branch.COMPLEX_PAIR)]:
+        sol = ar2_closed_form(0.0, a2)
+        assert sol.branch is branch
+        assert (ar2_coeffs(sol, 201)[1::2] == 0.0).all()
 
 
 def test_charpoly_roots_examples():

@@ -141,6 +141,24 @@ def test_no_certificate_without_positive_coefficients(monkeypatch):
     assert json.dumps(walked.to_json_dict()) == json.dumps(curve.to_json_dict())
 
 
+@pytest.mark.parametrize("spec", [gaussian(), rademacher(), uniform(-1.0, 1.0),
+                                  exponential_centered(1.0)],
+                         ids=lambda spec: spec.kind.value)
+def test_every_positive_c_point_gets_a_level(spec):
+    # (a1, a2) on the 0.05 grid in (0, 2)^2 with a1 + a2 > 1; the fixed point
+    # c* alone fails the float check at hundreds of these
+    points = [(i / 20, j / 20) for i in range(1, 40) for j in range(1, 40) if i + j > 20]
+    assert len(points) == 1331
+    assert all(_survival_level(ar_params(a), spec, 0.0) is not None for a in points)
+
+
+def test_c1_level_is_the_fixed_point():
+    # C1 passes the check at c* = -B itself, so it keeps that level
+    level = _survival_level(ar_params([1.0, 1.0]), gaussian(), 0.0)
+    assert level == -_innovation_bound(gaussian())
+    assert level == pytest.approx(-8.2095, abs=1e-4)
+
+
 @pytest.mark.parametrize("spec", [gaussian(0.3, 2.0), rademacher(), two_point(2.0),
                                   uniform(-0.5, 1.5), exponential_centered(2.5)],
                          ids=lambda spec: spec.kind.value)
