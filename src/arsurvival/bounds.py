@@ -10,8 +10,8 @@ Covers the constructive results that come with computable constants:
 * a lower bound on the exponential decay rate on the oscillating-divergence
   region E1, from the characteristic roots,
 
-* the first sign-change index q = inf{k >= 1 : c_k <= 0} on E3 together with
-  its proven cap ceil(pi / phi),
+* the first sign-change index q = inf{k >= 1 : c_k <= 0} on E3, which is
+  ceil(pi / phi) - 1 for the oscillation angle phi,
 
 * the order-raising coefficient map T_p of running sums.
 """
@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import ndtr
 
-from .coeffs import ARParams, ar_params, ar_step
+from .coeffs import ARParams, ar2_closed_form, ar_params, ar_step
 from .innovations import Kind
 from .regions import Major, Sub, classify_ar2
 
@@ -70,6 +71,7 @@ _SCAN_POINTS = 1000
 _SCAN_LO, _SCAN_HI = 1e-6, 1e6   # |alpha| bracket over the law's scale, log-spaced
 _GOLDEN_TOL = 1e-8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EXACT_STEPS = 64         # e3_sign_change_index walks this many steps exactly
 
 
 def _split_coefficients(params: ARParams) -> tuple[float, float]:
@@ -193,9 +195,8 @@ def e1_rate_bound(a1: float, a2: float) -> float:
     label = classify_ar2(a1, a2)
     if label.major is not Major.E or label.sub is not Sub.E1:
         raise PreconditionError(f"({a1}, {a2}) is not in region E1 (got {label})")
-    h = math.sqrt(a1 * a1 + 4.0 * a2)
-    s1 = (a1 + h) / 2.0
-    s2 = (a1 - h) / 2.0
+    sol = ar2_closed_form(a1, a2)
+    s1, s2 = sol.s1.real, sol.s2.real
     if a1 + a2 > 1.0:
         return math.log(abs(s2) / s1)
     return math.log(abs(s2))
@@ -204,24 +205,27 @@ def e1_rate_bound(a1: float, a2: float) -> float:
 def e3_sign_change_index(a1: float, a2: float) -> int:
     """First k >= 1 with c_k <= 0 on region E3 (c_k <= 0 is non-strict).
 
-    The oscillation angle phi = atan2(sqrt(-(a1^2+4a2)), a1) caps the index at
-    ceil(pi / phi); exceeding the cap indicates a bug and raises RuntimeError.
+    On E3, c_k = |a2|^(k/2) sin((k+1) phi) / sin phi for the oscillation
+    angle phi in (0, pi/2) with tan(phi)^2 = -(a1^2 + 4 a2) / a1^2, so the
+    index is ceil(pi / phi) - 1.  c_k is exactly 0 only at phi in
+    {pi/3, pi/4, pi/6}, where rounding would decide the non-strict sign, so
+    the first 64 steps of the recursion are walked exactly in rationals.
+    Past them the formula is used, with tan(phi)^2 rounded once from its
+    exact value: near the real-root boundary the float discriminant loses
+    its digits to cancellation, and a float walk underflows or overflows
+    long before ceil(pi / phi) steps.
     """
     label = classify_ar2(a1, a2)
     if label.major is not Major.E or label.sub is not Sub.E3:
         raise PreconditionError(f"({a1}, {a2}) is not in region E3 (got {label})")
-    phi = math.atan2(math.sqrt(-(a1 * a1 + 4.0 * a2)), a1)
-    cap = math.ceil(math.pi / phi)
-    c_prev, c_cur = 1.0, a1     # c_0, c_1
-    k = 1
-    while k <= cap:
-        if c_cur <= 0.0:
+    a = (Fraction(a1), Fraction(a2))
+    c_prev, c_cur = Fraction(1), a[0]     # c_0, c_1
+    for k in range(1, _EXACT_STEPS + 1):
+        if c_cur <= 0:
             return k
-        c_prev, c_cur = c_cur, ar_step((a1, a2), 0.0, (c_cur, c_prev))
-        k += 1
-    raise RuntimeError(
-        f"no sign change up to the proven cap {cap} for ({a1}, {a2}); "
-        "this is an internal error")
+        c_prev, c_cur = c_cur, ar_step(a, 0, (c_cur, c_prev))
+    phi = math.atan(math.sqrt(-(a[0] * a[0] + 4 * a[1]) / (a[0] * a[0])))
+    return math.ceil(math.pi / phi) - 1
 
 
 def integrate_params(params: ARParams) -> ARParams:

@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the acceptance suite")
     v.add_argument("--suite", default="quick", choices=sorted(acceptance.SUITES))
     v.add_argument("--only", default=None,
-                   help="comma-separated criterion ids to restrict to")
+                   help="comma-separated criterion ids to run, from any suite; "
+                        "--suite then sets only the sizes (quick or full)")
     v.add_argument("--verbose", action="store_true")
     v.set_defaults(func=cmd_verify)
     return parser

@@ -101,12 +101,9 @@ class CoeffSolution:
 
     For DISTINCT_REAL / COMPLEX_PAIR, c_n = (s1^(n+1) - s2^(n+1)) / h.
     For DOUBLE_ROOT, c_n = (a1/2)^n (n + 1).
-    On the COMPLEX_PAIR branch the equivalent real form is
-
-        c_n = |a2|^(n/2) ( cos(n*phi) + (a1/h_tilde) sin(n*phi) )
-
-    with h_tilde = sqrt(-(a1^2 + 4 a2)) and phi in (0, pi) depending on the
-    sign of a1; the common root modulus is sqrt(|a2|).
+    On the COMPLEX_PAIR branch h = i h_tilde with h_tilde = sqrt(-(a1^2 + 4 a2)),
+    and ``modulus`` is the common root modulus sqrt(|a2|); it is None on the
+    real branches.
     """
 
     a1: float
@@ -115,8 +112,6 @@ class CoeffSolution:
     s1: complex
     s2: complex
     h: complex
-    h_tilde: float | None = None
-    phi: float | None = None
     modulus: float | None = None
 
 
@@ -144,12 +139,11 @@ def coeff_recursion(params: ARParams, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     p = params.p
-    # p - 1 zero lags ahead of c_0; c[n - 1::-1] lists the lags of c[n], newest first
-    c = np.zeros(n_max + p)
-    c[p - 1] = 1.0
-    for n in range(p, n_max + p):
-        c[n] = ar_step(params.a, 0.0, c[n - 1::-1])
-    return c[p - 1:]
+    # p - 1 zero lags ahead of c_0; c[:-p - 1:-1] lists the last p values, newest first
+    c = [0.0] * (p - 1) + [1.0]
+    for _ in range(n_max):
+        c.append(ar_step(params.a, 0.0, c[:-p - 1:-1]))
+    return np.array(c[p - 1:])
 
 
 def ar2_closed_form(a1: float, a2: float) -> CoeffSolution:
@@ -172,42 +166,22 @@ def ar2_closed_form(a1: float, a2: float) -> CoeffSolution:
                              complex((a1 + h) / 2.0), complex((a1 - h) / 2.0),
                              complex(h))
     h_tilde = math.sqrt(-disc)
-    if a1 > 0.0:
-        phi = math.atan(h_tilde / a1)
-    elif a1 == 0.0:
-        phi = math.pi / 2.0
-    else:
-        phi = math.pi + math.atan(h_tilde / a1)
     s1 = complex(a1 / 2.0, h_tilde / 2.0)
     return CoeffSolution(a1, a2, Branch.COMPLEX_PAIR, s1, s1.conjugate(),
-                         complex(0.0, h_tilde), h_tilde=h_tilde, phi=phi,
-                         modulus=math.sqrt(abs(a2)))
-
-
-def _oscillatory_dps(modulus: float, n: int) -> int:
-    """Working digits that keep the absolute error of c_n below ~1e-15.
-
-    The sine/cosine combination can sit arbitrarily deep inside the envelope
-    modulus^n (it is exactly 0 whenever the angle is a rational multiple of
-    pi), so the phase must carry enough digits to resolve that cancellation.
-    """
-    growth = max(0.0, n * math.log10(modulus)) if modulus > 0.0 else 0.0
-    return 25 + int(growth)
+                         complex(0.0, h_tilde), modulus=math.sqrt(abs(a2)))
 
 
 def _complex_pair_coeffs(sol: CoeffSolution, n_max: int) -> list[float]:
     """c_0 .. c_{n_max} on the COMPLEX_PAIR branch, in integer arithmetic.
 
-    The trig form is Re(s1^n) + (a1/h_tilde) Im(s1^n), since
-    s1^n = |a2|^(n/2) e^(i n phi).  s1 = (a1 + i h_tilde)/2 is held as
-    (zr + i zi) 2^-k with `bits` bits, h_tilde from math.isqrt of the exact
-    dyadic h_tilde^2 = -(a1^2 + 4 a2); s1^n = (wr + i wi) 2^e is advanced
-    by one integer complex product per step and cut back to `bits` bits.
-    Each truncation costs about 2^-bits of the envelope |a2|^(n/2), so
-    the bits carry 25 digits (as the extended-precision phase did) plus the
-    digits of n_max lost to n_max truncations, plus guard bits.  Each value
-    is one correctly rounded integer division,
-    c_n = (zi wr + zr wi) 2^e / zi.
+    On this branch (s1^(n+1) - s2^(n+1)) / h = Re(s1^n) + (a1/h_tilde) Im(s1^n).
+    s1 = (a1 + i h_tilde)/2 is held as (zr + i zi) 2^-k with `bits` bits,
+    h_tilde from math.isqrt of the exact dyadic h_tilde^2 = -(a1^2 + 4 a2);
+    s1^n = (wr + i wi) 2^e is advanced by one integer complex product per
+    step and cut back to `bits` bits.  Each truncation costs about 2^-bits
+    of the envelope |a2|^(n/2), so the bits carry 25 digits plus the digits
+    of n_max lost to n_max truncations, plus guard bits.  Each value is one
+    correctly rounded integer division, c_n = (zi wr + zr wi) 2^e / zi.
     """
     bits = 10 * (25 + len(str(n_max)) + 1) // 3 + 8
     a1 = Fraction(sol.a1)
@@ -267,33 +241,6 @@ def ar2_coeffs(sol: CoeffSolution, n_max: int) -> np.ndarray:
 def ar2_coeff_at(sol: CoeffSolution, n: int) -> float:
     """c_n from the closed form: the last value of ``ar2_coeffs(sol, n)``."""
     return float(ar2_coeffs(sol, n)[n])
-
-
-def ar2_coeff_via_roots(sol: CoeffSolution, n: int) -> tuple[float, float]:
-    """Evaluate c_n as (s1^(n+1) - s2^(n+1)) / h in complex arithmetic.
-
-    Returns (value, |imaginary residue|).  The residue is analytically zero;
-    it is reported so tests can assert the evaluation stays real.  Evaluated
-    with mpmath at the digits of ``_oscillatory_dps``.
-    """
-    import mpmath
-
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if sol.branch is Branch.DOUBLE_ROOT:
-        return ar2_coeff_at(sol, n), 0.0
-    with mpmath.workdps(_oscillatory_dps(max(abs(sol.s1), abs(sol.s2)), n)):
-        a1 = mpmath.mpf(sol.a1)
-        a2 = mpmath.mpf(sol.a2)
-        h = mpmath.sqrt(mpmath.mpc(a1 * a1 + 4 * a2))
-        s1 = (a1 + h) / 2
-        s2 = (a1 - h) / 2
-        c = (s1 ** (n + 1) - s2 ** (n + 1)) / h
-        val = float(mpmath.re(c))
-        residue = float(abs(mpmath.im(c)))
-    if not math.isfinite(val):
-        raise CoeffOverflowError(f"c_{n} overflows double precision")
-    return val, residue
 
 
 def charpoly_roots(params: ARParams) -> np.ndarray:

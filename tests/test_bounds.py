@@ -157,6 +157,14 @@ def test_e3_index_examples():
     assert q == next(k for k in range(1, 51) if c[k] <= 0.0)
 
 
+def test_e3_index_exact_zero():
+    # a1^2 = 3|a2| exactly: phi = pi/6 and c_5 = 0, which a float walk misses
+    # by rounding (it reads 6); one ulp nearer the real roots, c_5 > 0
+    a1, a2 = 3 * 4293 / 2**20, -3 * 4293**2 / 2**40
+    assert e3_sign_change_index(a1, a2) == 5
+    assert e3_sign_change_index(a1, math.nextafter(a2, 0.0)) == 6
+
+
 def test_e3_index_region_checked():
     with pytest.raises(PreconditionError):
         e3_sign_change_index(-0.5, -1.0)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from arsurvival.coeffs import (ARParams, Branch, CoeffOverflowError, LimitKind,
                                ar2_closed_form, ar2_coeff_at, ar2_coeffs,
-                               ar2_coeff_via_roots, ar_params, ar_step,
-                               charpoly_roots, coeff_limit_class, coeff_recursion)
+                               ar_params, ar_step, charpoly_roots,
+                               coeff_limit_class, coeff_recursion)
 
 
 def test_recursion_hand_unrolled_cases():
@@ -60,7 +60,6 @@ def test_closed_form_branches():
 
     osc = ar2_closed_form(0, -1)
     assert osc.branch is Branch.COMPLEX_PAIR
-    assert osc.phi == math.pi / 2
     assert osc.modulus == 1.0
     assert osc.s1 == complex(0, 0.5 * math.sqrt(4.0))  # roots +-i
     assert osc.s1.conjugate() == osc.s2
@@ -68,15 +67,6 @@ def test_closed_form_branches():
     real = ar2_closed_form(1, 0)
     assert real.branch is Branch.DISTINCT_REAL
     assert (real.s1, real.s2, real.h) == (1.0, 0.0, 1.0)
-
-
-def test_phi_three_case_rule():
-    pos = ar2_closed_form(1, -1)        # a1 > 0
-    assert 0 < pos.phi < math.pi / 2
-    assert pos.phi == pytest.approx(math.atan(math.sqrt(3.0)))
-    neg = ar2_closed_form(-1, -1)       # a1 < 0
-    assert math.pi / 2 < neg.phi < math.pi
-    assert neg.phi == pytest.approx(math.pi - math.atan(math.sqrt(3.0)))
 
 
 def test_complex_pair_modulus_is_root_modulus():
@@ -117,20 +107,20 @@ def exact_coeffs(a1: float, a2: float, n_max: int) -> list[float]:
 
 def test_complex_pair_matches_exact_coefficients():
     n_max = 200
-    for a1 in np.linspace(-3, 3, 41):
-        for a2 in np.linspace(-3, 3, 41):
-            sol = ar2_closed_form(a1, a2)
-            if sol.branch is not Branch.COMPLEX_PAIR:
-                continue
-            got = ar2_coeffs(sol, n_max)
-            ref = np.array(exact_coeffs(float(a1), float(a2), n_max))
-            # a true zero (angle a rational multiple of pi) is resolved to the
-            # 25 digits the closed form carries; every other value to 2 ulp
-            zero = ref == 0.0
-            env = sol.modulus ** np.arange(n_max + 1)
-            assert (np.abs(got[zero]) <= 1e-25 * env[zero]).all(), (a1, a2)
-            assert (np.abs(got - ref)[~zero] <= 2 * np.spacing(np.abs(ref[~zero]))).all(), \
-                (a1, a2)
+    grid = [(a1, a2) for a1 in np.linspace(-3, 3, 41) for a2 in np.linspace(-3, 3, 41)]
+    for a1, a2 in grid + [(0.5, -0.5), (-1.0, -0.75)]:
+        sol = ar2_closed_form(a1, a2)
+        if sol.branch is not Branch.COMPLEX_PAIR:
+            continue
+        got = ar2_coeffs(sol, n_max)
+        ref = np.array(exact_coeffs(float(a1), float(a2), n_max))
+        # a true zero (angle a rational multiple of pi) is resolved to the
+        # 25 digits the closed form carries; every other value to 2 ulp
+        zero = ref == 0.0
+        env = sol.modulus ** np.arange(n_max + 1)
+        assert (np.abs(got[zero]) <= 1e-25 * env[zero]).all(), (a1, a2)
+        assert (np.abs(got - ref)[~zero] <= 2 * np.spacing(np.abs(ref[~zero]))).all(), \
+            (a1, a2)
 
 
 def test_odd_coefficients_vanish_exactly():
@@ -189,16 +179,6 @@ def test_limit_class_limit_is_actual_limit():
         assert lim.kind is LimitKind.CONVERGES_NONZERO
         c = coeff_recursion(ar_params([a1, a2]), 400)
         assert c[-1] == pytest.approx(lim.limit, rel=1e-6)
-
-
-def test_complex_route_real_and_matching():
-    for a1, a2 in [(0.5, -0.5), (-1.0, -0.75), (0.0, -3.0), (1.5, -2.25)]:
-        sol = ar2_closed_form(a1, a2)
-        c = coeff_recursion(ar_params([a1, a2]), 60)
-        for n in range(61):
-            val, residue = ar2_coeff_via_roots(sol, n)
-            assert residue <= 1e-9 * max(1.0, abs(val))
-            assert abs(val - ar2_coeff_at(sol, n)) <= 1e-9 * max(1.0, abs(c[n]))
 
 
 @settings(max_examples=150, deadline=None)
