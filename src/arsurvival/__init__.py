@@ -5,11 +5,9 @@ that an AR(p) process stays at or below a constant barrier through time N.
 """
 
 from .coeffs import (ARParams, Branch, CoeffLimit, CoeffOverflowError,
-                     CoeffSolution, LimitKind, RootSolveError, ar2_closed_form,
-                     ar2_coeff_at, ar2_coeffs, ar_params, charpoly_roots,
-                     coeff_limit_class, coeff_recursion)
-from .regions import (Major, RegionLabel, Sub, ar3_integrated_region,
-                      classify_ar2, in_delta_p)
+                     CoeffSolution, LimitKind, ar2_closed_form, ar2_coeffs,
+                     ar_params, coeff_limit_class, coeff_recursion)
+from .regions import Major, RegionLabel, Sub, classify_ar2
 from .innovations import (HypothesisReport, InnovationSpec, Kind, TheoremId,
                           exponential_centered, gaussian, hypothesis_check,
                           rademacher, spec_from_json, two_point, uniform)

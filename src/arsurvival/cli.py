@@ -28,7 +28,7 @@ from .bounds import (DegenerateBoundError, PreconditionError, e1_rate_bound,
                      e3_sign_change_index, exp_lower_bound)
 from .coeffs import ar_params, coeff_limit_class
 from .innovations import InnovationSpec, spec_from_json
-from .mc import SurvivalCurve, estimate_survival, resolve_workers
+from .mc import SurvivalCurve, estimate_survival, json_int, resolve_workers
 from .regions import Sub, classify_ar2
 
 EXIT_OK = 0
@@ -137,9 +137,9 @@ def cmd_simulate(args) -> int:
         params = ar_params(cfg["a"])
         spec = spec_from_json(cfg["innovation"])
         x = float(cfg["x"])
-        grid = [int(n) for n in cfg["grid"]]
-        paths = int(cfg["paths"])
-        seed = int(cfg["seed"])
+        grid = [json_int(n, "grid") for n in cfg["grid"]]
+        paths = json_int(cfg["paths"], "paths")
+        seed = json_int(cfg["seed"], "seed")
         out = str(cfg["out"])
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)

@@ -31,13 +31,10 @@ __all__ = [
     "LimitKind",
     "CoeffLimit",
     "CoeffOverflowError",
-    "RootSolveError",
     "ar_step",
     "coeff_recursion",
     "ar2_closed_form",
     "ar2_coeffs",
-    "ar2_coeff_at",
-    "charpoly_roots",
     "coeff_limit_class",
 ]
 
@@ -45,15 +42,9 @@ __all__ = [
 # used; nearer than this the two-root form is numerically meaningless
 _DOUBLE_ROOT_RTOL = 1e-12
 
-_ROOT_RESIDUAL_TOL = 1e-10
-
 
 class CoeffOverflowError(ArithmeticError):
     """A coefficient value exceeds the double-precision range."""
-
-
-class RootSolveError(RuntimeError):
-    """The polynomial root finder failed or returned inaccurate roots."""
 
 
 @dataclass(frozen=True)
@@ -236,34 +227,6 @@ def ar2_coeffs(sol: CoeffSolution, n_max: int) -> np.ndarray:
     if not np.isfinite(out).all():
         raise CoeffOverflowError(f"c_n for n <= {n_max} overflows double precision")
     return out
-
-
-def ar2_coeff_at(sol: CoeffSolution, n: int) -> float:
-    """c_n from the closed form: the last value of ``ar2_coeffs(sol, n)``."""
-    return float(ar2_coeffs(sol, n)[n])
-
-
-def charpoly_roots(params: ARParams) -> np.ndarray:
-    """Roots (with multiplicity) of f_p(x) = x^p - sum a_k x^{p-k}.
-
-    Computed as companion-matrix eigenvalues; each root is checked to leave
-    a residual |f_p(root)| below 1e-10 at the polynomial's scale.  Roots are
-    returned sorted by (real, imag) so equal inputs give equal outputs.
-    """
-    coeffs = np.concatenate(([1.0], -np.asarray(params.a)))
-    try:
-        roots = np.roots(coeffs)
-    except np.linalg.LinAlgError as exc:
-        raise RootSolveError(f"eigenvalue iteration failed for a={params.a}") from exc
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    for r in roots:
-        residual = abs(np.polyval(coeffs, r))
-        bound = _ROOT_RESIDUAL_TOL * scale * max(1.0, abs(r)) ** params.p
-        if residual > bound:
-            raise RootSolveError(
-                f"root {r} of a={params.a} has residual {residual:.3e} > {bound:.3e}")
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
 
 
 class LimitKind(Enum):

@@ -248,9 +248,12 @@ def _cuts(lo: int, hi: int, parts: int) -> list[int]:
 
 
 def _tiles(lo: int, hi: int):
-    """(lo, hi) of equal tiles of at most ``_TILE_PATHS`` paths that cover lo..hi-1."""
-    cuts = _cuts(lo, hi, -(-(hi - lo) // _TILE_PATHS))
-    return zip(cuts[:-1], cuts[1:])
+    """(lo, hi) of equal tiles of at most ``_TILE_PATHS`` paths that cover lo..hi-1.
+
+    Made one at a time, so a huge path count holds no list of cuts."""
+    parts = -(-(hi - lo) // _TILE_PATHS)
+    return ((lo + (hi - lo) * k // parts, lo + (hi - lo) * (k + 1) // parts)
+            for k in range(parts))
 
 
 def _range_counts(params: ARParams, spec: InnovationSpec, x: float, grid: np.ndarray,
@@ -258,19 +261,20 @@ def _range_counts(params: ARParams, spec: InnovationSpec, x: float, grid: np.nda
     """Survivor counts on the grid and the non-finite count of paths lo..hi-1.
 
     The range is walked in equal tiles of at most ``_TILE_PATHS`` paths, which
-    bounds the engine's memory; the tiles' crossing times share one histogram.
+    bounds the engine's memory; the tiles' crossing times share one histogram
+    over the len(grid) + 1 gaps of the grid, so no count grows with n_max.
     """
     n_max = int(grid[-1])
-    hist = np.zeros(n_max + 2, dtype=np.int64)
+    hist = np.zeros(grid.size + 1, dtype=np.int64)
     nonfinite = 0
     for a, b in _tiles(lo, hi):
         tau, bad = _crossing_times_range(params, spec, x, n_max, seed, a, b)
-        hist += np.bincount(tau, minlength=n_max + 2)
+        # gap k holds the paths with grid[k-1] < tau <= grid[k]: they survive
+        # exactly the first k horizons; non-finite paths (tau = 0) fall in gap 0
+        hist += np.bincount(np.searchsorted(grid, tau), minlength=grid.size + 1)
         nonfinite += bad
-    # at_least[k] counts paths with tau >= k, so survivors of horizon n are
-    # at_least[n + 1]; non-finite paths (tau = 0) fall below every horizon
-    at_least = np.cumsum(hist[::-1])[::-1]
-    return at_least[grid + 1], nonfinite
+    # survivors of horizon grid[k] are the paths in gaps k + 1 and above
+    return np.cumsum(hist[::-1])[::-1][1:], nonfinite
 
 
 def _send_counts(job, conn):
@@ -312,14 +316,41 @@ def _fork_ranges(jobs):
             proc.join()
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _int64_array(values, name: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} must fit in int64") from None
+
+
+def json_int(value, name: str) -> int:
+    """An integral JSON number as an int; ValueError for a bool, a non-integral
+    float or anything else, so no reader truncates a field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_grid(grid) -> np.ndarray:
-    """The grid as int64; ValueError unless 1-d, non-empty and increasing from 1."""
-    grid = np.asarray(grid, dtype=np.int64)
+    """The grid as int64; ValueError unless 1-d, non-empty and increasing from 1
+    to below 2^63 - 1 (a crossing time stores grid[-1] + 1 in int64)."""
+    grid = _int64_array(grid, "grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-d sequence")
     if grid[0] < 1 or (np.diff(grid) <= 0).any():
         raise ValueError("grid must be strictly increasing horizons >= 1")
+    if grid[-1] >= _INT64_MAX:
+        raise ValueError(f"grid horizons must be below {_INT64_MAX}")
     return grid
+
+
+def _check_paths(paths: int) -> None:
+    if not 1 <= paths <= _INT64_MAX:
+        raise ValueError(f"paths must be in [1, {_INT64_MAX}]")
 
 
 @dataclass(eq=False)
@@ -351,12 +382,13 @@ class SurvivalCurve:
     zero_flag: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if np.isnan(self.x):
+            raise ValueError("barrier x must not be NaN")
         self.grid = _check_grid(self.grid)
-        self.survivors = np.asarray(self.survivors, dtype=np.int64)
+        self.survivors = _int64_array(self.survivors, "survivors")
         if self.grid.shape != self.survivors.shape:
             raise ValueError("grid and survivors must have equal length")
-        if self.paths < 1:
-            raise ValueError("paths must be >= 1")
+        _check_paths(self.paths)
         if self.survivors[0] > self.paths or self.survivors[-1] < 0 or (
                 np.diff(self.survivors) > 0).any():
             raise ValueError("survivors must be non-increasing counts in [0, paths]")
@@ -406,11 +438,11 @@ class SurvivalCurve:
             params=ARParams(tuple(obj["params"]["a"])),
             spec=spec_from_json(obj["innovation"]),
             x=float(obj["x"]),
-            grid=np.asarray(obj["grid"], dtype=np.int64),
-            survivors=np.asarray(obj["survivors"], dtype=np.int64),
-            paths=int(obj["paths"]),
-            seed=int(obj["seed"]),
-            nonfinite_paths=int(obj.get("nonfinite_paths", 0)),
+            grid=[json_int(n, "grid") for n in obj["grid"]],
+            survivors=[json_int(n, "survivors") for n in obj["survivors"]],
+            paths=json_int(obj["paths"], "paths"),
+            seed=json_int(obj["seed"], "seed"),
+            nonfinite_paths=json_int(obj.get("nonfinite_paths", 0), "nonfinite_paths"),
         )
 
     CSV_COLUMNS = ("N", "survivors", "paths", "p_hat", "stderr", "zero_flag")
@@ -439,8 +471,7 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
     or the worker count.  A NaN barrier raises ValueError; +-inf is allowed.
     """
     grid = _check_grid(grid)
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
+    _check_paths(paths)
     if np.isnan(x):
         raise ValueError("barrier x must not be NaN")
     workers = resolve_workers(workers)

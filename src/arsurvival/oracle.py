@@ -104,16 +104,23 @@ def gaussian_pair_probability(params: ARParams, n: int) -> float:
 
     (the innovation variance cancels), and the probability is
     (pi/2 + arcsin rho_n) / (2 pi).  Since the pair event contains survival
-    to n, this is an upper bound on p_n(0).  A correlation outside [-1, 1]
-    by more than 1e-10 signals numerical failure and raises.
+    to n, this is an upper bound on p_n(0).  The weights are first scaled
+    by 2^-e, with max|c_i| in [2^(e-1), 2^e), so the sums cannot overflow
+    for explosive processes; rho is scale free, and a power of two rounds
+    no weight above the subnormal range.  Weights that leave the double
+    range, or a correlation outside [-1, 1] by more than 1e-10, signal
+    numerical failure and raise ArithmeticError.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     c = coeff_recursion(params, n - 1)
+    if not np.isfinite(c).all():
+        raise ArithmeticError(f"weights c_i for i < {n} overflow double precision")
+    c = np.ldexp(c, -math.frexp(float(np.abs(c).max()))[1])
     num = float(np.dot(c[:-1], c[1:]))
     den = math.sqrt(float(np.dot(c[:-1], c[:-1])) * float(np.dot(c, c)))
     rho = num / den
-    if abs(rho) > 1.0 + 1e-10:
+    if not abs(rho) <= 1.0 + 1e-10:
         raise ArithmeticError(f"correlation {rho} escapes [-1, 1]")
     rho = min(1.0, max(-1.0, rho))
     return pair_orthant_probability(rho)

@@ -24,20 +24,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .coeffs import ARParams, ar_params, charpoly_roots
-
 __all__ = [
     "Major",
     "Sub",
     "RegionLabel",
     "classify_ar2",
-    "in_delta_p",
-    "ar3_integrated_region",
-    "DELTA_P_MARGIN",
 ]
-
-# numeric roots carry error, so stability is "strictly inside up to tolerance"
-DELTA_P_MARGIN = 1e-9
 
 
 class Major(Enum):
@@ -95,36 +87,3 @@ def classify_ar2(a1: float, a2: float) -> RegionLabel:
         return RegionLabel(Major.E, Sub.E3)
     return RegionLabel(Major.E, Sub.E_OTHER)
 
-
-def in_delta_p(params: ARParams) -> bool:
-    """True iff every characteristic root has modulus < 1 - 1e-9.
-
-    Membership in the stability region makes the weights c_n decay
-    geometrically.  The epsilon absorbs root-finder noise.
-    """
-    roots = charpoly_roots(params)
-    return bool((abs(roots) < 1.0 - DELTA_P_MARGIN).all())
-
-
-def ar3_integrated_region(a1: float, a2: float, a3: float) -> bool:
-    """AR(3) parameters whose process is a running sum of a stable AR(2).
-
-    The conditions are: a1 + a2 + a3 = 1 (within 1e-12), a2 < min(1, 3 - 2*a1)
-    and a2 > -a1.  Equivalently, (a1 - 1, a1 + a2 - 1) lies in the order-2
-    stability region.
-    """
-    a1 = float(a1)
-    a2 = float(a2)
-    a3 = float(a3)
-    if abs(a1 + a2 + a3 - 1.0) > 1e-12:
-        return False
-    return a2 < min(1.0, 3.0 - 2.0 * a1) and a2 > -a1
-
-
-def integrated_ar3_preimage(a1: float, a2: float, a3: float) -> ARParams:
-    """The AR(2) parameters whose running sum has coefficients (a1, a2, a3).
-
-    Only meaningful when a1 + a2 + a3 = 1; the inverse of the order-raising
-    coefficient map is then (a1 - 1, a1 + a2 - 1).
-    """
-    return ar_params([a1 - 1.0, a1 + a2 - 1.0])

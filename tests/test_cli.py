@@ -134,9 +134,14 @@ def test_simulate_invalid_estimate_exit_code(tmp_path, capsys):
     {"innovation": {"kind": "gaussian", "params": 1}},
     {"innovation": {"kind": "gaussian", "params": ["mu", "sigma"]}},
     {"innovation": {"kind": "gaussian", "params": {"mu": None, "sigma": 1.0}}},
+    {"paths": 10.7}, {"paths": True}, {"paths": "2000"}, {"seed": 1.9},
+    {"grid": [1.5, 4]}, {"grid": [1, 2 ** 63]}, {"grid": [1, 2 ** 63 - 1]},
+    {"paths": 2 ** 63},
 ], ids=["grid-decreasing", "grid-zero", "paths-zero", "paths-negative", "x-nan",
         "x-nan-text", "innovation-nan", "innovation-inf", "innovation-wide-uniform",
-        "innovation-params-number", "innovation-params-list", "innovation-params-null"])
+        "innovation-params-number", "innovation-params-list", "innovation-params-null",
+        "paths-fraction", "paths-bool", "paths-text", "seed-fraction", "grid-fraction",
+        "grid-beyond-int64", "grid-at-int64-max", "paths-beyond-int64"])
 def test_simulate_invalid_config_values_exit_3(tmp_path, capsys, bad):
     cfg = _write_config(tmp_path, **bad)
     code, _, err = run_cli(capsys, "simulate", str(cfg))
@@ -191,7 +196,18 @@ def _impossible_curves():
                       ("nonfinite_paths", lambda n: -5),
                       ("nonfinite_paths", lambda n: 10 ** 9 + 1),
                       # survivors[0] = paths / 2, so half the paths are left
-                      ("nonfinite_paths", lambda n: 10 ** 9 // 2 + 1)]:
+                      ("nonfinite_paths", lambda n: 10 ** 9 // 2 + 1),
+                      # integer fields are integral numbers, never truncated
+                      ("paths", lambda p: p + 0.5),
+                      ("paths", lambda p: True),
+                      ("grid", lambda g: [1.5] + g[1:]),
+                      ("survivors", lambda s: [s[0] + 0.5] + s[1:]),
+                      ("nonfinite_paths", lambda n: 0.5),
+                      ("seed", lambda s: "0"),
+                      ("x", lambda x: math.nan),
+                      # counts that int64 cannot hold
+                      ("grid", lambda g: g[:-1] + [2 ** 63]),
+                      ("survivors", lambda s: [2 ** 63] + s[1:])]:
         curve = _synthetic_curve(2)
         curve[key] = edit(curve[key])
         yield curve

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arsurvival.coeffs import (ARParams, Branch, CoeffOverflowError, LimitKind,
-                               ar2_closed_form, ar2_coeff_at, ar2_coeffs,
-                               ar_params, ar_step, charpoly_roots,
+                               ar2_closed_form, ar2_coeffs, ar_params, ar_step,
                                coeff_limit_class, coeff_recursion)
 
 
@@ -76,21 +75,21 @@ def test_complex_pair_modulus_is_root_modulus():
 
 
 def test_coeff_at_examples():
-    assert ar2_coeff_at(ar2_closed_form(2, -1), 10) == pytest.approx(11.0, rel=1e-12)
-    assert ar2_coeff_at(ar2_closed_form(0, -1), 2) == pytest.approx(-1.0, rel=1e-12)
-    assert ar2_coeff_at(ar2_closed_form(1, 0), 50) == pytest.approx(1.0, rel=1e-12)
+    assert ar2_coeffs(ar2_closed_form(2, -1), 10)[10] == pytest.approx(11.0, rel=1e-12)
+    assert ar2_coeffs(ar2_closed_form(0, -1), 2)[2] == pytest.approx(-1.0, rel=1e-12)
+    assert ar2_coeffs(ar2_closed_form(1, 0), 50)[50] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_coeff_at_overflow_reported():
     with pytest.raises(CoeffOverflowError):
-        ar2_coeff_at(ar2_closed_form(3.0, 1.0), 3000)
+        ar2_coeffs(ar2_closed_form(3.0, 1.0), 3000)[3000]
     with pytest.raises(CoeffOverflowError):
-        ar2_coeff_at(ar2_closed_form(4.0, -4.0), 2000)   # double root at 2
+        ar2_coeffs(ar2_closed_form(4.0, -4.0), 2000)[2000]   # double root at 2
     with pytest.raises(CoeffOverflowError):
-        ar2_coeff_at(ar2_closed_form(0.0, -3.0), 1300)   # 3^650 on the complex branch
-    assert ar2_coeff_at(ar2_closed_form(0.0, -3.0), 1200) == float(3 ** 600)
+        ar2_coeffs(ar2_closed_form(0.0, -3.0), 1300)[1300]   # 3^650 on the complex branch
+    assert ar2_coeffs(ar2_closed_form(0.0, -3.0), 1200)[1200] == float(3 ** 600)
     with pytest.raises(ValueError):
-        ar2_coeff_at(ar2_closed_form(1.0, 0.0), -1)
+        ar2_coeffs(ar2_closed_form(1.0, 0.0), -1)[-1]
 
 
 def exact_coeffs(a1: float, a2: float, n_max: int) -> list[float]:
@@ -131,16 +130,6 @@ def test_odd_coefficients_vanish_exactly():
         assert (ar2_coeffs(sol, 201)[1::2] == 0.0).all()
 
 
-def test_charpoly_roots_examples():
-    assert np.allclose(charpoly_roots(ar_params([2, -1])), [1.0, 1.0], atol=1e-7)
-    r = charpoly_roots(ar_params([0, -1]))
-    assert np.allclose(sorted(r, key=lambda z: z.imag), [-1j, 1j], atol=1e-10)
-    # x^3 - x^2 - x + 1 = (x-1)^2 (x+1)
-    r3 = charpoly_roots(ARParams((1.0, 1.0, -1.0)))
-    assert np.allclose(r3, [-1.0, 1.0, 1.0], atol=1e-6)
-    assert charpoly_roots(ar_params([0.9])).tolist() == [0.9]
-
-
 def test_roots_match_closed_form_on_grid():
     for a1 in np.linspace(-3, 3, 41):
         for a2 in np.linspace(-3, 3, 41):
@@ -148,7 +137,7 @@ def test_roots_match_closed_form_on_grid():
                 continue
             sol = ar2_closed_form(a1, a2)
             expect = sorted([sol.s1, sol.s2], key=lambda z: (z.real, z.imag))
-            got = charpoly_roots(ARParams((float(a1), float(a2))))
+            got = sorted(np.roots([1.0, -a1, -a2]), key=lambda z: (z.real, z.imag))
             assert max(abs(got[0] - expect[0]), abs(got[1] - expect[1])) <= 1e-10
 
 
@@ -185,5 +174,5 @@ def test_limit_class_limit_is_actual_limit():
 @given(a1=st.floats(-2.5, 2.5), a2=st.floats(-1.5, 1.5), n=st.integers(0, 40))
 def test_closed_form_matches_recursion_random(a1, a2, n):
     c = coeff_recursion(ar_params([a1, a2]), n)
-    val = ar2_coeff_at(ar2_closed_form(a1, a2), n)
+    val = ar2_coeffs(ar2_closed_form(a1, a2), n)[n]
     assert abs(val - c[n]) <= 1e-9 * max(1.0, abs(c[n]))

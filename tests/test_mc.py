@@ -330,6 +330,33 @@ def test_engine_memory_is_bounded_by_tiles():
     assert peak < 48 * 2**20
 
 
+def test_survivor_counts_do_not_grow_with_horizon():
+    # C1's paths are all certified or crossed near N = 30, so a horizon of
+    # 10^12 costs what 1024 does: the histogram has one bin per grid gap
+    base = estimate_survival(ar_params([1.0, 1.0]), gaussian(), 0.0, [16, 1024],
+                             2_000, 11, workers=1)
+    tracemalloc.start()
+    try:
+        far = estimate_survival(ar_params([1.0, 1.0]), gaussian(), 0.0, [16, 10 ** 12],
+                                2_000, 11, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert far.survivors.tolist() == base.survivors.tolist()
+    assert peak < 4 * 2**20
+
+
+def test_counts_beyond_int64_rejected():
+    big = 2 ** 63
+    for grid in ([1, big], [1, big - 1]):       # tau stores grid[-1] + 1
+        with pytest.raises(ValueError, match="grid"):
+            estimate_survival(RW, rademacher(), 0.0, grid, 10, 1)
+    with pytest.raises(ValueError, match="paths"):
+        estimate_survival(RW, rademacher(), 0.0, [1], big, 1)
+    with pytest.raises(ValueError, match="survivors"):
+        SurvivalCurve(RW, rademacher(), 0.0, [1], [big], big - 1, 1)
+
+
 def test_pathwise_memory_is_bounded_by_tiles():
     # G1's pair frequency at 1M paths and a long integrated check walk
     # tiles of paths step by step instead of holding paths x steps matrices

@@ -182,6 +182,17 @@ def test_gaussian_pair_probability_sigma_free():
     assert gaussian_pair_probability(ar_params([0.3, -0.2]), 6) == pytest.approx(expect)
 
 
+def test_gaussian_pair_probability_explosive():
+    # the weights are scaled before the sums, so growth that overflows their
+    # products still gives rho -> 1; G1's value keeps its bits
+    for a, n in [((3.0, 1.0), 200), ((3.0, 1.0), 400), ((1.5,), 1000)]:
+        assert gaussian_pair_probability(ar_params(a), n) == 0.5, (a, n)
+    assert gaussian_pair_probability(ar_params([0.5, 0.25]), 6) == float.fromhex(
+        "0x1.713e8826f836dp-2")
+    with pytest.raises(ArithmeticError, match="overflow"):
+        gaussian_pair_probability(ar_params([1.5]), 2000)
+
+
 def test_pair_probability_against_mc():
     params = ar_params([0.5, 0.25])
     exact = gaussian_pair_probability(params, 6)

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from arsurvival.coeffs import LimitKind, ar_params, coeff_limit_class
-from arsurvival.regions import (Major, RegionLabel, Sub, ar3_integrated_region,
-                                classify_ar2, in_delta_p,
-                                integrated_ar3_preimage)
+from arsurvival.coeffs import LimitKind, coeff_limit_class
+from arsurvival.regions import Major, RegionLabel, Sub, classify_ar2
 
 GRID = np.linspace(-3.0, 3.0, 201)
 
@@ -90,42 +88,3 @@ def test_p_with_small_a2_iff_nonzero_limit():
             rhs = coeff_limit_class(a1, a2).kind is LimitKind.CONVERGES_NONZERO
             assert lhs == rhs, (a1, a2)
 
-
-def test_delta_p_examples():
-    assert in_delta_p(ar_params([0.5, 0.25]))
-    assert not in_delta_p(ar_params([2, -1]))
-    assert in_delta_p(ar_params([0.9]))
-    assert not in_delta_p(ar_params([1.0]))
-
-
-def test_delta_2_equals_triangle_inequalities():
-    for a1 in np.linspace(-3, 3, 41):
-        for a2 in np.linspace(-3, 3, 41):
-            margins = (1.0 - (a1 + a2), (1.0 + a1) - a2, a2 + 1.0)
-            if min(abs(m) for m in margins) <= 1e-9:
-                continue
-            expect = all(m > 0 for m in margins)
-            assert in_delta_p(ar_params([a1, a2])) == expect, (a1, a2)
-
-
-def test_ar3_integrated_region_examples():
-    assert not ar3_integrated_region(1.5, 0.25, -0.75)   # a2 < 3-2*a1 fails
-    assert ar3_integrated_region(1, 0.5, -0.5)
-    assert ar3_integrated_region(1, 0, 0)
-    assert not ar3_integrated_region(2, -1, 0)           # a2 < min(1,-1) fails
-    assert not ar3_integrated_region(1, 0.5, -0.4)       # sum != 1
-
-
-def test_ar3_region_agrees_with_preimage_stability():
-    rng = np.random.default_rng(1234)
-    for _ in range(300):
-        a1, a2 = rng.uniform(-2.0, 2.5, size=2)
-        a3 = 1.0 - a1 - a2
-        pre = integrated_ar3_preimage(a1, a2, a3)
-        # stay away from the region boundary, where the root margin and the
-        # exact inequalities may legitimately straddle the 1e-9 buffer
-        b1, b2 = a1 - 1.0, a1 + a2 - 1.0
-        edge = min(abs(1.0 - (b1 + b2)), abs((1.0 + b1) - b2), abs(b2 + 1.0))
-        if edge <= 1e-6:
-            continue
-        assert ar3_integrated_region(a1, a2, a3) == in_delta_p(pre), (a1, a2, a3)
