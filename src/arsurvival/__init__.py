@@ -8,8 +8,7 @@ from .coeffs import (ARParams, Branch, CoeffLimit, CoeffOverflowError,
                      CoeffSolution, LimitKind, ar2_closed_form, ar2_coeffs,
                      ar_params, coeff_limit_class, coeff_recursion)
 from .regions import Major, RegionLabel, Sub, classify_ar2
-from .innovations import (HypothesisReport, InnovationSpec, Kind, TheoremId,
-                          exponential_centered, gaussian, hypothesis_check,
+from .innovations import (InnovationSpec, Kind, exponential_centered, gaussian,
                           rademacher, spec_from_json, two_point, uniform)
 from .mc import (ConstraintError, NonFiniteSampleError, ReductionKind,
                  ReductionReport, SurvivalCurve, crossing_time_from_innovations,
@@ -17,7 +16,8 @@ from .mc import (ConstraintError, NonFiniteSampleError, ReductionKind,
                  pathwise_reduction_check)
 from .oracle import (BudgetExceededError, enumerate_survival,
                      gaussian_pair_probability, pair_orthant_probability)
-from .asymptotics import DecayClass, DecayFit, Prediction, fit_decay, predict
+from .asymptotics import (DecayClass, DecayFit, HypothesisReport, Prediction,
+                          fit_decay, predict)
 from .bounds import (BoundMethod, DegenerateBoundError, LowerBoundResult,
                      PreconditionError, e1_rate_bound, e3_sign_change_index,
                      exp_lower_bound, integrate_params)

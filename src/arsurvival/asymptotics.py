@@ -21,14 +21,14 @@ import numpy as np
 
 from .bounds import e1_rate_bound, exp_lower_bound, PreconditionError, DegenerateBoundError
 from .coeffs import ar_params
-from .innovations import (HypothesisReport, InnovationSpec, Kind, TheoremId,
-                          hypothesis_check)
+from .innovations import InnovationSpec, Kind
 from .mc import SurvivalCurve
 from .regions import Major, RegionLabel, Sub, classify_ar2
 
 __all__ = [
     "DecayClass",
     "DecayFit",
+    "HypothesisReport",
     "Prediction",
     "fit_decay",
     "predict",
@@ -177,6 +177,16 @@ def fit_decay(curve: SurvivalCurve) -> DecayFit:
 
 
 @dataclass(frozen=True)
+class HypothesisReport:
+    """The hypotheses on the law of Y_1 that ``theorem`` states, decided exactly."""
+
+    theorem: str
+    satisfied: bool
+    violated: tuple[str, ...]
+    notes: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
 class Prediction:
     """Decay class implied by the parameter region and innovation hypotheses."""
 
@@ -192,7 +202,7 @@ class Prediction:
     def to_json_dict(self) -> dict:
         hyp = None
         if self.hypotheses is not None:
-            hyp = {"theorem": self.hypotheses.theorem.value,
+            hyp = {"theorem": self.hypotheses.theorem,
                    "satisfied": self.hypotheses.satisfied,
                    "violated": list(self.hypotheses.violated),
                    "notes": list(self.hypotheses.notes)}
@@ -218,43 +228,70 @@ def _rate_upper(a1: float, a2: float, spec: InnovationSpec) -> float | None:
     return -math.log(res.c)
 
 
+_CF_DECAYS = "characteristic function -> 0 at infinity"
+
+# hypotheses on the law of Y_1, each decided from the analytic flags without
+# sampling.  Two more that the theorems state hold for every catalog law and so
+# are never violated: a finite exponential moment E exp(|Y|^a), and the upper
+# tail bound P(Y >= t) <= (log t)^(-a) for some a > 1 (no tail is heavier than
+# exponential).
+_LAW_CHECKS = {
+    "mean zero": lambda spec: spec.mean == 0.0,
+    "P(Y > 0) > 0": lambda spec: spec.pos_mass,
+    "P(Y < 0) > 0": lambda spec: spec.neg_mass,
+    "P(Y <= 0) > 0": lambda spec: spec.prob_nonpositive() > 0.0,
+    _CF_DECAYS: lambda spec: spec.cf_decays,
+}
+
+_CF_BOUND_NOTE = ("the stated |cf| <= delta < |root| condition is checked only "
+                  "as characteristic-function decay; the delta/|root| "
+                  "comparison is ill-posed for |root| > 1 and is not resolved "
+                  "here")
+
+# theorem -> the hypotheses it states, in report order, and its notes
+_THEOREMS = {
+    "polynomial-decay": (("mean zero",), ()),
+    "superpolynomial-decay": (("P(Y > 0) > 0", "P(Y <= 0) > 0", _CF_DECAYS), ()),
+    "positive-limit": (("P(Y < 0) > 0",), ()),
+    "alternating-rate-bound": ((_CF_DECAYS,), (_CF_BOUND_NOTE,)),
+}
+
 _NO_UPWARD_MASS = ("no upward mass",)
 
 # region (sub-region on E) -> theorem whose hypotheses are reported, the class
-# predicted when the region's rule holds, and the notes added when it does not
+# predicted, the hypotheses that prediction needs, and the notes added when
+# one of them fails.  On E2, all-nonpositive coefficients force Y_k <= 0 along
+# a surviving path, so p_N <= P(Y <= 0)^N needs only upward mass; E3 needs the
+# same, and the rest of E a law with mass on both sides of 0.
 _REGIONS = {
-    Major.P: (TheoremId.POLYNOMIAL_DECAY, DecayClass.POLYNOMIAL, ()),
-    Major.C: (TheoremId.POSITIVE_LIMIT, DecayClass.POSITIVE_LIMIT, ()),
-    Sub.E1: (TheoremId.ALTERNATING_RATE, DecayClass.EXPONENTIAL, ()),
-    Sub.E2: (TheoremId.SUPERPOLYNOMIAL_DECAY, DecayClass.EXPONENTIAL, _NO_UPWARD_MASS),
-    Sub.E3: (TheoremId.SUPERPOLYNOMIAL_DECAY, DecayClass.EXPONENTIAL, _NO_UPWARD_MASS),
-    Sub.E_OTHER: (TheoremId.SUPERPOLYNOMIAL_DECAY, DecayClass.EXPONENTIAL, ()),
+    Major.P: ("polynomial-decay", DecayClass.POLYNOMIAL, ("mean zero",), ()),
+    Major.C: ("positive-limit", DecayClass.POSITIVE_LIMIT, ("P(Y < 0) > 0",), ()),
+    Sub.E1: ("alternating-rate-bound", DecayClass.EXPONENTIAL, (_CF_DECAYS,), ()),
+    Sub.E2: ("superpolynomial-decay", DecayClass.EXPONENTIAL, ("P(Y > 0) > 0",),
+             _NO_UPWARD_MASS),
+    Sub.E3: ("superpolynomial-decay", DecayClass.EXPONENTIAL, ("P(Y > 0) > 0",),
+             _NO_UPWARD_MASS),
+    Sub.E_OTHER: ("superpolynomial-decay", DecayClass.EXPONENTIAL,
+                  ("P(Y > 0) > 0", "P(Y <= 0) > 0"), ()),
 }
 
 
-def _rule(region: Major | Sub, a1: float, a2: float, spec: InnovationSpec,
-          satisfied: bool) -> tuple[bool, dict]:
-    """Whether the region's prediction holds, and its extra Prediction fields."""
-    centered = spec.kind is Kind.GAUSSIAN and spec.params[0] == 0.0
+def _extra(region: Major | Sub, a1: float, a2: float, spec: InnovationSpec) -> dict:
+    """The Prediction fields of a region whose prediction holds, beyond its class."""
     if region is Major.P:
         # a2 = 1: two interleaved walks; a2 = -1: the integrated walk
-        return satisfied, {"theta": {1.0: 1.0, -1.0: 0.25}.get(a2, 0.5)}
-    if region is Major.C:
-        return satisfied, {}
+        return {"theta": {1.0: 1.0, -1.0: 0.25}.get(a2, 0.5)}
     if region is Sub.E1:
-        return satisfied or centered, {"rate_lower_bound": e1_rate_bound(a1, a2)}
+        return {"rate_lower_bound": e1_rate_bound(a1, a2)}
     if region is Sub.E2:
-        # all-nonpositive coefficients force Y_k <= 0 along a surviving path,
-        # so p_N <= P(Y <= 0)^N needs only upward mass
         pnp = spec.prob_nonpositive()
-        rate_low = -math.log(pnp) if pnp > 0.0 else math.inf
-        return spec.pos_mass, {"rate_lower_bound": rate_low}
-    if region is Sub.E3:
-        return spec.pos_mass, {}
-    # vanishing weights or the a2 = 1 + a1 strip: general laws only guarantee
-    # exp(-c N / log N), which is flagged, not resolved
-    two_sided = spec.bounded_by is not None and spec.pos_mass and spec.neg_mass
-    return centered or satisfied or two_sided, {"log_corrected_plausible": not centered}
+        return {"rate_lower_bound": -math.log(pnp) if pnp > 0.0 else math.inf}
+    if region is Sub.E_OTHER:
+        # vanishing weights or the a2 = 1 + a1 strip: general laws only
+        # guarantee exp(-c N / log N), which is flagged, not resolved
+        centered = spec.kind is Kind.GAUSSIAN and spec.params[0] == 0.0
+        return {"log_corrected_plausible": not centered}
+    return {}
 
 
 def predict(a1: float, a2: float, spec: InnovationSpec, x: float) -> Prediction:
@@ -268,12 +305,14 @@ def predict(a1: float, a2: float, spec: InnovationSpec, x: float) -> Prediction:
     label = classify_ar2(a1, a2)
     notes = ("predictions are stated for barriers x >= 0",) if x < 0.0 else ()
     region = label.sub or label.major
-    theorem, decay_class, fail_notes = _REGIONS[region]
-    hyp = hypothesis_check(spec, theorem)
-    holds, extra = _rule(region, a1, a2, spec, hyp.satisfied)
-    if not holds:
+    theorem, decay_class, needs, fail_notes = _REGIONS[region]
+    stated, theorem_notes = _THEOREMS[theorem]
+    violated = tuple(name for name in stated if not _LAW_CHECKS[name](spec))
+    hyp = HypothesisReport(theorem, not violated, violated, theorem_notes)
+    if not all(_LAW_CHECKS[name](spec) for name in needs):
         return Prediction(label, DecayClass.INCONCLUSIVE, hypotheses=hyp,
                           notes=notes + fail_notes)
+    extra = _extra(region, a1, a2, spec)
     if decay_class is DecayClass.EXPONENTIAL:
         extra["rate_upper_bound"] = _rate_upper(a1, a2, spec)
     return Prediction(label, decay_class, hypotheses=hyp, notes=notes, **extra)

@@ -28,7 +28,7 @@ from .bounds import (DegenerateBoundError, PreconditionError, e1_rate_bound,
                      e3_sign_change_index, exp_lower_bound)
 from .coeffs import ar_params, coeff_limit_class
 from .innovations import InnovationSpec, spec_from_json
-from .mc import SurvivalCurve, estimate_survival, json_int, resolve_workers
+from .mc import SurvivalCurve, estimate_survival, json_run_fields, resolve_workers
 from .regions import Sub, classify_ar2
 
 EXIT_OK = 0
@@ -83,9 +83,6 @@ def _parse_coeffs(text: str) -> list[float]:
 
 
 def cmd_classify(args) -> int:
-    if not (math.isfinite(args.a1) and math.isfinite(args.a2)):
-        print("error: coefficients must be finite", file=sys.stderr)
-        return EXIT_USAGE
     if math.isnan(args.x):
         print("error: barrier x must not be NaN", file=sys.stderr)
         return EXIT_USAGE
@@ -134,19 +131,15 @@ plot '{csv}' using 1:4 skip 1 with linespoints title 'p_N (log-log)'
 def cmd_simulate(args) -> int:
     try:
         cfg = _load_config(args.config)
-        params = ar_params(cfg["a"])
-        spec = spec_from_json(cfg["innovation"])
-        x = float(cfg["x"])
-        grid = [json_int(n, "grid") for n in cfg["grid"]]
-        paths = json_int(cfg["paths"], "paths")
-        seed = json_int(cfg["seed"], "seed")
+        a, run = json_run_fields(cfg, cfg["a"])
+        params = ar_params(a)
         out = str(cfg["out"])
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     workers = resolve_workers(args.workers)
     try:
-        curve = estimate_survival(params, spec, x, grid, paths, seed, workers=workers)
+        curve = estimate_survival(params, **run, workers=workers)
     except ValueError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -156,7 +149,7 @@ def cmd_simulate(args) -> int:
         _write_atomic(out + ".gp", _GNUPLOT_TEMPLATE.format(
             stem=os.path.basename(out), csv=os.path.basename(out) + ".csv"))
     if curve.invalid:
-        print(f"error: {curve.nonfinite_paths} of {paths} paths were "
+        print(f"error: {curve.nonfinite_paths} of {curve.paths} paths were "
               "non-finite; estimate marked invalid", file=sys.stderr)
         return EXIT_INVALID
     print(f"wrote {out}.json and {out}.csv")

@@ -2,9 +2,9 @@
 
 The driving noise Y_1, Y_2, ... is drawn from a closed catalog of five
 distributions.  Each kind carries exact analytic metadata (mean, variance,
-bound, exponential-moment exponent, characteristic-function decay,
-sign masses, cdf and closed-interval probabilities), so every theorem
-hypothesis in the catalog below can be decided without sampling.
+bound, characteristic-function decay, sign masses, cdf and closed-interval
+probabilities), so ``asymptotics.predict`` decides every theorem hypothesis
+on the law without sampling.
 
     kind                    parameters      support
     --------------------    -----------     -----------------------
@@ -35,9 +35,8 @@ __all__ = [
     "two_point",
     "uniform",
     "exponential_centered",
-    "TheoremId",
-    "HypothesisReport",
-    "hypothesis_check",
+    "json_int",
+    "json_number",
     "spec_from_json",
 ]
 
@@ -120,19 +119,6 @@ class InnovationSpec:
         if k is Kind.UNIFORM:
             return max(abs(q[0]), abs(q[1]))
         return None
-
-    @property
-    def exp_moment_alpha(self) -> float:
-        """Largest guaranteed alpha with E exp(|Y|^alpha) finite.
-
-        Reported as 2 for gaussian, inf for bounded kinds, and 1 for
-        exponential tails (the supremum of valid exponents).
-        """
-        if self.kind is Kind.GAUSSIAN:
-            return 2.0
-        if self.kind is Kind.EXPONENTIAL_CENTERED:
-            return 1.0
-        return math.inf
 
     @property
     def cf_decays(self) -> bool:
@@ -255,8 +241,29 @@ def exponential_centered(rate: float = 1.0) -> InnovationSpec:
     return InnovationSpec(Kind.EXPONENTIAL_CENTERED, (rate,))
 
 
+def json_number(value, name: str) -> float:
+    """A JSON number as a float; ValueError for a bool, a string, an integer
+    beyond float range or anything else, so no reader converts a field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within float range") from None
+
+
+def json_int(value, name: str) -> int:
+    """An integral JSON number as an int; ValueError for a bool, a non-integral
+    float or anything else, so no reader truncates a field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def spec_from_json(obj: dict) -> InnovationSpec:
-    """Parse {"kind": ..., "params": {...}}; unknown kinds or params fail."""
+    """Parse {"kind": ..., "params": {...}}; unknown kinds or params, and
+    params that are not JSON numbers, fail."""
     if not isinstance(obj, dict) or set(obj) - {"kind", "params"}:
         raise ValueError(f"bad innovation object: {obj!r}")
     try:
@@ -269,86 +276,5 @@ def spec_from_json(obj: dict) -> InnovationSpec:
         raise ValueError(f"{kind.value} params must be an object, got {given!r}")
     if set(given) != set(names):
         raise ValueError(f"{kind.value} needs params {list(names)}, got {sorted(given)}")
-    return InnovationSpec(kind, tuple(given[n] for n in names))
-
-
-# ---- theorem hypothesis catalog ---------------------------------------------
-
-
-class TheoremId(Enum):
-    """Classification results whose innovation-side hypotheses can be checked."""
-
-    POLYNOMIAL_DECAY = "polynomial-decay"          # P-region polynomial law
-    SUPERPOLYNOMIAL_DECAY = "superpolynomial-decay"  # E-region upper bound
-    POSITIVE_LIMIT = "positive-limit"              # C-region positive limit
-    ALTERNATING_RATE = "alternating-rate-bound"    # oscillating-divergence rate
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    theorem: TheoremId
-    satisfied: bool
-    violated: tuple[str, ...]
-    notes: tuple[str, ...] = ()
-
-
-def _mean_zero(spec):
-    return spec.mean == 0.0, "mean zero"
-
-
-def _exp_moment(spec):
-    return spec.exp_moment_alpha > 0.0, "finite exponential moment E exp(|Y|^a)"
-
-
-def _cf_decays(spec):
-    return spec.cf_decays, "characteristic function -> 0 at infinity"
-
-
-def _pos_mass(spec):
-    return spec.pos_mass, "P(Y > 0) > 0"
-
-
-def _neg_mass(spec):
-    return spec.neg_mass, "P(Y < 0) > 0"
-
-
-def _not_as_positive(spec):
-    return spec.prob_nonpositive() > 0.0, "P(Y <= 0) > 0"
-
-
-def _log_power_tail(spec):
-    # all catalog members have at worst exponential upper tails
-    return True, "P(Y >= t) eventually below (log t)^(-a) for some a > 1"
-
-
-_CF_BOUND_NOTE = ("the stated |cf| <= delta < |root| condition is checked only "
-                  "as characteristic-function decay; the delta/|root| "
-                  "comparison is ill-posed for |root| > 1 and is not resolved "
-                  "here")
-
-_HYPOTHESES = {
-    TheoremId.POLYNOMIAL_DECAY: ((_mean_zero, _exp_moment), ()),
-    TheoremId.SUPERPOLYNOMIAL_DECAY: (
-        (_pos_mass, _not_as_positive, _exp_moment, _cf_decays), ()),
-    TheoremId.POSITIVE_LIMIT: ((_neg_mass, _log_power_tail), ()),
-    TheoremId.ALTERNATING_RATE: ((_cf_decays, _exp_moment), (_CF_BOUND_NOTE,)),
-}
-
-
-def hypothesis_check(spec: InnovationSpec, theorem: TheoremId | str) -> HypothesisReport:
-    """Decide each innovation-side hypothesis of ``theorem`` from the flags.
-
-    Purely analytic: no sampling.  Raises on unknown theorem ids.
-    """
-    if not isinstance(theorem, TheoremId):
-        try:
-            theorem = TheoremId(theorem)
-        except ValueError:
-            raise ValueError(f"unknown theorem id: {theorem!r}") from None
-    checks, notes = _HYPOTHESES[theorem]
-    violated = []
-    for check in checks:
-        ok, name = check(spec)
-        if not ok:
-            violated.append(name)
-    return HypothesisReport(theorem, not violated, tuple(violated), notes)
+    return InnovationSpec(kind, tuple(json_number(given[n], f"{kind.value} {n}")
+                                      for n in names))

@@ -41,7 +41,7 @@ import numpy as np
 from ._philox import U_MAX, U_MIN
 from .bounds import integrate_params
 from .coeffs import ARParams, ar2_closed_form, ar_step, Branch
-from .innovations import InnovationSpec, spec_from_json
+from .innovations import InnovationSpec, json_int, json_number, spec_from_json
 from .rng import lookahead_blocks, path_uniform_block
 
 __all__ = [
@@ -326,15 +326,6 @@ def _int64_array(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must fit in int64") from None
 
 
-def json_int(value, name: str) -> int:
-    """An integral JSON number as an int; ValueError for a bool, a non-integral
-    float or anything else, so no reader truncates a field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_grid(grid) -> np.ndarray:
     """The grid as int64; ValueError unless 1-d, non-empty and increasing from 1
     to below 2^63 - 1 (a crossing time stores grid[-1] + 1 in int64)."""
@@ -353,15 +344,40 @@ def _check_paths(paths: int) -> None:
         raise ValueError(f"paths must be in [1, {_INT64_MAX}]")
 
 
+def _check_seed(seed: int) -> None:
+    # the rng keys on the seed mod 2^64, so two seeds outside the range could
+    # give one stream while their files record different seeds
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must be in [0, 2^64)")
+
+
+def json_run_fields(obj: dict, a) -> tuple[tuple[float, ...], dict]:
+    """The fields a simulation config and a curve file share, read from JSON.
+
+    Returns the coefficients ``a``, which must be a list of numbers, and the
+    keyword arguments spec, x, grid, paths and seed.  Numbers follow
+    ``json_number`` and integers ``json_int``; anything else raises.
+    """
+    if not isinstance(a, list):
+        raise ValueError(f"a must be a list of numbers, got {a!r}")
+    return tuple(json_number(v, "a") for v in a), {
+        "spec": spec_from_json(obj["innovation"]),
+        "x": json_number(obj["x"], "x"),
+        "grid": [json_int(n, "grid") for n in obj["grid"]],
+        "paths": json_int(obj["paths"], "paths"),
+        "seed": json_int(obj["seed"], "seed"),
+    }
+
+
 @dataclass(eq=False)
 class SurvivalCurve:
     """Monte Carlo survival estimates over a grid of horizons.
 
     survivors[i] counts paths with tau > grid[i].  Construction checks what
     estimate_survival guarantees, so a curve read from a file obeys it too:
-    paths >= 1, a grid strictly increasing from 1, survivors in [0, paths]
-    that do not increase along the grid, and nonfinite_paths in
-    [0, paths - survivors[0]].
+    paths >= 1, a seed in [0, 2^64), a grid strictly increasing from 1,
+    survivors in [0, paths] that do not increase along the grid, and
+    nonfinite_paths in [0, paths - survivors[0]].
     Entries with zero survivors are censored (zero_flag): p_hat is reported
     as 0 and only the rule-of-three bound 3/paths is claimed.
     nonfinite_paths counts paths whose state became indeterminate (NaN);
@@ -389,6 +405,7 @@ class SurvivalCurve:
         if self.grid.shape != self.survivors.shape:
             raise ValueError("grid and survivors must have equal length")
         _check_paths(self.paths)
+        _check_seed(self.seed)
         if self.survivors[0] > self.paths or self.survivors[-1] < 0 or (
                 np.diff(self.survivors) > 0).any():
             raise ValueError("survivors must be non-increasing counts in [0, paths]")
@@ -434,15 +451,12 @@ class SurvivalCurve:
             raise ValueError("not a survival_curve object")
         if obj.get("schema_version") not in _READABLE_SCHEMA_VERSIONS:
             raise ValueError(f"unsupported schema_version {obj.get('schema_version')!r}")
+        a, run = json_run_fields(obj, obj["params"]["a"])
         return cls(
-            params=ARParams(tuple(obj["params"]["a"])),
-            spec=spec_from_json(obj["innovation"]),
-            x=float(obj["x"]),
-            grid=[json_int(n, "grid") for n in obj["grid"]],
+            params=ARParams(a),
             survivors=[json_int(n, "survivors") for n in obj["survivors"]],
-            paths=json_int(obj["paths"], "paths"),
-            seed=json_int(obj["seed"], "seed"),
             nonfinite_paths=json_int(obj.get("nonfinite_paths", 0), "nonfinite_paths"),
+            **run,
         )
 
     CSV_COLUMNS = ("N", "survivors", "paths", "p_hat", "stderr", "zero_flag")
@@ -468,10 +482,12 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
     count) processes: the calling one and a forked child per further range.
     Innovation j of path i is read from Philox at key (seed, 0) and counter
     (i, j//4, 0, 0), so the result does not depend on the ranges, the tiles
-    or the worker count.  A NaN barrier raises ValueError; +-inf is allowed.
+    or the worker count.  A NaN barrier or a seed outside [0, 2^64) raises
+    ValueError; +-inf is allowed.
     """
     grid = _check_grid(grid)
     _check_paths(paths)
+    _check_seed(seed)
     if np.isnan(x):
         raise ValueError("barrier x must not be NaN")
     workers = resolve_workers(workers)

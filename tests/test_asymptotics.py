@@ -5,11 +5,16 @@ import pytest
 
 from arsurvival.asymptotics import DecayClass, fit_decay, predict
 from arsurvival.coeffs import ar_params
-from arsurvival.innovations import gaussian, rademacher, uniform
+from arsurvival.innovations import (exponential_centered, gaussian, rademacher,
+                                    two_point, uniform)
 from arsurvival.mc import SurvivalCurve
 from arsurvival.regions import Major, Sub
 
 BIG = 10 ** 12
+
+ALL_SPECS = [gaussian(), gaussian(0.3, 2.0), rademacher(), two_point(2.0),
+             uniform(-1.0, 1.0), uniform(0.0, 1.0), exponential_centered(1.0),
+             exponential_centered(2.5)]
 
 
 def synthetic_curve(grid, probs, paths=BIG, a=(1.0,)):
@@ -110,6 +115,62 @@ def test_predict_hypothesis_failures():
     p = predict(-0.4, -0.4, rademacher(), 0.0)
     assert p.decay_class is DecayClass.EXPONENTIAL
     assert p.rate_lower_bound == pytest.approx(math.log(2.0))
+
+
+# one point per region: P, C, E1, E2, E3 and the rest of E
+REGION_POINTS = [(1.0, 0.0), (1.0, 1.0), (-1.0, 2.0), (-0.4, -0.4), (0.5, -0.5),
+                 (0.5, 0.25)]
+
+
+def test_predict_hypothesis_examples():
+    rep = predict(0.5, 0.25, rademacher(), 0.0).hypotheses
+    assert rep.theorem == "superpolynomial-decay"
+    assert not rep.satisfied
+    assert rep.violated == ("characteristic function -> 0 at infinity",)
+
+    assert predict(1.0, 0.0, gaussian(), 0.0).hypotheses.satisfied
+
+    rep = predict(1.0, 0.0, uniform(0, 1), 0.0).hypotheses
+    assert not rep.satisfied
+    assert "mean zero" in rep.violated
+
+
+def test_predict_hypotheses_cover_catalog():
+    for a1, a2 in REGION_POINTS:
+        for spec in ALL_SPECS:
+            rep = predict(a1, a2, spec, 0.0).hypotheses
+            assert rep.satisfied == (not rep.violated)
+
+
+def test_uniform_positive_only_violates_sign_hypotheses():
+    rep = predict(1.0, 1.0, uniform(0.5, 1.0), 0.0).hypotheses
+    assert rep.theorem == "positive-limit"
+    assert not rep.satisfied and "P(Y < 0) > 0" in rep.violated
+    rep = predict(0.5, 0.25, uniform(0.5, 1.0), 0.0).hypotheses
+    assert rep.theorem == "superpolynomial-decay"
+    assert "P(Y <= 0) > 0" in rep.violated
+
+
+_P, _E, _C, _I = (DecayClass.POLYNOMIAL, DecayClass.EXPONENTIAL,
+                  DecayClass.POSITIVE_LIMIT, DecayClass.INCONCLUSIVE)
+_MEAN = ("mean zero",)
+_CF = ("characteristic function -> 0 at infinity",)
+_NEG = ("P(Y < 0) > 0",)
+_NONPOS = ("P(Y <= 0) > 0",)
+
+
+# (class, violated) for each law of ALL_SPECS, in order, at each region point
+@pytest.mark.parametrize("point, expected", list(zip(REGION_POINTS, [
+    [(_P, ()), (_I, _MEAN), (_P, ()), (_P, ()), (_P, ()), (_I, _MEAN), (_P, ()), (_P, ())],
+    [(_C, ()), (_C, ()), (_C, ()), (_C, ()), (_C, ()), (_I, _NEG), (_C, ()), (_C, ())],
+    [(_E, ()), (_E, ()), (_I, _CF), (_I, _CF), (_E, ()), (_E, ()), (_E, ()), (_E, ())],
+    [(_E, ()), (_E, ()), (_E, _CF), (_E, _CF), (_E, ()), (_E, _NONPOS), (_E, ()), (_E, ())],
+    [(_E, ()), (_E, ()), (_E, _CF), (_E, _CF), (_E, ()), (_E, _NONPOS), (_E, ()), (_E, ())],
+    [(_E, ()), (_E, ()), (_E, _CF), (_E, _CF), (_E, ()), (_I, _NONPOS), (_E, ()), (_E, ())],
+])), ids=["P", "C", "E1", "E2", "E3", "EOther"])
+def test_predict_region_table(point, expected):
+    got = [predict(*point, spec, 0.0) for spec in ALL_SPECS]
+    assert [(p.decay_class, p.hypotheses.violated) for p in got] == expected
 
 
 def test_predict_e1_carries_rate_bound():

@@ -137,11 +137,16 @@ def test_simulate_invalid_estimate_exit_code(tmp_path, capsys):
     {"paths": 10.7}, {"paths": True}, {"paths": "2000"}, {"seed": 1.9},
     {"grid": [1.5, 4]}, {"grid": [1, 2 ** 63]}, {"grid": [1, 2 ** 63 - 1]},
     {"paths": 2 ** 63},
+    {"a": "12"}, {"a": [1, True]}, {"x": "0.5"}, {"x": True}, {"x": 10 ** 400},
+    {"innovation": {"kind": "gaussian", "params": {"mu": "0", "sigma": True}}},
+    {"seed": -1}, {"seed": 2 ** 64},
 ], ids=["grid-decreasing", "grid-zero", "paths-zero", "paths-negative", "x-nan",
         "x-nan-text", "innovation-nan", "innovation-inf", "innovation-wide-uniform",
         "innovation-params-number", "innovation-params-list", "innovation-params-null",
         "paths-fraction", "paths-bool", "paths-text", "seed-fraction", "grid-fraction",
-        "grid-beyond-int64", "grid-at-int64-max", "paths-beyond-int64"])
+        "grid-beyond-int64", "grid-at-int64-max", "paths-beyond-int64",
+        "a-text", "a-bool", "x-text", "x-bool", "x-beyond-float",
+        "innovation-params-text-bool", "seed-negative", "seed-beyond-uint64"])
 def test_simulate_invalid_config_values_exit_3(tmp_path, capsys, bad):
     cfg = _write_config(tmp_path, **bad)
     code, _, err = run_cli(capsys, "simulate", str(cfg))
@@ -204,6 +209,11 @@ def _impossible_curves():
                       ("survivors", lambda s: [s[0] + 0.5] + s[1:]),
                       ("nonfinite_paths", lambda n: 0.5),
                       ("seed", lambda s: "0"),
+                      # seeds outside [0, 2^64) and values that are not numbers
+                      ("seed", lambda s: -1),
+                      ("seed", lambda s: 2 ** 64),
+                      ("params", lambda p: {"a": "5"}),
+                      ("x", lambda x: True),
                       ("x", lambda x: math.nan),
                       # counts that int64 cannot hold
                       ("grid", lambda g: g[:-1] + [2 ** 63]),
@@ -279,7 +289,8 @@ def test_bounds_rejects_bad_coefficients(capsys):
 
 @pytest.mark.parametrize("command", [["classify", "--a1", "0.5", "--a2", "0.25"],
                                      ["bounds", "--a", "0.3,0.2"]])
-@pytest.mark.parametrize("params", ["1", '["mu", "sigma"]', '{"mu": null, "sigma": 1}'])
+@pytest.mark.parametrize("params", ["1", '["mu", "sigma"]', '{"mu": null, "sigma": 1}',
+                                    '{"mu": "0", "sigma": true}'])
 def test_malformed_innovation_params_exit_2(capsys, command, params):
     code, out, err = run_cli(capsys, *command, "--innovation-params", params)
     assert code == 2 and err.startswith("error: ") and out == ""

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from arsurvival._philox import philox_block, words_to_uniform
-from arsurvival.innovations import (InnovationSpec, Kind, TheoremId,
-                                    exponential_centered, gaussian,
-                                    hypothesis_check, rademacher,
-                                    spec_from_json, two_point, uniform)
+from arsurvival.innovations import (InnovationSpec, Kind, exponential_centered,
+                                    gaussian, rademacher, spec_from_json,
+                                    two_point, uniform)
 
 ALL_SPECS = [gaussian(), gaussian(0.3, 2.0), rademacher(), two_point(2.0),
              uniform(-1.0, 1.0), uniform(0.0, 1.0), exponential_centered(1.0),
@@ -96,7 +95,6 @@ def test_variance_overflows_to_inf(spec):
 def test_flags_are_total(spec):
     assert math.isfinite(spec.mean)
     assert math.isfinite(spec.variance) and spec.variance > 0
-    assert spec.exp_moment_alpha > 0
     assert isinstance(spec.cf_decays, bool)
     assert isinstance(spec.pos_mass, bool)
     assert isinstance(spec.neg_mass, bool)
@@ -145,39 +143,6 @@ def test_cdf_against_sample_frequencies():
         for q in (-0.4, 0.0, 0.3):
             freq = float((vals <= q).mean())
             assert abs(freq - float(spec.cdf(q))) < 0.006
-
-
-def test_hypothesis_check_examples():
-    rep = hypothesis_check(rademacher(), TheoremId.SUPERPOLYNOMIAL_DECAY)
-    assert not rep.satisfied
-    assert rep.violated == ("characteristic function -> 0 at infinity",)
-
-    assert hypothesis_check(gaussian(), TheoremId.POLYNOMIAL_DECAY).satisfied
-
-    rep = hypothesis_check(uniform(0, 1), TheoremId.POLYNOMIAL_DECAY)
-    assert not rep.satisfied
-    assert "mean zero" in rep.violated
-
-
-def test_hypothesis_check_by_string_and_unknown():
-    rep = hypothesis_check(gaussian(), "positive-limit")
-    assert rep.theorem is TheoremId.POSITIVE_LIMIT and rep.satisfied
-    with pytest.raises(ValueError):
-        hypothesis_check(gaussian(), "no-such-result")
-
-
-def test_hypothesis_check_covers_catalog():
-    for theorem in TheoremId:
-        for spec in ALL_SPECS:
-            rep = hypothesis_check(spec, theorem)
-            assert rep.satisfied == (not rep.violated)
-
-
-def test_uniform_positive_only_violates_sign_hypotheses():
-    rep = hypothesis_check(uniform(0.5, 1.0), TheoremId.POSITIVE_LIMIT)
-    assert not rep.satisfied and "P(Y < 0) > 0" in rep.violated
-    rep = hypothesis_check(uniform(0.5, 1.0), TheoremId.SUPERPOLYNOMIAL_DECAY)
-    assert "P(Y <= 0) > 0" in rep.violated
 
 
 def test_json_round_trip():

@@ -398,6 +398,11 @@ def test_grid_validation():
         estimate_survival(RW, gaussian(), 0.0, [], 100, 1)
     with pytest.raises(ValueError):
         estimate_survival(RW, gaussian(), 0.0, [4], 0, 1)
+    # the rng keys on the seed mod 2^64: seeds outside [0, 2^64) are refused
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed"):
+            estimate_survival(RW, gaussian(), 0.0, [4], 100, seed)
+    assert estimate_survival(RW, gaussian(), 0.0, [4], 100, 2 ** 64 - 1).seed == 2 ** 64 - 1
     # no path would ever cross a NaN barrier; infinite barriers are valid
     with pytest.raises(ValueError, match="NaN"):
         estimate_survival(RW, gaussian(), math.nan, [4], 100, 1)
