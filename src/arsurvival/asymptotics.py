@@ -14,6 +14,7 @@ hypotheses imply, so the two can be compared.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -239,7 +240,9 @@ _LAW_CHECKS = {
     "mean zero": lambda spec: spec.mean == 0.0,
     "P(Y > 0) > 0": lambda spec: spec.pos_mass,
     "P(Y < 0) > 0": lambda spec: spec.neg_mass,
-    "P(Y <= 0) > 0": lambda spec: spec.prob_nonpositive() > 0.0,
+    # every catalog law with mass below 0 has mass at or below it, and vice
+    # versa; the float P(Y <= 0) can underflow to 0 while it is positive
+    "P(Y <= 0) > 0": lambda spec: spec.neg_mass,
     _CF_DECAYS: lambda spec: spec.cf_decays,
 }
 
@@ -284,8 +287,13 @@ def _extra(region: Major | Sub, a1: float, a2: float, spec: InnovationSpec) -> d
     if region is Sub.E1:
         return {"rate_lower_bound": e1_rate_bound(a1, a2)}
     if region is Sub.E2:
+        if not spec.neg_mass:
+            return {"rate_lower_bound": math.inf}
+        # P(Y <= 0) > 0 reads 0 only below the least normal float: the
+        # uniform's quotient rounds to 0 below 2^-1075, and ndtr returns 0
+        # past x = -37.677, where log P < -714.3
         pnp = spec.prob_nonpositive()
-        return {"rate_lower_bound": -math.log(pnp) if pnp > 0.0 else math.inf}
+        return {"rate_lower_bound": -math.log(pnp if pnp > 0.0 else sys.float_info.min)}
     if region is Sub.E_OTHER:
         # vanishing weights or the a2 = 1 + a1 strip: general laws only
         # guarantee exp(-c N / log N), which is flagged, not resolved

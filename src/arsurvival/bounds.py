@@ -24,7 +24,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtr
 
 from .coeffs import ARParams, ar2_closed_form, ar_params, ar_step
 from .innovations import Kind
@@ -123,7 +122,8 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
     evaluated, hence always a certified lower bound even when the supremum is
     only attained in a limit (flat tails are reported at the bracket edge).
     """
-    total = float(np.abs(np.asarray(params.a)).sum())
+    # a Python sum: numpy warns when the sum overflows, fsum raises
+    total = sum(abs(v) for v in params.a)
     if not total < 1.0:
         raise PreconditionError(f"needs sum |a_k| < 1, got {total}")
     a_plus, a_minus = _split_coefficients(params)
@@ -135,6 +135,7 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
     # 2 log|a_-|, not log(|a_-|^2): the square underflows below ~1e-162
     t_star = -math.sqrt((2 * math.log(width) - 2 * math.log(abs_minus))
                         / (width ** 2 - abs_minus ** 2))
+    from scipy.special import ndtr
     c = float(ndtr(t_star * abs_minus) - ndtr(t_star * width))
     return LowerBoundResult(c=c, alpha_star=sigma * t_star, a_plus=a_plus,
                             a_minus=a_minus, A=abs_minus / width,

@@ -143,20 +143,33 @@ def ar2_closed_form(a1: float, a2: float) -> CoeffSolution:
     The branch is picked from the discriminant a1^2 + 4 a2: positive gives
     two real roots, negative a conjugate pair, and anything within
     1e-12 * max(1, a1^2) of zero is treated as a double root.
+
+    Where max(|a1|, sqrt|a2|) >= 2^500 the discriminant is formed from
+    a1 / 2^k and a2 / 4^k, so it cannot overflow; a power of two scales
+    exactly, and below 2^500 k = 0.  Where a1 +- h cancels more than 26 bits
+    (a2 tiny against a1^2), the smaller real root is -a2 over the larger.
     """
     a1 = float(a1)
     a2 = float(a2)
-    disc = a1 * a1 + 4.0 * a2
-    if abs(disc) <= _DOUBLE_ROOT_RTOL * max(1.0, a1 * a1):
+    k = max(0, math.frexp(max(abs(a1), math.sqrt(abs(a2))))[1] - 500)
+    b1, b2 = math.ldexp(a1, -k), math.ldexp(a2, -2 * k)
+    disc = b1 * b1 + 4.0 * b2
+    if abs(disc) <= _DOUBLE_ROOT_RTOL * max(math.ldexp(1.0, -2 * k), b1 * b1):
         s = a1 / 2.0
         return CoeffSolution(a1, a2, Branch.DOUBLE_ROOT,
                              complex(s), complex(s), complex(0.0))
     if disc > 0.0:
         h = math.sqrt(disc)
+        s1, s2 = (b1 + h) / 2.0, (b1 - h) / 2.0
+        if b2 != 0.0 and b1 * b1 > 2.0 ** 27 * abs(b2):
+            if b1 < 0.0:
+                s1 = -b2 / s2
+            else:
+                s2 = -b2 / s1
         return CoeffSolution(a1, a2, Branch.DISTINCT_REAL,
-                             complex((a1 + h) / 2.0), complex((a1 - h) / 2.0),
-                             complex(h))
-    h_tilde = math.sqrt(-disc)
+                             complex(math.ldexp(s1, k)), complex(math.ldexp(s2, k)),
+                             complex(math.ldexp(h, k)))
+    h_tilde = math.ldexp(math.sqrt(-disc), k)
     s1 = complex(a1 / 2.0, h_tilde / 2.0)
     return CoeffSolution(a1, a2, Branch.COMPLEX_PAIR, s1, s1.conjugate(),
                          complex(0.0, h_tilde), modulus=math.sqrt(abs(a2)))

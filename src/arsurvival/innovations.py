@@ -15,7 +15,9 @@ on the law without sampling.
     exponential_centered    rate > 0        [-1/rate, inf)
 
 Sampling is inverse-cdf over counter-based uniform streams, so a sample is
-a pure function of (spec, seed, path, step).
+a pure function of (spec, seed, path, step).  The Gaussian cdf and quantile
+import ``scipy.special`` inside the call, not with this module: that import
+takes longer than the rest of the package, and the other laws never need it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "Kind",
@@ -153,6 +154,7 @@ class InnovationSpec:
         y = np.asarray(y, dtype=float)
         k, q = self.kind, self.params
         if k is Kind.GAUSSIAN:
+            from scipy.special import ndtr
             return ndtr((y - q[0]) / q[1])
         if k is Kind.UNIFORM:
             return np.clip((y - q[0]) / (q[1] - q[0]), 0.0, 1.0)
@@ -188,6 +190,7 @@ class InnovationSpec:
         """Map (0,1) uniforms to Y samples by the inverse cdf."""
         k, q = self.kind, self.params
         if k is Kind.GAUSSIAN:
+            from scipy.special import ndtri
             return q[0] + q[1] * ndtri(u)
         if k is Kind.RADEMACHER:
             return np.where(u < 0.5, -1.0, 1.0)

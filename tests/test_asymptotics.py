@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -171,6 +172,23 @@ _NONPOS = ("P(Y <= 0) > 0",)
 def test_predict_region_table(point, expected):
     got = [predict(*point, spec, 0.0) for spec in ALL_SPECS]
     assert [(p.decay_class, p.hypotheses.violated) for p in got] == expected
+
+
+# -log P(Y <= 0): the Gaussian's -log ndtr(-37.8) from 50-digit arithmetic,
+# the uniform's log((hi - lo) / -lo) = log(1e400)
+@pytest.mark.parametrize("spec, rate", [(gaussian(37.8, 1.0), 718.97194628),
+                                        (gaussian(40.0, 1.0), 804.60844),
+                                        (uniform(-1e-300, 1e100), 400 * math.log(10))])
+def test_predict_e2_underflowing_nonpositive_mass(spec, rate):
+    # P(Y <= 0) > 0 underflows to 0.0 in floats for these laws
+    assert spec.prob_nonpositive() == 0.0
+    p = predict(-0.4, -0.4, spec, 0.0)
+    assert p.decay_class is DecayClass.EXPONENTIAL
+    assert p.hypotheses.satisfied and p.hypotheses.violated == ()
+    # -log of the least normal float, 2^-1022, which bounds P(Y <= 0) from above
+    assert p.rate_lower_bound == -math.log(sys.float_info.min)
+    assert p.rate_lower_bound < rate
+    assert predict(0.5, 0.25, spec, 0.0).hypotheses.violated == ()
 
 
 def test_predict_e1_carries_rate_bound():

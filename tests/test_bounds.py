@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,14 @@ def test_preconditions_and_degenerate_cases():
         exp_lower_bound(ar_params([0.5]), uniform(3.0, 5.0))   # no mass at <= 0
 
 
+def test_huge_coefficient_sum_refused_without_warning():
+    # sum |a_k| overflows to inf; numpy's reduce used to warn about it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError):
+            exp_lower_bound(ar_params([-1.7e308, 1.7e308]), gaussian())
+
+
 def test_bound_certifies_simulation():
     # p_hat_N >= c^N - 3 se on an all-negative point (uniform innovations)
     spec = uniform(-1, 1)
@@ -119,6 +128,15 @@ def test_e1_rate_bound_examples():
         assert a1 + a2 > 1
         assert e1_rate_bound(a1, a2) == pytest.approx(math.log(abs(s2) / s1),
                                                       rel=1e-9)
+
+
+def test_e1_rate_bound_huge_coefficients():
+    # references from the roots in 50-digit arithmetic; the old root formula
+    # overflows h = sqrt(a1^2 + 4 a2) at both points
+    assert e1_rate_bound(-1e200, 1e300) == pytest.approx(230.258509299, rel=1e-11)
+    assert e1_rate_bound(-1e155, 1e308) == pytest.approx(4.62487668255, rel=1e-11)
+    # a1 + a2 <= 1: log |s2| with |s2| = 1e300 + 5e-301
+    assert e1_rate_bound(-1e300, 0.5) == pytest.approx(300 * math.log(10), rel=1e-14)
 
 
 def test_e1_rate_bound_region_checked():

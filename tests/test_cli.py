@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arsurvival
 from arsurvival.cli import main
 
 
@@ -254,6 +259,42 @@ def test_tiny_negative_coefficient_gives_finite_bound(capsys):
     assert code == 0
     # the prediction's upper rate is -log c
     assert math.isfinite(json.loads(out)["rate_upper_bound"])
+
+
+# run in a fresh interpreter: this session has imported scipy already
+_COLD_START = """\
+import json, sys
+loaded = {}
+import arsurvival
+loaded["import"] = "scipy" in sys.modules
+from arsurvival import cli
+cli.build_parser()
+loaded["build_parser"] = "scipy" in sys.modules
+assert cli.main(["classify", "--a1", "1", "--a2", "0"]) == 0
+loaded["classify"] = "scipy" in sys.modules
+for kind, params in [("rademacher", {}), ("gaussian", {"mu": 0, "sigma": 1})]:
+    with open(kind + ".cfg.json", "w") as handle:
+        json.dump({"a": [1.0], "innovation": {"kind": kind, "params": params},
+                   "x": 0.0, "grid": [1, 2, 4, 8, 16, 32], "paths": 2000,
+                   "seed": 7, "out": kind}, handle)
+    assert cli.main(["simulate", kind + ".cfg.json"]) == 0
+    loaded["simulate " + kind] = "scipy" in sys.modules
+    if kind == "rademacher":
+        assert cli.main(["fit", "rademacher.json"]) == 0
+        loaded["fit"] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loaded_only_for_gaussian_laws(tmp_path):
+    src = str(Path(arsurvival.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _COLD_START], cwd=tmp_path, env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert loaded == {"import": False, "build_parser": False, "classify": False,
+                      "simulate rademacher": False, "fit": False,
+                      "simulate gaussian": True}
 
 
 def test_bounds_reports_region_extras(capsys):

@@ -68,6 +68,19 @@ def test_closed_form_branches():
     assert (real.s1, real.s2, real.h) == (1.0, 0.0, 1.0)
 
 
+def test_closed_form_roots_without_overflow_or_cancellation():
+    # a1^2 + 4 a2 overflows at the first two points; it used to be read as a
+    # double root s1 = s2 = a1 / 2
+    for a1, a2, s1, s2 in [(-1e300, 0.5, 5e-301, -1e300), (-1e200, 1e300, 1e100, -1e200),
+                           # a1 - h cancels to 0 in the plain formula
+                           (1e9, -1.0, 1e9, 1e-9), (1.0, 1e-20, 1.0, -1e-20)]:
+        sol = ar2_closed_form(a1, a2)
+        assert sol.branch is Branch.DISTINCT_REAL
+        assert sol.s1.real == pytest.approx(s1, rel=1e-14)
+        assert sol.s2.real == pytest.approx(s2, rel=1e-14)
+        assert sol.h.real == pytest.approx(s1 - s2, rel=1e-14)
+
+
 def test_complex_pair_modulus_is_root_modulus():
     sol = ar2_closed_form(0.8, -0.9)
     assert abs(sol.s1) == pytest.approx(math.sqrt(0.9), rel=1e-14)
