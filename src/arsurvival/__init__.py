@@ -7,13 +7,11 @@ that an AR(p) process stays at or below a constant barrier through time N.
 from .coeffs import (ARParams, Branch, CoeffLimit, CoeffOverflowError,
                      CoeffSolution, LimitKind, ar2_closed_form, ar2_coeffs,
                      ar_params, coeff_limit_class, coeff_recursion)
-from .regions import Major, RegionLabel, Sub, classify_ar2
+from .regions import Region, classify_ar2
 from .innovations import (InnovationSpec, Kind, exponential_centered, gaussian,
                           rademacher, spec_from_json, two_point, uniform)
-from .mc import (ConstraintError, NonFiniteSampleError, ReductionKind,
-                 ReductionReport, SurvivalCurve, crossing_time_from_innovations,
-                 estimate_survival, pair_survival_frequency,
-                 pathwise_reduction_check)
+from .mc import (ConstraintError, ReductionKind, ReductionReport, SurvivalCurve,
+                 estimate_survival, pair_survival_frequency, pathwise_reduction_check)
 from .oracle import (BudgetExceededError, enumerate_survival,
                      gaussian_pair_probability, pair_orthant_probability)
 from .asymptotics import (DecayClass, DecayFit, HypothesisReport, Prediction,

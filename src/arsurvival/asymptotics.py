@@ -24,7 +24,7 @@ from .bounds import e1_rate_bound, exp_lower_bound, PreconditionError, Degenerat
 from .coeffs import ar_params
 from .innovations import InnovationSpec, Kind
 from .mc import SurvivalCurve
-from .regions import Major, RegionLabel, Sub, classify_ar2
+from .regions import Region, classify_ar2
 
 __all__ = [
     "DecayClass",
@@ -191,7 +191,7 @@ class HypothesisReport:
 class Prediction:
     """Decay class implied by the parameter region and innovation hypotheses."""
 
-    region: RegionLabel
+    region: Region
     decay_class: DecayClass
     theta: float | None = None
     rate_lower_bound: float | None = None
@@ -208,8 +208,8 @@ class Prediction:
                    "violated": list(self.hypotheses.violated),
                    "notes": list(self.hypotheses.notes)}
         return {
-            "region": self.region.major.value,
-            "sub": self.region.sub.value if self.region.sub else None,
+            "region": self.region.major,
+            "sub": self.region.sub,
             "predicted": self.decay_class.value,
             "theta": self.theta,
             "rate_lower_bound": self.rate_lower_bound,
@@ -261,40 +261,40 @@ _THEOREMS = {
 
 _NO_UPWARD_MASS = ("no upward mass",)
 
-# region (sub-region on E) -> theorem whose hypotheses are reported, the class
-# predicted, the hypotheses that prediction needs, and the notes added when
-# one of them fails.  On E2, all-nonpositive coefficients force Y_k <= 0 along
-# a surviving path, so p_N <= P(Y <= 0)^N needs only upward mass; E3 needs the
-# same, and the rest of E a law with mass on both sides of 0.
+# region -> theorem whose hypotheses are reported, the class predicted, the
+# hypotheses that prediction needs, and the notes added when one of them
+# fails.  On E2, all-nonpositive coefficients force Y_k <= 0 along a surviving
+# path, so p_N <= P(Y <= 0)^N needs only upward mass; E3 needs the same, and
+# the rest of E a law with mass on both sides of 0.
 _REGIONS = {
-    Major.P: ("polynomial-decay", DecayClass.POLYNOMIAL, ("mean zero",), ()),
-    Major.C: ("positive-limit", DecayClass.POSITIVE_LIMIT, ("P(Y < 0) > 0",), ()),
-    Sub.E1: ("alternating-rate-bound", DecayClass.EXPONENTIAL, (_CF_DECAYS,), ()),
-    Sub.E2: ("superpolynomial-decay", DecayClass.EXPONENTIAL, ("P(Y > 0) > 0",),
-             _NO_UPWARD_MASS),
-    Sub.E3: ("superpolynomial-decay", DecayClass.EXPONENTIAL, ("P(Y > 0) > 0",),
-             _NO_UPWARD_MASS),
-    Sub.E_OTHER: ("superpolynomial-decay", DecayClass.EXPONENTIAL,
-                  ("P(Y > 0) > 0", "P(Y <= 0) > 0"), ()),
+    Region.P: ("polynomial-decay", DecayClass.POLYNOMIAL, ("mean zero",), ()),
+    Region.C: ("positive-limit", DecayClass.POSITIVE_LIMIT, ("P(Y < 0) > 0",), ()),
+    Region.E1: ("alternating-rate-bound", DecayClass.EXPONENTIAL, (_CF_DECAYS,), ()),
+    Region.E2: ("superpolynomial-decay", DecayClass.EXPONENTIAL, ("P(Y > 0) > 0",),
+                _NO_UPWARD_MASS),
+    Region.E3: ("superpolynomial-decay", DecayClass.EXPONENTIAL, ("P(Y > 0) > 0",),
+                _NO_UPWARD_MASS),
+    Region.E_OTHER: ("superpolynomial-decay", DecayClass.EXPONENTIAL,
+                     ("P(Y > 0) > 0", "P(Y <= 0) > 0"), ()),
 }
 
 
-def _extra(region: Major | Sub, a1: float, a2: float, spec: InnovationSpec) -> dict:
+def _extra(region: Region, a1: float, a2: float, spec: InnovationSpec) -> dict:
     """The Prediction fields of a region whose prediction holds, beyond its class."""
-    if region is Major.P:
+    if region is Region.P:
         # a2 = 1: two interleaved walks; a2 = -1: the integrated walk
         return {"theta": {1.0: 1.0, -1.0: 0.25}.get(a2, 0.5)}
-    if region is Sub.E1:
+    if region is Region.E1:
         return {"rate_lower_bound": e1_rate_bound(a1, a2)}
-    if region is Sub.E2:
+    if region is Region.E2:
         if not spec.neg_mass:
             return {"rate_lower_bound": math.inf}
-        # P(Y <= 0) > 0 reads 0 only below the least normal float: the
-        # uniform's quotient rounds to 0 below 2^-1075, and ndtr returns 0
-        # past x = -37.677, where log P < -714.3
+        # below the least normal float P(Y <= 0) loses its digits: the
+        # uniform's quotient rounds to a subnormal or to 0, and ndtr returns 0
+        # past x = -37.677, where log P < -714.3; the normal floor holds for both
         pnp = spec.prob_nonpositive()
-        return {"rate_lower_bound": -math.log(pnp if pnp > 0.0 else sys.float_info.min)}
-    if region is Sub.E_OTHER:
+        return {"rate_lower_bound": -math.log(max(pnp, sys.float_info.min))}
+    if region is Region.E_OTHER:
         # vanishing weights or the a2 = 1 + a1 strip: general laws only
         # guarantee exp(-c N / log N), which is flagged, not resolved
         centered = spec.kind is Kind.GAUSSIAN and spec.params[0] == 0.0
@@ -305,22 +305,21 @@ def _extra(region: Major | Sub, a1: float, a2: float, spec: InnovationSpec) -> d
 def predict(a1: float, a2: float, spec: InnovationSpec, x: float) -> Prediction:
     """Predicted decay class for the AR(2) process (a1, a2) at barrier x.
 
-    A pure function of the region label and the innovation's analytic flags.
+    A pure function of the region and the innovation's analytic flags.
     When the region's rule does not hold for the innovation the prediction
     is INCONCLUSIVE and carries the hypothesis report.  The comparison with
     fitted curves is only claimed for x >= 0.
     """
-    label = classify_ar2(a1, a2)
+    region = classify_ar2(a1, a2)
     notes = ("predictions are stated for barriers x >= 0",) if x < 0.0 else ()
-    region = label.sub or label.major
     theorem, decay_class, needs, fail_notes = _REGIONS[region]
     stated, theorem_notes = _THEOREMS[theorem]
     violated = tuple(name for name in stated if not _LAW_CHECKS[name](spec))
     hyp = HypothesisReport(theorem, not violated, violated, theorem_notes)
     if not all(_LAW_CHECKS[name](spec) for name in needs):
-        return Prediction(label, DecayClass.INCONCLUSIVE, hypotheses=hyp,
+        return Prediction(region, DecayClass.INCONCLUSIVE, hypotheses=hyp,
                           notes=notes + fail_notes)
     extra = _extra(region, a1, a2, spec)
     if decay_class is DecayClass.EXPONENTIAL:
         extra["rate_upper_bound"] = _rate_upper(a1, a2, spec)
-    return Prediction(label, decay_class, hypotheses=hyp, notes=notes, **extra)
+    return Prediction(region, decay_class, hypotheses=hyp, notes=notes, **extra)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coeffs import ARParams, ar2_closed_form, ar_params, ar_step
 from .innovations import Kind
-from .regions import Major, Sub, classify_ar2
+from .regions import Region, classify_ar2
 
 __all__ = [
     "BoundMethod",
@@ -71,11 +71,6 @@ _SCAN_LO, _SCAN_HI = 1e-6, 1e6   # |alpha| bracket over the law's scale, log-spa
 _GOLDEN_TOL = 1e-8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EXACT_STEPS = 64         # e3_sign_change_index walks this many steps exactly
-
-
-def _split_coefficients(params: ARParams) -> tuple[float, float]:
-    a = np.asarray(params.a)
-    return float(a[a > 0].sum()), float(a[a < 0].sum())
 
 
 def _golden_max(f, lo: float, hi: float, scale: float):
@@ -126,7 +121,8 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
     total = sum(abs(v) for v in params.a)
     if not total < 1.0:
         raise PreconditionError(f"needs sum |a_k| < 1, got {total}")
-    a_plus, a_minus = _split_coefficients(params)
+    a = np.asarray(params.a)
+    a_plus, a_minus = float(a[a > 0].sum()), float(a[a < 0].sum())
     abs_minus = -a_minus
     if not (spec.kind is Kind.GAUSSIAN and spec.params[0] == 0.0 and abs_minus > 0.0):
         return _scan_lower_bound(spec, a_plus, a_minus)
@@ -142,19 +138,10 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
                             method=BoundMethod.GAUSSIAN_CLOSED_FORM)
 
 
-def _scale(spec) -> float:
-    """The law's scale: sigma, the bound on |Y|, or 1/rate."""
-    if spec.kind is Kind.GAUSSIAN:
-        return spec.params[1]
-    if spec.kind is Kind.EXPONENTIAL_CENTERED:
-        return 1.0 / spec.params[0]
-    return spec.bounded_by
-
-
 def _scan_lower_bound(spec, a_plus: float, a_minus: float) -> LowerBoundResult:
     """exp_lower_bound's numeric scan, for any innovation law."""
     abs_minus = -a_minus
-    scale = _scale(spec)
+    scale = spec.scale
 
     def objective(alpha):
         # P(Y in [alpha (1 - a_+), alpha |a_-|]) at a float or an array of them
@@ -193,9 +180,9 @@ def e1_rate_bound(a1: float, a2: float) -> float:
     With real roots s1 > 0 > s2 and |s2| > max(s1, 1), the rate is at least
     log(|s2| / s1) when a1 + a2 > 1 and log |s2| otherwise.
     """
-    label = classify_ar2(a1, a2)
-    if label.major is not Major.E or label.sub is not Sub.E1:
-        raise PreconditionError(f"({a1}, {a2}) is not in region E1 (got {label})")
+    region = classify_ar2(a1, a2)
+    if region is not Region.E1:
+        raise PreconditionError(f"({a1}, {a2}) is not in region E1 (got {region})")
     sol = ar2_closed_form(a1, a2)
     s1, s2 = sol.s1.real, sol.s2.real
     if a1 + a2 > 1.0:
@@ -216,9 +203,9 @@ def e3_sign_change_index(a1: float, a2: float) -> int:
     its digits to cancellation, and a float walk underflows or overflows
     long before ceil(pi / phi) steps.
     """
-    label = classify_ar2(a1, a2)
-    if label.major is not Major.E or label.sub is not Sub.E3:
-        raise PreconditionError(f"({a1}, {a2}) is not in region E3 (got {label})")
+    region = classify_ar2(a1, a2)
+    if region is not Region.E3:
+        raise PreconditionError(f"({a1}, {a2}) is not in region E3 (got {region})")
     a = (Fraction(a1), Fraction(a2))
     c_prev, c_cur = Fraction(1), a[0]     # c_0, c_1
     for k in range(1, _EXACT_STEPS + 1):

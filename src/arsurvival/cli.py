@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    classify   region label, coefficient limit class and predicted decay
+    classify   region, coefficient limit class and predicted decay
     simulate   run a survival estimate from a JSON config, write CSV/JSON
     fit        fit the decay class of a stored survival curve
     bounds     exponential lower bound (plus region extras) for coefficients
@@ -29,7 +29,7 @@ from .bounds import (DegenerateBoundError, PreconditionError, e1_rate_bound,
 from .coeffs import ar_params, coeff_limit_class
 from .innovations import InnovationSpec, spec_from_json
 from .mc import SurvivalCurve, estimate_survival, json_run_fields, resolve_workers
-from .regions import Sub, classify_ar2
+from .regions import Region, classify_ar2
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -182,11 +182,11 @@ def cmd_bounds(args) -> int:
         out["exp_lower_bound"] = {"error": str(exc)}
     if params.p == 2:
         a1, a2 = params.a
-        label = classify_ar2(a1, a2)
-        out["region"] = str(label)
-        if label.sub is Sub.E1:
+        region = classify_ar2(a1, a2)
+        out["region"] = str(region)
+        if region is Region.E1:
             out["e1_rate_bound"] = e1_rate_bound(a1, a2)
-        if label.sub is Sub.E3:
+        if region is Region.E3:
             out["e3_sign_change_index"] = e3_sign_change_index(a1, a2)
     sys.stdout.write(_dump(out))
     return EXIT_OK

@@ -1,8 +1,8 @@
 """Innovation distributions and their analytic capabilities.
 
 The driving noise Y_1, Y_2, ... is drawn from a closed catalog of five
-distributions.  Each kind carries exact analytic metadata (mean, variance,
-bound, characteristic-function decay, sign masses, cdf and closed-interval
+distributions.  Each kind carries exact analytic metadata (mean, scale,
+characteristic-function decay, sign masses, cdf and closed-interval
 probabilities), so ``asymptotics.predict`` decides every theorem hypothesis
 on the law without sampling.
 
@@ -82,7 +82,7 @@ class InnovationSpec:
             if len(q) != 1 or q[0] <= 0:
                 raise ValueError("exponential_centered needs rate > 0")
 
-    # ---- moments and capability flags -------------------------------------
+    # ---- mean, scale and capability flags -------------------------------------
 
     @property
     def mean(self) -> float:
@@ -94,32 +94,18 @@ class InnovationSpec:
         return 0.0
 
     @property
-    def variance(self) -> float:
-        # products, not ** 2: a float product overflows to inf, a power raises
+    def scale(self) -> float:
+        """sigma, 1/rate, or the almost-sure bound on |Y| of a bounded law."""
         k, q = self.kind, self.params
         if k is Kind.GAUSSIAN:
-            return q[1] * q[1]
-        if k is Kind.RADEMACHER:
-            return 1.0
-        if k is Kind.TWO_POINT:
-            return q[0] * q[0]
-        if k is Kind.UNIFORM:
-            w = q[1] - q[0]
-            return w * w / 12.0
-        s = 1.0 / q[0]
-        return s * s
-
-    @property
-    def bounded_by(self) -> float | None:
-        """Almost-sure bound M on |Y|, or None when unbounded."""
-        k, q = self.kind, self.params
+            return q[1]
+        if k is Kind.EXPONENTIAL_CENTERED:
+            return 1.0 / q[0]
         if k is Kind.RADEMACHER:
             return 1.0
         if k is Kind.TWO_POINT:
             return q[0]
-        if k is Kind.UNIFORM:
-            return max(abs(q[0]), abs(q[1]))
-        return None
+        return max(abs(q[0]), abs(q[1]))
 
     @property
     def cf_decays(self) -> bool:
@@ -207,12 +193,6 @@ class InnovationSpec:
         names = _PARAM_NAMES[self.kind]
         return {"kind": self.kind.value,
                 "params": dict(zip(names, self.params))}
-
-    def __str__(self) -> str:
-        if not self.params:
-            return self.kind.value
-        inner = ", ".join(f"{v:g}" for v in self.params)
-        return f"{self.kind.value}({inner})"
 
 
 _PARAM_NAMES = {

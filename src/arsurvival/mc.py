@@ -24,10 +24,11 @@ summed as ``ar_step`` sums, keeps a path whose lags are all <= c at or below
 c forever, since rounding is monotone: it never crosses and never turns NaN.
 The engine takes the first of c* = -B/(a_1 + ... + a_p - 1) and 2c*, each
 capped at x, that passes the check when the sum exceeds 1 (c* itself is the
-fixed point, where rounding decides), and c = x otherwise.  Before each rng
-refill it drops the live paths whose lags are all <= c with tau = n_max + 1,
-which is what walking them would give.  Words are counter-based, so no other
-path's draws change.
+fixed point, where rounding decides), and c = x otherwise.  At each step
+that uses up the look-ahead buffer it drops, with the dead paths, the live
+paths whose lags are all <= c, with tau = n_max + 1, which is what walking
+them would give; the next refill draws no words for them.  Words are
+counter-based, so no other path's draws change.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ from .rng import lookahead_blocks, path_uniform_block
 
 __all__ = [
     "SurvivalCurve",
-    "NonFiniteSampleError",
     "ConstraintError",
-    "crossing_time_from_innovations",
     "estimate_survival",
     "pair_survival_frequency",
     "ReductionKind",
@@ -82,10 +81,6 @@ _NONFINITE_LIMIT = 1e-3
 WORKERS_ENV = "ARSURVIVAL_WORKERS"
 
 
-class NonFiniteSampleError(ArithmeticError):
-    """A simulated path produced a non-finite value."""
-
-
 class ConstraintError(ValueError):
     """Coefficients do not satisfy the requested transform's constraints."""
 
@@ -96,34 +91,6 @@ def resolve_workers(workers: int | None) -> int:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return workers
-
-
-# ---------------------------------------------------------------------------
-# single-path operations
-
-
-def crossing_time_from_innovations(params: ARParams, x: float, y) -> int:
-    """First n with X_n > x for a given innovation sequence, len(y)+1 if none.
-
-    The scalar reference that the vectorized engine is tested against, path
-    for path.  Overflow resolves faithfully: +inf exceeds any finite
-    barrier, -inf survives one; an indeterminate NaN state raises.
-    """
-    a = params.a
-    p = params.p
-    y = np.asarray(y, dtype=float)
-    state = [0.0] * p
-    for n, yn in enumerate(y, start=1):
-        xval = float(yn)
-        for k in range(p):
-            xval += a[k] * state[k]
-        if np.isnan(xval):
-            raise NonFiniteSampleError(f"X_{n} is indeterminate (NaN)")
-        if xval > x:
-            return n
-        state.insert(0, xval)
-        state.pop()
-    return len(y) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -201,57 +168,43 @@ def _survival_level(params: ARParams, spec: InnovationSpec, x: float) -> float |
 
 
 def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
-                          n_max: int, seed: int, lo: int, hi: int):
-    """Crossing times for paths lo..hi-1; returns (tau array, nonfinite count).
+                          n_max: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Crossing times tau for paths lo..hi-1.
 
     tau = n_max + 1 marks survival through n_max; tau = 0 marks a path that
-    went non-finite (NaN) and is excluded from every survivor count.  Before
-    each refill of the look-ahead buffer, paths held below the survival level
-    are dropped, since they can never cross.
+    went non-finite (NaN) and is excluded from every survivor count.  A step
+    that uses up the look-ahead buffer also drops the paths held below the
+    survival level, since they can never cross, so no refill draws for them.
     """
     walk = _Walk(params, spec, seed, lo, hi, n_max)
     level = _survival_level(params, spec, x)
     tau = np.full(hi - lo, n_max + 1, dtype=np.int64)
-    pos = np.arange(hi - lo, dtype=np.int64)
-    nonfinite = 0
     for n in range(1, n_max + 1):
-        if level is not None and walk.j == walk.j_end:
-            held = walk.lags[0] <= level
-            for lag in walk.lags[1:]:
-                held &= lag <= level
-            if held.any():
-                keep = ~held
-                pos = pos[keep]
-                walk.keep(keep)
-                if pos.size == 0:
-                    break
         xval = walk.step()
         bad = np.isnan(xval)
         crossed = xval > x
-        dead = crossed | bad
-        if dead.any():
-            tau[pos[crossed]] = n
+        drop = crossed | bad
+        if level is not None and walk.j == walk.j_end:
+            # held: every lag at or below the level (a NaN lag is not held)
+            drop |= np.maximum.reduce(walk.lags) <= level
+        if drop.any():
+            # walk.ids - lo is each live path's row in tau
+            tau[walk.ids[crossed] - lo] = n
             if bad.any():
-                tau[pos[bad]] = 0
-                nonfinite += int(bad.sum())
-            keep = ~dead
-            pos = pos[keep]
-            walk.keep(keep)
-            if pos.size == 0:
+                tau[walk.ids[bad] - lo] = 0
+            walk.keep(~drop)
+            if walk.ids.size == 0:
                 break
-    return tau, nonfinite
+    return tau
 
 
-def _cuts(lo: int, hi: int, parts: int) -> list[int]:
-    """parts + 1 cut points that split lo..hi into parts differing by at most one."""
-    return [lo + (hi - lo) * k // parts for k in range(parts + 1)]
-
-
-def _tiles(lo: int, hi: int):
-    """(lo, hi) of equal tiles of at most ``_TILE_PATHS`` paths that cover lo..hi-1.
+def _split(lo: int, hi: int, parts: int | None = None):
+    """(lo, hi) of ``parts`` ranges that cover lo..hi-1 and differ in size by at
+    most one; by default the fewest of at most ``_TILE_PATHS`` paths, the tiles.
 
     Made one at a time, so a huge path count holds no list of cuts."""
-    parts = -(-(hi - lo) // _TILE_PATHS)
+    if parts is None:
+        parts = -(-(hi - lo) // _TILE_PATHS)
     return ((lo + (hi - lo) * k // parts, lo + (hi - lo) * (k + 1) // parts)
             for k in range(parts))
 
@@ -267,12 +220,12 @@ def _range_counts(params: ARParams, spec: InnovationSpec, x: float, grid: np.nda
     n_max = int(grid[-1])
     hist = np.zeros(grid.size + 1, dtype=np.int64)
     nonfinite = 0
-    for a, b in _tiles(lo, hi):
-        tau, bad = _crossing_times_range(params, spec, x, n_max, seed, a, b)
+    for a, b in _split(lo, hi):
+        tau = _crossing_times_range(params, spec, x, n_max, seed, a, b)
         # gap k holds the paths with grid[k-1] < tau <= grid[k]: they survive
         # exactly the first k horizons; non-finite paths (tau = 0) fall in gap 0
         hist += np.bincount(np.searchsorted(grid, tau), minlength=grid.size + 1)
-        nonfinite += bad
+        nonfinite += int(np.count_nonzero(tau == 0))
     # survivors of horizon grid[k] are the paths in gaps k + 1 and above
     return np.cumsum(hist[::-1])[::-1][1:], nonfinite
 
@@ -492,8 +445,7 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
         raise ValueError("barrier x must not be NaN")
     workers = resolve_workers(workers)
     procs = min(workers, paths, os.cpu_count() or 1)
-    cuts = _cuts(0, paths, procs)
-    jobs = [(params, spec, x, grid, seed, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    jobs = [(params, spec, x, grid, seed, lo, hi) for lo, hi in _split(0, paths, procs)]
     results = [_range_counts(*jobs[0])] if procs == 1 else _fork_ranges(jobs)
     survivors = sum(counts for counts, _ in results)
     nonfinite = sum(bad for _, bad in results)
@@ -511,10 +463,10 @@ def pair_survival_frequency(params: ARParams, spec: InnovationSpec, n: int,
     """MC frequency of {X_{n-1} <= 0 and X_n <= 0} with its standard error."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
+    _check_paths(paths)
+    _check_seed(seed)
     hits = 0
-    for lo, hi in _tiles(0, paths):
+    for lo, hi in _split(0, paths):
         walk = _Walk(params, spec, seed, lo, hi, n)
         for _ in range(n - 1):
             prev = walk.step()
@@ -555,10 +507,10 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
     """
     if not isinstance(kind, ReductionKind):
         kind = ReductionKind(kind)
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
+    _check_paths(paths)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _check_seed(seed)
     a = params.a
     rho = None
     if kind is not ReductionKind.INTEGRATED:
@@ -586,7 +538,7 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
         r = rho = -a2 / s
     lifted = integrate_params(params).a if kind is ReductionKind.INTEGRATED else None
     violations, worst = 0, 0.0
-    for lo, hi in _tiles(0, paths):
+    for lo, hi in _split(0, paths):
         walk = _Walk(params, spec, seed, lo, hi, n_max)
         w_lags = [np.zeros(hi - lo)] * (params.p + 1)
         z_prev = total = 0.0

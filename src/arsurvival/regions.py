@@ -21,47 +21,40 @@ sharp (P is a line); callers needing robustness should round their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
-    "Major",
-    "Sub",
-    "RegionLabel",
+    "Region",
     "classify_ar2",
 ]
 
 
-class Major(Enum):
+class Region(Enum):
+    """One cell of the partition: C, P, or E with its sub-region."""
+
     C = "C"
     P = "P"
-    E = "E"
+    E1 = "E/E1"
+    E2 = "E/E2"
+    E3 = "E/E3"
+    E_OTHER = "E/EOther"
 
+    @property
+    def major(self) -> str:
+        """The major region: "C", "P" or "E"."""
+        return self.value.partition("/")[0]
 
-class Sub(Enum):
-    E1 = "E1"
-    E2 = "E2"
-    E3 = "E3"
-    E_OTHER = "EOther"
-
-
-@dataclass(frozen=True)
-class RegionLabel:
-    major: Major
-    sub: Sub | None = None
-
-    def __post_init__(self):
-        if (self.sub is not None) != (self.major is Major.E):
-            raise ValueError("sub-region present iff major region is E")
+    @property
+    def sub(self) -> str | None:
+        """The sub-region on E: "E1", "E2", "E3" or "EOther"; None off E."""
+        return self.value.partition("/")[2] or None
 
     def __str__(self) -> str:
-        if self.sub is None:
-            return self.major.value
-        return f"{self.major.value}/{self.sub.value}"
+        return self.value
 
 
-def classify_ar2(a1: float, a2: float) -> RegionLabel:
-    """Assign (a1, a2) to exactly one of C, P, E (with E sub-region).
+def classify_ar2(a1: float, a2: float) -> Region:
+    """Assign (a1, a2) to exactly one of C, P and the four cells of E.
 
     Sub-regions are checked in the fixed order E1, E2, E3; they are disjoint
     in exact arithmetic, the order just pins the outcome under floats.
@@ -71,19 +64,18 @@ def classify_ar2(a1: float, a2: float) -> RegionLabel:
     if not (math.isfinite(a1) and math.isfinite(a2)):
         raise ValueError("coefficients must be finite")
     if a1 + a2 == 1.0 and -1.0 <= a2 <= 1.0:
-        return RegionLabel(Major.P)
+        return Region.P
     disc = a1 * a1 + 4.0 * a2
     in_c = ((a1 >= 2.0 and disc > 0.0)
             or (0.0 < a1 < 2.0 and a1 + a2 > 1.0)
             or (disc == 0.0 and a1 > 2.0)
             or (a1 == 0.0 and a2 > 1.0))
     if in_c:
-        return RegionLabel(Major.C)
+        return Region.C
     if a1 < 0.0 and a2 > 0.0 and a2 > 1.0 + a1:
-        return RegionLabel(Major.E, Sub.E1)
+        return Region.E1
     if a1 <= 0.0 and a2 <= 0.0:
-        return RegionLabel(Major.E, Sub.E2)
+        return Region.E2
     if a1 > 0.0 and disc < 0.0:
-        return RegionLabel(Major.E, Sub.E3)
-    return RegionLabel(Major.E, Sub.E_OTHER)
-
+        return Region.E3
+    return Region.E_OTHER

@@ -13,7 +13,7 @@ from arsurvival.bounds import (BoundMethod, DegenerateBoundError,
 from arsurvival.coeffs import ar_params, coeff_recursion
 from arsurvival.innovations import gaussian, rademacher, uniform
 from arsurvival.mc import estimate_survival
-from arsurvival.regions import Sub, classify_ar2
+from arsurvival.regions import Region, classify_ar2
 
 
 def _dense_scan(spec, a_plus, a_minus, n=1_000_000, lo=-10.0):
@@ -194,7 +194,7 @@ def test_e3_cap_on_grid():
     while checked < 50:
         a1 = rng.uniform(0.01, 2.5)
         a2 = rng.uniform(-3.0, -0.01)
-        if classify_ar2(a1, a2).sub is not Sub.E3:
+        if classify_ar2(a1, a2) is not Region.E3:
             continue
         q = e3_sign_change_index(a1, a2)
         phi = math.atan2(math.sqrt(-(a1 * a1 + 4 * a2)), a1)

@@ -10,10 +10,9 @@ from arsurvival.coeffs import ar_params
 from arsurvival._philox import words_to_uniform
 from arsurvival.innovations import (exponential_centered, gaussian, rademacher,
                                     two_point, uniform)
-from arsurvival.mc import (ConstraintError, NonFiniteSampleError, ReductionKind,
-                           SurvivalCurve, _crossing_times_range, _innovation_bound,
-                           _survival_level, _Walk, crossing_time_from_innovations,
-                           estimate_survival, pair_survival_frequency,
+from arsurvival.mc import (ConstraintError, ReductionKind, SurvivalCurve,
+                           _crossing_times_range, _innovation_bound, _survival_level,
+                           _Walk, estimate_survival, pair_survival_frequency,
                            pathwise_reduction_check)
 from arsurvival.oracle import enumerate_survival
 from arsurvival.rng import path_uniform_block
@@ -21,6 +20,32 @@ from arsurvival.rng import path_uniform_block
 RW = ar_params([1.0])
 IRW = ar_params([2.0, -1.0])
 SIGNS = ((-1.0, 0.5), (1.0, 0.5))
+
+
+class NonFiniteSampleError(ArithmeticError):
+    """A reference path reached an indeterminate (NaN) state."""
+
+
+def crossing_time_from_innovations(params, x, y) -> int:
+    """First n with X_n > x for a given innovation sequence, len(y)+1 if none.
+
+    The scalar reference that the vectorized engine is tested against, path
+    for path.  Overflow resolves faithfully: +inf exceeds any finite
+    barrier, -inf survives one; an indeterminate NaN state raises.
+    """
+    a, p = params.a, params.p
+    state = [0.0] * p
+    for n, yn in enumerate(np.asarray(y, dtype=float), start=1):
+        xval = float(yn)
+        for k in range(p):
+            xval += a[k] * state[k]
+        if math.isnan(xval):
+            raise NonFiniteSampleError(f"X_{n} is indeterminate (NaN)")
+        if xval > x:
+            return n
+        state.insert(0, xval)
+        state.pop()
+    return len(y) + 1
 
 
 def innovations(spec, seed, ids, n):
@@ -38,8 +63,8 @@ def test_crossing_time_hand_cases():
 
 
 def test_engine_never_crosses_large_barrier():
-    tau, bad = _crossing_times_range(ar_params([0.0]), two_point(1.0), 1e9, 50, 3, 0, 1)
-    assert bad == 0 and tau.tolist() == [51]
+    tau = _crossing_times_range(ar_params([0.0]), two_point(1.0), 1e9, 50, 3, 0, 1)
+    assert tau.tolist() == [51]
 
 
 @pytest.mark.parametrize("a, spec, x", [
@@ -51,8 +76,7 @@ def test_engine_never_crosses_large_barrier():
 def test_engine_matches_scalar_reference(a, spec, x):
     # row i of the innovation matrix is stream (99, i), the engine's path i
     params = ar_params(a)
-    tau_vec, bad = _crossing_times_range(params, spec, x, 64, 99, 0, 300)
-    assert bad == 0
+    tau_vec = _crossing_times_range(params, spec, x, 64, 99, 0, 300)
     y = innovations(spec, 99, np.arange(300, dtype=np.uint64), 64)
     tau_scalar = np.array([crossing_time_from_innovations(params, x, row) for row in y])
     assert (tau_vec == tau_scalar).all()
@@ -82,8 +106,7 @@ def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
 
     monkeypatch.setattr(mc, "path_uniform_block", recorded)
     params = ar_params(a)
-    tau, bad = _crossing_times_range(params, spec, x, n_max, 99, lo, hi)
-    assert bad == 0
+    tau = _crossing_times_range(params, spec, x, n_max, 99, lo, hi)
     y = innovations(spec, 99, np.arange(lo, hi, dtype=np.uint64), n_max)
     assert tau.tolist() == [crossing_time_from_innovations(params, x, row) for row in y]
     ahead = [(4 * b, 4 * (b + k)) for b, k in drawn if k > 1]
@@ -98,7 +121,8 @@ def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
     ((1.0, 1.0), rademacher(), 0.0),
     ((0.5, 0.8, 0.3), uniform(-1.0, 1.0), 0.0),
     ((1.5,), exponential_centered(1.0), -0.5),
-    # sum a < 1 and x above B / (1 - sum a): no path is ever walked
+    # sum a < 1 and x above B / (1 - sum a): every path is held from the
+    # start, so the tile draws its first buffer (2,400 words) and stops
     ((0.3, 0.2), uniform(-1.0, 1.0), 2.0),
 ], ids=["c1-gaussian", "c1-rademacher", "ar3-uniform", "ar1-exponential",
         "stable-uniform"])
@@ -114,15 +138,14 @@ def test_certified_paths_keep_their_crossing_times(monkeypatch, a, spec, x):
         return path_uniform_block(seed, ids, block, count)
 
     monkeypatch.setattr(mc, "path_uniform_block", counted)
-    tau, bad = _crossing_times_range(params, spec, x, n_max, 5, lo, hi)
+    tau = _crossing_times_range(params, spec, x, n_max, 5, lo, hi)
     certified = sum(words)
     y = innovations(spec, 5, np.arange(lo, hi, dtype=np.uint64), n_max)
-    assert bad == 0
     assert tau.tolist() == [crossing_time_from_innovations(params, x, row) for row in y]
     words.clear()
     monkeypatch.setattr(mc, "_survival_level", lambda *args: None)
-    walked, bad = _crossing_times_range(params, spec, x, n_max, 5, lo, hi)
-    assert bad == 0 and (walked == tau).all()
+    walked = _crossing_times_range(params, spec, x, n_max, 5, lo, hi)
+    assert (walked == tau).all()
     # held rows were dropped: fewer words drawn than by the full walk
     assert certified < sum(words)
 
@@ -410,6 +433,25 @@ def test_grid_validation():
         assert estimate_survival(RW, gaussian(), x, [4], 100, 1).survivors[0] == survivors
 
 
+@pytest.mark.parametrize("run", [
+    lambda paths, seed: estimate_survival(RW, rademacher(), 0.0, [4], paths, seed),
+    lambda paths, seed: pair_survival_frequency(RW, rademacher(), 2, paths, seed),
+    lambda paths, seed: pathwise_reduction_check(ar_params([0.5, 0.5]), rademacher(),
+                                                 "walk_sum", paths, 4, seed),
+], ids=["estimate_survival", "pair_survival_frequency", "pathwise_reduction_check"])
+def test_seed_and_path_ranges_refused_by_every_entry_point(run):
+    # the rng keys on the seed mod 2^64: -1 would repeat the stream of
+    # 2^64 - 1 and 2^64 + 5 that of 5 under another recorded seed
+    for seed in (-1, 2 ** 64, 2 ** 64 + 5):
+        with pytest.raises(ValueError, match="seed must be in"):
+            run(10, seed)
+    for paths in (0, 2 ** 63):
+        with pytest.raises(ValueError, match="paths must be in"):
+            run(paths, 1)
+    run(10, 0)
+    run(10, 2 ** 64 - 1)
+
+
 def test_nonfinite_paths_marked_invalid():
     # oscillating divergence with an infinite barrier: paths overflow to
     # +-inf and then hit inf - inf = NaN without ever crossing
@@ -469,7 +511,7 @@ def test_pair_frequency_basics():
     with pytest.raises(ValueError):
         pair_survival_frequency(RW, rademacher(), 1, 10, 1)
     for paths in (0, -3):
-        with pytest.raises(ValueError, match="paths must be >= 1"):
+        with pytest.raises(ValueError, match="paths must be in"):
             pair_survival_frequency(RW, rademacher(), 2, paths, 1)
 
 
@@ -511,10 +553,10 @@ def test_integration_identity():
 
 
 def test_reduction_sizes_must_be_positive():
-    for paths, n_max, what in [(0, 10, "paths"), (-3, 10, "paths"),
-                               (10, 0, "n_max"), (10, -1, "n_max")]:
+    for paths, n_max, what in [(0, 10, "paths must be in"), (-3, 10, "paths must be in"),
+                               (10, 0, "n_max must be >= 1"), (10, -1, "n_max must be >= 1")]:
         for kind in ReductionKind:
-            with pytest.raises(ValueError, match=f"{what} must be >= 1"):
+            with pytest.raises(ValueError, match=what):
                 pathwise_reduction_check(ar_params([-0.5, 0.5]), gaussian(),
                                          kind, paths, n_max, 1)
 

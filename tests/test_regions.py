@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from arsurvival.coeffs import LimitKind, coeff_limit_class
-from arsurvival.regions import Major, RegionLabel, Sub, classify_ar2
+from arsurvival.asymptotics import predict
+from arsurvival.innovations import gaussian
+from arsurvival.regions import Region, classify_ar2
 
 GRID = np.linspace(-3.0, 3.0, 201)
 
@@ -19,26 +21,46 @@ def _in_p(a1, a2):
 
 
 def test_classification_examples():
-    assert classify_ar2(2, -1) == RegionLabel(Major.P)
-    assert classify_ar2(1, 1) == RegionLabel(Major.C)
-    assert classify_ar2(-1, 2) == RegionLabel(Major.E, Sub.E1)
-    assert classify_ar2(-0.4, -0.4) == RegionLabel(Major.E, Sub.E2)
-    assert classify_ar2(0, 1) == RegionLabel(Major.P)
-    assert classify_ar2(0.5, -0.5) == RegionLabel(Major.E, Sub.E3)
-    assert classify_ar2(3, -1) == RegionLabel(Major.C)
-    assert classify_ar2(0, 2) == RegionLabel(Major.C)
+    assert classify_ar2(2, -1) is Region.P
+    assert classify_ar2(1, 1) is Region.C
+    assert classify_ar2(-1, 2) is Region.E1
+    assert classify_ar2(-0.4, -0.4) is Region.E2
+    assert classify_ar2(0, 1) is Region.P
+    assert classify_ar2(0.5, -0.5) is Region.E3
+    assert classify_ar2(3, -1) is Region.C
+    assert classify_ar2(0, 2) is Region.C
     assert str(classify_ar2(-0.4, -0.4)) == "E/E2"
+
+
+# region -> a point in it, str(), .major and .sub
+REGION_CASES = {
+    Region.C: ((1.0, 1.0), "C", "C", None),
+    Region.P: ((0.5, 0.5), "P", "P", None),
+    Region.E1: ((-1.0, 2.0), "E/E1", "E", "E1"),
+    Region.E2: ((-0.4, -0.4), "E/E2", "E", "E2"),
+    Region.E3: ((0.5, -0.5), "E/E3", "E", "E3"),
+    Region.E_OTHER: ((0.3, 0.2), "E/EOther", "E", "EOther"),
+}
+
+
+@pytest.mark.parametrize("region", list(Region), ids=lambda r: r.name)
+def test_every_region_value(region):
+    (a1, a2), text, major, sub = REGION_CASES[region]
+    assert classify_ar2(a1, a2) is region
+    assert (str(region), region.major, region.sub) == (text, major, sub)
+    obj = predict(a1, a2, gaussian(), 0.0).to_json_dict()
+    assert (obj["region"], obj["sub"]) == (major, sub)
 
 
 def test_boundary_semantics_are_exact():
     # the P line is sharp
-    assert classify_ar2(0.5, 0.5).major is Major.P
-    assert classify_ar2(0.5, 0.5 + 1e-12).major is Major.C
-    assert classify_ar2(0.5, 0.5 - 1e-12).major is Major.E
+    assert classify_ar2(0.5, 0.5) is Region.P
+    assert classify_ar2(0.5, 0.5 + 1e-12) is Region.C
+    assert classify_ar2(0.5, 0.5 - 1e-12).major == "E"
     # a1 >= 2 boundary of C
-    assert classify_ar2(2.0, 0.1).major is Major.C
+    assert classify_ar2(2.0, 0.1) is Region.C
     # origin is E2 (closed quadrant)
-    assert classify_ar2(0.0, 0.0) == RegionLabel(Major.E, Sub.E2)
+    assert classify_ar2(0.0, 0.0) is Region.E2
 
 
 def test_classify_rejects_non_finite():
@@ -47,23 +69,23 @@ def test_classify_rejects_non_finite():
 
 
 def test_partition_single_label_on_grid():
-    counts = {Major.C: 0, Major.P: 0, Major.E: 0}
+    counts = {"C": 0, "P": 0, "E": 0}
     for a1 in GRID:
         for a2 in GRID:
-            label = classify_ar2(a1, a2)
-            counts[label.major] += 1
-            assert (label.sub is not None) == (label.major is Major.E)
-            # C and P oracles must agree with the label (so no point could
-            # carry two labels)
-            assert _in_p(a1, a2) == (label.major is Major.P)
-            assert _in_c(a1, a2) == (label.major is Major.C)
+            region = classify_ar2(a1, a2)
+            counts[region.major] += 1
+            assert (region.sub is not None) == (region.major == "E")
+            # C and P oracles must agree with the region (so no point could
+            # carry two regions)
+            assert _in_p(a1, a2) == (region is Region.P)
+            assert _in_c(a1, a2) == (region is Region.C)
     assert sum(counts.values()) == len(GRID) ** 2
-    assert counts[Major.C] > 0 and counts[Major.E] > 0
+    assert counts["C"] > 0 and counts["E"] > 0
     # the P line is measure zero; this grid's float sums never hit 1 exactly,
     # so P membership is checked at exactly-representable points instead
     for a1, a2 in [(2.0, -1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5),
                    (1.5, -0.5), (0.25, 0.75)]:
-        assert classify_ar2(a1, a2).major is Major.P
+        assert classify_ar2(a1, a2) is Region.P
 
 
 def test_sub_regions_inside_e_on_grid():
@@ -74,17 +96,16 @@ def test_sub_regions_inside_e_on_grid():
             e3 = a1 > 0 and a1 * a1 + 4 * a2 < 0
             if e1 or e2 or e3:
                 assert not _in_c(a1, a2) and not _in_p(a1, a2)
-                label = classify_ar2(a1, a2)
-                assert label.major is Major.E
+                region = classify_ar2(a1, a2)
+                assert region.major == "E"
                 if e1:
-                    assert label.sub is Sub.E1
+                    assert region is Region.E1
 
 
 def test_p_with_small_a2_iff_nonzero_limit():
     for a1 in GRID:
         for a2 in GRID:
-            label = classify_ar2(a1, a2)
-            lhs = label.major is Major.P and abs(a2) < 1
+            lhs = classify_ar2(a1, a2) is Region.P and abs(a2) < 1
             rhs = coeff_limit_class(a1, a2).kind is LimitKind.CONVERGES_NONZERO
             assert lhs == rhs, (a1, a2)
 
