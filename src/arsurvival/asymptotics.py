@@ -162,7 +162,8 @@ def fit_decay(curve: SurvivalCurve) -> DecayFit:
 
     common = dict(r2_loglog=r2_ll, r2_semilog=r2_sl, plateau_stat=plateau_stat,
                   window=window, n_usable=n_usable, n_censored=n_censored)
-    wq = 1.0 / se[-q:] ** 2
+    # exact-1 entries (se = 0) get the floor of w: relative error 1/paths
+    wq = 1.0 / np.where(se > 0.0, se, 1.0 / curve.paths)[-q:] ** 2
     p_pool = float((wq * tail_p).sum() / wq.sum())
     se_pool = 1.0 / math.sqrt(wq.sum())
     if plateau_stat <= _PLATEAU_Z and se_pool <= 0.25 * p_pool:

@@ -19,6 +19,7 @@ Covers the constructive results that come with computable constants:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -147,14 +148,19 @@ def _scan_lower_bound(spec, a_plus: float, a_minus: float) -> LowerBoundResult:
         # P(Y in [alpha (1 - a_+), alpha |a_-|]) at a float or an array of them
         return spec.interval_prob(alpha * (1.0 - a_plus), alpha * abs_minus)
 
-    seeds = list(-scale * np.logspace(math.log10(_SCAN_LO), math.log10(_SCAN_HI),
-                                      _SCAN_POINTS))
+    # a seed past -1.8e308 (the far end of the grid when the scale exceeds about
+    # 1.8e302, or an atom's seed) is -inf: clip it into float range
+    with np.errstate(over="ignore"):
+        seeds = -scale * np.logspace(math.log10(_SCAN_LO), math.log10(_SCAN_HI),
+                                     _SCAN_POINTS)
+    seeds = list(np.maximum(seeds, -sys.float_info.max))
     atoms = spec.atoms()
     if atoms is not None and abs_minus > 0.0:
         for v, _ in atoms:
             if v < 0.0:
                 lo_a, hi_a = v / abs_minus, v / (1.0 - a_plus)
-                seeds += [lo_a, hi_a, -math.sqrt(lo_a * hi_a)]
+                seeds += [max(alpha, -sys.float_info.max)
+                          for alpha in (lo_a, hi_a, -math.sqrt(lo_a * hi_a))]
     seeds.sort()
     values = objective(np.array(seeds))
     i = int(np.argmax(values))

@@ -13,9 +13,9 @@ which makes estimates bit-identical for any worker count and any tiling,
 and makes runs at different barriers share their noise (common random
 numbers).  Every simulation here, the engine, the pair frequency and the
 reduction checks, steps tiles of at most ``_TILE_PATHS`` paths with one
-walker, ``_Walk``, so memory is bounded whatever the path count.  A walker
-whose live set has thinned out draws k blocks (4k steps) per rng call, with
-k from ``rng.lookahead_blocks``: no innovation changes, only when it is made.
+walker, ``_Walk``, so memory is bounded whatever the path count.  It makes
+one rng call per refill, which gives a thinned-out live set k blocks (4k
+steps) at once: no innovation changes, only when it is made.
 
 Survival certificate: innovations are bounded above by B, the largest value
 the transform takes on the rng's uniform range [2^-54, 1 - 2^-53].  When
@@ -43,7 +43,7 @@ from ._philox import U_MAX, U_MIN
 from .bounds import integrate_params
 from .coeffs import ARParams, ar2_closed_form, ar_step, Branch
 from .innovations import InnovationSpec, json_int, json_number, spec_from_json
-from .rng import lookahead_blocks, path_uniform_block
+from .rng import path_uniform_block
 
 __all__ = [
     "SurvivalCurve",
@@ -101,7 +101,7 @@ class _Walk:
     """Paths lo..hi-1 of one run, stepped together from the zero start.
 
     ``step()`` returns X_n and leaves Y_n in ``y``; lags[k] is then X_{n-k}.
-    ``keep(rows)`` drops every other row and the used look-ahead columns.
+    ``keep(rows)`` drops every other row; ``buf`` holds the unused draws.
     """
 
     def __init__(self, params: ARParams, spec: InnovationSpec, seed: int,
@@ -112,28 +112,25 @@ class _Walk:
         self.ids = np.arange(lo, hi, dtype=np.uint64)
         self.lags = [np.zeros(hi - lo) for _ in range(params.p)]
         self.n_blocks = -(-n_max // 4)
-        # buf[:, c] holds innovation j0 + c of every live path, up to j_end
         self.buf = np.empty((hi - lo, 0))
-        self.j = self.j0 = self.j_end = 0
+        self.j = 0      # steps taken: j // 4 is the next block once buf is empty
 
     def step(self) -> np.ndarray:
-        j = self.j
-        if j == self.j_end:
-            k = lookahead_blocks(self.ids, self.n_blocks - (j >> 2))
-            self.buf = self.spec.transform(path_uniform_block(self.seed, self.ids, j >> 2, k))
-            self.j0, self.j_end = j, j + 4 * k
-        self.y = self.buf[:, j - self.j0]
+        if self.buf.shape[1] == 0:
+            block = self.j >> 2
+            self.buf = self.spec.transform(path_uniform_block(
+                self.seed, self.ids, block, self.n_blocks - block))
+        self.y = self.buf[:, 0]
+        self.buf = self.buf[:, 1:]
         with np.errstate(invalid="ignore", over="ignore"):
             self.lags = [ar_step(self.a, self.y, self.lags)] + self.lags[:-1]
-        self.j = j + 1
+        self.j += 1
         return self.lags[0]
 
     def keep(self, rows) -> None:
         self.ids = self.ids[rows]
         self.lags = [lag[rows] for lag in self.lags]
-        # the used columns are dropped with the dead rows
-        self.buf = self.buf[rows, self.j - self.j0:]
-        self.j0 = self.j
+        self.buf = self.buf[rows]
 
 
 def _innovation_bound(spec: InnovationSpec) -> float:
@@ -184,7 +181,7 @@ def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
         bad = np.isnan(xval)
         crossed = xval > x
         drop = crossed | bad
-        if level is not None and walk.j == walk.j_end:
+        if level is not None and walk.buf.shape[1] == 0:
             # held: every lag at or below the level (a NaN lag is not held)
             drop |= np.maximum.reduce(walk.lags) <= level
         if drop.any():

@@ -12,9 +12,9 @@ derived by index rather than by splitting state.
 
 Block j//4 of consecutive streams sits at consecutive counters, so
 ``path_uniform_block`` draws one block of a dense set from numpy's C Philox
-and anything else (a sparse set, or several blocks, which the walker asks
-for only on a sparse set; see ``lookahead_blocks``) with the vectorized
-``_philox``.  Both give the same words, so the choice never changes a draw.
+and several blocks ahead of a sparse set from the vectorized ``_philox``,
+and the width of its result says how many.  Both give the same words, so
+the choice never changes a draw.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from numpy.random import Philox
 
 from ._philox import philox_block, words_to_uniform
 
-__all__ = ["lookahead_blocks", "path_uniform_block"]
+__all__ = ["path_uniform_block"]
 
 _MASK64 = (1 << 64) - 1
 _MASK256 = (1 << 256) - 1
@@ -66,34 +66,23 @@ def _is_dense(ids: np.ndarray) -> bool:
     return ids.size >= _DENSE_SHARE * (int(ids[-1]) - int(ids[0]) + 1)
 
 
-def lookahead_blocks(path_ids: np.ndarray, blocks_left: int) -> int:
-    """Blocks per ``path_uniform_block`` call for a walk over ascending ``path_ids``.
-
-    One on the dense route, whose cost is per block anyway; on the sparse
-    route enough to put about 2^16 words in flight, at most ``blocks_left``.
-    """
-    ids = np.asarray(path_ids)
-    if ids.size == 0 or _is_dense(ids):
-        return 1
-    return max(1, min(_LOOKAHEAD_WORDS // (4 * ids.size), blocks_left))
-
-
 def path_uniform_block(seed: int, path_ids: np.ndarray, block: int,
-                       count: int = 1) -> np.ndarray:
-    """Uniform lanes of ``count`` consecutive counter blocks for many streams at once.
+                       blocks_left: int = 1) -> np.ndarray:
+    """Uniform lanes of k consecutive counter blocks for many streams at once.
 
-    Returns shape ``(len(path_ids), 4 * count)``: row i holds draws
-    4*block .. 4*(block+count)-1 of stream (seed, path_ids[i]).  ``path_ids``
-    must be ascending.  Used by the simulation engine, which walks streams in
-    step with each other.
+    Row i of the ``(len(path_ids), 4 * k)`` result holds draws 4*block ..
+    4*(block+k)-1 of stream (seed, path_ids[i]); ``path_ids`` must ascend.
+    k is 1 on the dense route, whose cost is per block anyway, and on the
+    sparse route enough for about 2^16 words, at most ``blocks_left``.
     """
     ids = np.asarray(path_ids, dtype=np.uint64)
     if ids.size == 0:
-        return np.empty((0, 4 * count), np.float64)
+        return np.empty((0, 4), np.float64)
     seed = _as_u64(seed)
     block = _as_u64(block)
-    if count == 1 and _is_dense(ids):
+    if _is_dense(ids):
         return words_to_uniform(_dense_words(seed, ids, block))
-    blocks = np.uint64(block) + np.arange(count, dtype=np.uint64)
+    k = max(1, min(_LOOKAHEAD_WORDS // (4 * ids.size), blocks_left))
+    blocks = np.uint64(block) + np.arange(k, dtype=np.uint64)
     u = words_to_uniform(philox_block(ids[:, None], blocks[None, :], np.uint64(seed)))
-    return u.reshape(ids.size, 4 * count)
+    return u.reshape(ids.size, 4 * k)

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ def test_plateau_detection():
     assert fit.decay_class is DecayClass.POSITIVE_LIMIT
     assert fit.p_inf == pytest.approx(0.3, rel=1e-4)
     assert fit.plateau_stat <= 2.0
+
+
+def test_exact_one_entries_pool_without_warning():
+    # p_hat = 1 has stderr 0; in the plateau pool it weighs as relative error 1/paths
+    grid = [2 ** k for k in range(8)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = fit_decay(synthetic_curve(grid, [1.0] * 8, paths=1000))
+        mixed = fit_decay(synthetic_curve(grid, [1.0] * 7 + [0.999], paths=1000))
+    assert flat.decay_class is DecayClass.POSITIVE_LIMIT
+    assert flat.p_inf == 1.0
+    for fit in (flat, mixed):
+        numbers = [v for v in fit.to_json_dict().values() if isinstance(v, float)]
+        assert not any(math.isnan(v) for v in numbers)
 
 
 def test_too_few_usable_points_is_inconclusive():

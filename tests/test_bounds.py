@@ -11,7 +11,8 @@ from arsurvival.bounds import (BoundMethod, DegenerateBoundError,
                                e1_rate_bound, e3_sign_change_index,
                                exp_lower_bound, integrate_params)
 from arsurvival.coeffs import ar_params, coeff_recursion
-from arsurvival.innovations import gaussian, rademacher, uniform
+from arsurvival.innovations import (exponential_centered, gaussian, rademacher,
+                                    two_point, uniform)
 from arsurvival.mc import estimate_survival
 from arsurvival.regions import Region, classify_ar2
 
@@ -103,6 +104,25 @@ def test_huge_coefficient_sum_refused_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(PreconditionError):
             exp_lower_bound(ar_params([-1.7e308, 1.7e308]), gaussian())
+
+
+@pytest.mark.parametrize("a, spec", [
+    ((0.3, 0.2), gaussian(0.0, 1e308)),
+    ((0.3, 0.2), uniform(-1e303, 1e303)),
+    ((0.3, 0.2), exponential_centered(1e-305)),
+    ((-0.3, 0.2), two_point(1e305)),
+    # the atom's seed -1e300 / |a_-| overflows, not the grid
+    ((1e-300, -1e-300), two_point(1e300)),
+], ids=["gaussian", "uniform", "exponential", "two_point", "two_point-atom"])
+def test_scan_of_huge_scale_stays_in_float_range(a, spec):
+    # 1e6 times a scale above about 1.8e302 overflows: the scan clips its far
+    # seeds to the largest float instead of evaluating -inf and NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = exp_lower_bound(ar_params(a), spec)
+    assert res.method is BoundMethod.NUMERIC_SCAN
+    assert 0.0 < res.c <= spec.prob_nonpositive()
+    assert math.isfinite(res.alpha_star)
 
 
 def test_bound_certifies_simulation():

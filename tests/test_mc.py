@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from arsurvival.coeffs import ar_params
-from arsurvival._philox import words_to_uniform
+from arsurvival._philox import philox_block, words_to_uniform
 from arsurvival.innovations import (exponential_centered, gaussian, rademacher,
                                     two_point, uniform)
 from arsurvival.mc import (ConstraintError, ReductionKind, SurvivalCurve,
@@ -49,8 +49,10 @@ def crossing_time_from_innovations(params, x, y) -> int:
 
 
 def innovations(spec, seed, ids, n):
-    """Y[row, step] for steps 1..n of the given paths, straight from the rng."""
-    return spec.transform(path_uniform_block(seed, ids, 0, -(-n // 4)))[:, :n]
+    """Y[row, step] for steps 1..n of the given paths, straight from Philox."""
+    blocks = np.arange(-(-n // 4), dtype=np.uint64)
+    words = philox_block(ids[:, None], blocks[None, :], seed).reshape(ids.size, -1)
+    return spec.transform(words_to_uniform(words))[:, :n]
 
 
 def test_crossing_time_hand_cases():
@@ -100,9 +102,10 @@ def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
     n_max, lo, hi = 4 * 97 + 3, 500, 3500
     drawn = []
 
-    def recorded(seed, ids, block, count=1):
-        drawn.append((block, count))
-        return path_uniform_block(seed, ids, block, count)
+    def recorded(seed, ids, block, blocks_left=1):
+        u = path_uniform_block(seed, ids, block, blocks_left)
+        drawn.append((block, u.shape[1] // 4))
+        return u
 
     monkeypatch.setattr(mc, "path_uniform_block", recorded)
     params = ar_params(a)
@@ -133,9 +136,10 @@ def test_certified_paths_keep_their_crossing_times(monkeypatch, a, spec, x):
     assert _survival_level(params, spec, x) is not None
     words = []
 
-    def counted(seed, ids, block, count=1):
-        words.append(4 * count * len(ids))
-        return path_uniform_block(seed, ids, block, count)
+    def counted(seed, ids, block, blocks_left=1):
+        u = path_uniform_block(seed, ids, block, blocks_left)
+        words.append(u.size)
+        return u
 
     monkeypatch.setattr(mc, "path_uniform_block", counted)
     tau = _crossing_times_range(params, spec, x, n_max, 5, lo, hi)

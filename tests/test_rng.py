@@ -4,7 +4,7 @@ from numpy.random import Philox
 
 from arsurvival._philox import philox_block, words_to_uniform
 from arsurvival import rng
-from arsurvival.rng import _dense_words, lookahead_blocks, path_uniform_block
+from arsurvival.rng import _dense_words, path_uniform_block
 
 M64 = 2**64
 
@@ -118,25 +118,21 @@ def test_path_uniform_block_matches_streams():
     np.arange(1000, 1400),
     np.array([3, 9000]),
     np.arange(0, 6000, 97),
-], ids=["dense", "two-far", "spread"])
-@pytest.mark.parametrize("block, count", [(0, 1), (5, 3), (2**64 - 2, 5)])
-def test_block_count_equals_single_blocks(ids, block, count):
-    # one call for count blocks reads what count one-block calls read,
-    # through the counter's wrap at 2^64 too
+    np.arange(0, 10**6, 10),
+], ids=["dense", "two-far", "spread", "wide-sparse"])
+@pytest.mark.parametrize("block, blocks_left", [
+    (0, 1), (5, 3), (2**64 - 2, 5), (0, 300), (2**64 - 2, 300)])
+def test_block_count_equals_single_blocks(ids, block, blocks_left):
+    # the width is one block on the dense route and, on the sparse route,
+    # about 2^16 words (at least one block, at most blocks_left); the k blocks
+    # are what k one-block calls read, through the counter's wrap at 2^64 too
     ids = ids.astype(np.uint64)
-    many = path_uniform_block(31, ids, block, count)
-    assert many.shape == (ids.size, 4 * count)
-    singles = [path_uniform_block(31, ids, block + i) for i in range(count)]
-    assert many.tobytes() == np.concatenate(singles, axis=1).tobytes()
-
-
-def test_lookahead_only_on_the_sparse_route():
-    dense = np.arange(5000, dtype=np.uint64)
-    assert lookahead_blocks(dense, 100) == 1
-    # ids spread over more than 6 times their count take the vectorized route
-    sparse = np.arange(0, 60 * 1000, 60, dtype=np.uint64)
-    assert sparse.size < rng._DENSE_SHARE * (int(sparse[-1]) + 1)
-    k = lookahead_blocks(sparse, 100)
-    assert 1 < k and 4 * sparse.size * k <= rng._LOOKAHEAD_WORDS
-    assert lookahead_blocks(sparse, 3) == 3
-    assert lookahead_blocks(np.arange(0, 10**6, 10, dtype=np.uint64), 50) == 1
+    u = path_uniform_block(31, ids, block, blocks_left)
+    if ids.size >= rng._DENSE_SHARE * (int(ids[-1]) - int(ids[0]) + 1):
+        k = 1
+    else:
+        k = max(1, min(rng._LOOKAHEAD_WORDS // (4 * ids.size), blocks_left))
+    assert u.shape == (ids.size, 4 * k)
+    singles = [path_uniform_block(31, ids, block + i) for i in range(k)]
+    assert all(s.shape == (ids.size, 4) for s in singles)
+    assert u.tobytes() == np.concatenate(singles, axis=1).tobytes()
