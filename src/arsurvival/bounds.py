@@ -134,7 +134,9 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
                         / (width ** 2 - abs_minus ** 2))
     from scipy.special import ndtr
     c = float(ndtr(t_star * abs_minus) - ndtr(t_star * width))
-    return LowerBoundResult(c=c, alpha_star=sigma * t_star, a_plus=a_plus,
+    # a sigma near the float limit takes alpha* past -1.8e308: clip it, as the scan does
+    alpha_star = max(sigma * t_star, -sys.float_info.max)
+    return LowerBoundResult(c=c, alpha_star=alpha_star, a_plus=a_plus,
                             a_minus=a_minus, A=abs_minus / width,
                             method=BoundMethod.GAUSSIAN_CLOSED_FORM)
 

@@ -24,10 +24,11 @@ summed as ``ar_step`` sums, keeps a path whose lags are all <= c at or below
 c forever, since rounding is monotone: it never crosses and never turns NaN.
 The engine takes the first of c* = -B/(a_1 + ... + a_p - 1) and 2c*, each
 capped at x, that passes the check when the sum exceeds 1 (c* itself is the
-fixed point, where rounding decides), and c = x otherwise.  At each step
-that uses up the look-ahead buffer it drops, with the dead paths, the live
+fixed point, where rounding decides), and c = x otherwise.  A death inside
+the look-ahead buffer only narrows the walker's index of live rows; at each
+step that uses up the buffer the engine drops, with the dead paths, the live
 paths whose lags are all <= c, with tau = n_max + 1, which is what walking
-them would give; the next refill draws no words for them.  Words are
+them would give, and the next refill draws no words for them.  Words are
 counter-based, so no other path's draws change.
 """
 
@@ -101,7 +102,10 @@ class _Walk:
     """Paths lo..hi-1 of one run, stepped together from the zero start.
 
     ``step()`` returns X_n and leaves Y_n in ``y``; lags[k] is then X_{n-k}.
-    ``keep(rows)`` drops every other row; ``buf`` holds the unused draws.
+    ``keep(rows)`` drops the rows where the boolean ``rows`` is False.
+    ``buf`` holds the unused columns of the last refill's draws, one row per
+    path live at that refill, and ``rows`` maps each live path to its row
+    (None: row i is path i), so a death moves an index, never a draw.
     """
 
     def __init__(self, params: ARParams, spec: InnovationSpec, seed: int,
@@ -113,6 +117,7 @@ class _Walk:
         self.lags = [np.zeros(hi - lo) for _ in range(params.p)]
         self.n_blocks = -(-n_max // 4)
         self.buf = np.empty((hi - lo, 0))
+        self.rows = None
         self.j = 0      # steps taken: j // 4 is the next block once buf is empty
 
     def step(self) -> np.ndarray:
@@ -120,7 +125,9 @@ class _Walk:
             block = self.j >> 2
             self.buf = self.spec.transform(path_uniform_block(
                 self.seed, self.ids, block, self.n_blocks - block))
-        self.y = self.buf[:, 0]
+            self.rows = None
+        col = self.buf[:, 0]
+        self.y = col if self.rows is None else col[self.rows]
         self.buf = self.buf[:, 1:]
         with np.errstate(invalid="ignore", over="ignore"):
             self.lags = [ar_step(self.a, self.y, self.lags)] + self.lags[:-1]
@@ -130,7 +137,9 @@ class _Walk:
     def keep(self, rows) -> None:
         self.ids = self.ids[rows]
         self.lags = [lag[rows] for lag in self.lags]
-        self.buf = self.buf[rows]
+        if self.buf.shape[1]:       # a used-up buffer is replaced at the next step
+            rows = np.flatnonzero(rows)
+            self.rows = rows if self.rows is None else self.rows[rows]
 
 
 def _innovation_bound(spec: InnovationSpec) -> float:

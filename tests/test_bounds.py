@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -123,6 +124,15 @@ def test_scan_of_huge_scale_stays_in_float_range(a, spec):
     assert res.method is BoundMethod.NUMERIC_SCAN
     assert 0.0 < res.c <= spec.prob_nonpositive()
     assert math.isfinite(res.alpha_star)
+
+
+def test_closed_form_of_huge_scale_stays_in_float_range():
+    # sigma * t* overflows past -1.8e308: alpha* is clipped, c keeps its bits
+    res = exp_lower_bound(ar_params([-0.3, 0.2]), gaussian(0.0, 1e308))
+    assert res.method is BoundMethod.GAUSSIAN_CLOSED_FORM
+    assert res.alpha_star == -sys.float_info.max
+    assert res.c == 0.2200902695550157
+    assert res.c == exp_lower_bound(ar_params([-0.3, 0.2]), gaussian()).c
 
 
 def test_bound_certifies_simulation():

@@ -119,6 +119,34 @@ def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
     assert any(((start <= j) & (j < end - 1)).any() for start, end in ahead)
 
 
+def test_keep_composes_the_index_and_never_copies_the_buffer():
+    # a tile thinned below the dense share takes the sparse route, and its one
+    # refill draws every block at once; a death inside that buffer moves the
+    # live paths' row index, never their draws
+    params, spec, seed, n, x = RW, gaussian(), 99, 80, 0.0
+    walk = _Walk(params, spec, seed, 0, 3000, n)
+    walk.keep(np.arange(3000) % 10 == 0)
+    ids0 = walk.ids
+    tau = np.full(ids0.size, n + 1)
+    drawn, keeps = None, 0
+    for j in range(n):
+        xval = walk.step()
+        if drawn is None:
+            drawn = walk.buf        # a view of the refill's draws
+            assert drawn.shape == (ids0.size, n - 1)
+        assert (walk.y == innovations(spec, seed, walk.ids, n)[:, j]).all()
+        crossed = xval > x
+        if crossed.any():
+            tau[np.searchsorted(ids0, walk.ids[crossed])] = j + 1
+            walk.keep(~crossed)
+            if walk.buf.shape[1]:
+                keeps += 1
+                assert np.shares_memory(walk.buf, drawn)
+    assert keeps >= 2
+    y = innovations(spec, seed, ids0, n)
+    assert tau.tolist() == [crossing_time_from_innovations(params, x, row) for row in y]
+
+
 @pytest.mark.parametrize("a, spec, x", [
     ((1.0, 1.0), gaussian(), 0.0),
     ((1.0, 1.0), rademacher(), 0.0),
