@@ -2,8 +2,8 @@
 
 Each criterion pins one verifiable consequence of the theory to a concrete
 simulation or computation with a fixed seed, so the whole suite is
-deterministic.  The full suite is the release gate; the quick suite reruns
-the simulation-heavy criteria at reduced path counts for fast smoke checks.
+deterministic.  The suite is the release gate: ``arsurvival verify`` runs
+every criterion, each at its one size, and ``--only`` picks among them.
 
     P1  random walk               theta in [0.45, 0.55]
     P2  integrated random walk    theta in [0.18, 0.32]
@@ -33,7 +33,7 @@ from .mc import ReductionKind, estimate_survival, pair_survival_frequency, \
 from .oracle import enumerate_survival, gaussian_pair_probability, \
     pair_orthant_probability
 
-__all__ = ["CriterionResult", "run_suite", "CRITERIA", "SUITES"]
+__all__ = ["CriterionResult", "run_suite", "CRITERIA"]
 
 
 @dataclass
@@ -53,19 +53,23 @@ def _dyadic(lo: int, hi: int) -> list[int]:
     return [2 ** k for k in range(lo, hi + 1)]
 
 
-def _theta_criterion(cid, desc, a, grid, paths, seed, lo, hi, quick_paths):
-    def run(quick: bool = False) -> CriterionResult:
-        n_paths = quick_paths if quick else paths
-        curve = estimate_survival(ar_params(a), gaussian(), 0.0, grid,
-                                  n_paths, seed)
-        fit = fit_decay(curve)
-        ok = fit.decay_class is DecayClass.POLYNOMIAL and fit.theta is not None \
-            and lo <= fit.theta <= hi
-        theta = fit.theta if fit.theta is not None else float("nan")
+def _theta_fit(a, grid, paths, seed, lo, hi):
+    """Fit a Gaussian curve from x = 0: polynomial with theta in [lo, hi] passes."""
+    curve = estimate_survival(ar_params(a), gaussian(), 0.0, grid, paths, seed)
+    fit = fit_decay(curve)
+    ok = fit.decay_class is DecayClass.POLYNOMIAL and fit.theta is not None \
+        and lo <= fit.theta <= hi
+    theta = fit.theta if fit.theta is not None else float("nan")
+    detail = (f"class={fit.decay_class.value} theta={theta:.4f} "
+              f"target=[{lo}, {hi}] paths={paths}")
+    return curve, fit, ok, detail
+
+
+def _theta_criterion(cid, desc, a, grid, paths, seed, lo, hi):
+    def run() -> CriterionResult:
+        _, fit, ok, detail = _theta_fit(a, grid, paths, seed, lo, hi)
         return CriterionResult(
-            cid, desc, ok,
-            details=[f"class={fit.decay_class.value} theta={theta:.4f} "
-                     f"target=[{lo}, {hi}] paths={n_paths}"],
+            cid, desc, ok, details=[detail],
             metrics={"theta": fit.theta, "class": fit.decay_class.value,
                      "r2_loglog": fit.r2_loglog, "r2_semilog": fit.r2_semilog})
     return run
@@ -73,31 +77,23 @@ def _theta_criterion(cid, desc, a, grid, paths, seed, lo, hi, quick_paths):
 
 criterion_p1 = _theta_criterion(
     "P1", "random walk decays like N^-1/2", [1.0, 0.0], _dyadic(4, 13),
-    100_000, 101, 0.45, 0.55, quick_paths=20_000)
+    100_000, 101, 0.45, 0.55)
 
 criterion_p2 = _theta_criterion(
     "P2", "integrated random walk decays like N^-1/4", [2.0, -1.0],
-    _dyadic(4, 12), 100_000, 102, 0.18, 0.32, quick_paths=20_000)
+    _dyadic(4, 12), 100_000, 102, 0.18, 0.32)
 
 criterion_p4 = _theta_criterion(
     "P4", "interior P-line point decays like N^-1/2", [0.5, 0.5],
-    _dyadic(4, 13), 100_000, 104, 0.40, 0.60, quick_paths=20_000)
+    _dyadic(4, 13), 100_000, 104, 0.40, 0.60)
 
 
-def criterion_p3(quick: bool = False) -> CriterionResult:
+def criterion_p3() -> CriterionResult:
     """Two interleaved walks: theta near 1 plus the exact squared identity."""
-    paths = 50_000 if quick else 200_000
-    top = 11 if quick else 12
-    grid = _dyadic(4, top)
-    details = []
-    curve = estimate_survival(ar_params([0.0, 1.0]), gaussian(), 0.0, grid,
-                              paths, 103)
-    fit = fit_decay(curve)
-    ok_theta = fit.decay_class is DecayClass.POLYNOMIAL and fit.theta is not None \
-        and 0.85 <= fit.theta <= 1.15
-    theta = fit.theta if fit.theta is not None else float("nan")
-    details.append(f"class={fit.decay_class.value} theta={theta:.4f} "
-                   f"target=[0.85, 1.15] paths={paths}")
+    paths, top = 200_000, 12
+    curve, fit, ok_theta, detail = _theta_fit([0.0, 1.0], _dyadic(4, top), paths,
+                                              103, 0.85, 1.15)
+    details = [detail]
 
     # p_hat(2N) must match the squared one-walk estimate at N
     half = 2 ** (top - 1)
@@ -111,10 +107,9 @@ def criterion_p3(quick: bool = False) -> CriterionResult:
                    f"(3*comb={3 * comb:.2g})")
 
     # and exactly, via enumeration, for sign innovations
-    n_top = 8 if quick else 10
     worst = 0.0
     signs = rademacher().atoms()
-    for n in range(1, n_top + 1):
+    for n in range(1, 11):
         both = enumerate_survival(ar_params([0.0, 1.0]), signs, 0.0, 2 * n)
         one = enumerate_survival(ar_params([1.0]), signs, 0.0, n)
         worst = max(worst, abs(both - one * one))
@@ -128,9 +123,9 @@ def criterion_p3(quick: bool = False) -> CriterionResult:
                  "enum_max_diff": worst})
 
 
-def criterion_e1(quick: bool = False) -> CriterionResult:
+def criterion_e1() -> CriterionResult:
     """All-negative coefficients: exponential decay between the two bounds."""
-    paths = 200_000 if quick else 1_000_000
+    paths = 1_000_000
     params = ar_params([-0.4, -0.4])
     spec = gaussian()
     curve = estimate_survival(params, spec, 0.0, list(range(1, 41)), paths, 105)
@@ -163,9 +158,9 @@ def criterion_e1(quick: bool = False) -> CriterionResult:
                  "c": bound.c, "paths": paths})
 
 
-def criterion_c1(quick: bool = False) -> CriterionResult:
+def criterion_c1() -> CriterionResult:
     """Supercritical region: the survival curve plateaus at a positive level."""
-    paths = 20_000 if quick else 100_000
+    paths = 100_000
     curve = estimate_survival(ar_params([1.0, 1.0]), gaussian(), 0.0,
                               _dyadic(4, 10), paths, 106)
     fit = fit_decay(curve)
@@ -183,9 +178,9 @@ def criterion_c1(quick: bool = False) -> CriterionResult:
         metrics={"class": fit.decay_class.value, "p_inf": fit.p_inf})
 
 
-def criterion_o1(quick: bool = False) -> CriterionResult:
+def criterion_o1() -> CriterionResult:
     """MC agrees with the exact oracle in at least 11 of 12 cells."""
-    paths = 100_000 if quick else 1_000_000
+    paths = 1_000_000
     cases = ([1.0, 0.0], [2.0, -1.0], [0.5, 0.5], [-0.4, -0.4])
     horizons = [4, 8, 12]
     hits = 0
@@ -246,7 +241,7 @@ def coefficient_grid_discrepancy(n_max: int = 200, grid_points: int = 41):
     return worst, checked
 
 
-def criterion_f1(quick: bool = False) -> CriterionResult:
+def criterion_f1() -> CriterionResult:
     """Closed forms agree with the recursion across the coefficient grid."""
     n_max, grid_points = 200, 41
     worst, checked = coefficient_grid_discrepancy(n_max, grid_points)
@@ -260,7 +255,7 @@ def criterion_f1(quick: bool = False) -> CriterionResult:
         metrics={"max_rel_err": worst, "values": checked, "skipped": skipped})
 
 
-def criterion_r1(quick: bool = False) -> CriterionResult:
+def criterion_r1() -> CriterionResult:
     """Pathwise process transforms hold exactly on shared innovations."""
     paths, n_max, seed = 1000, 1000, 109
     spec = gaussian()
@@ -284,9 +279,9 @@ def criterion_r1(quick: bool = False) -> CriterionResult:
         total == 0, details, metrics={"violations": total})
 
 
-def criterion_g1(quick: bool = False) -> CriterionResult:
+def criterion_g1() -> CriterionResult:
     """Arcsine pair formula matches the MC pair frequency; rho=0 gives 1/4."""
-    paths = 100_000 if quick else 1_000_000
+    paths = 1_000_000
     params = ar_params([0.5, 0.25])
     exact = gaussian_pair_probability(params, 6)
     freq, se = pair_survival_frequency(params, gaussian(), 6, paths, 110)
@@ -313,24 +308,12 @@ CRITERIA = {
     "G1": criterion_g1,
 }
 
-SUITES = {
-    "full": list(CRITERIA),
-    "quick": ["P1", "P2", "P3", "P4", "E1"],
-}
-
-
-def run_suite(suite: str = "full", only: list[str] | None = None) -> list[CriterionResult]:
-    """Run a named suite, or only the named criteria at the suite's sizes.
-
-    ``only`` picks from every criterion, not just the suite's own.
-    """
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    quick = suite == "quick"
-    cids = SUITES[suite]
+def run_suite(only: list[str] | None = None) -> list[CriterionResult]:
+    """Run every criterion, or only the named ones, in registry order."""
+    cids = list(CRITERIA)
     if only:
         unknown = sorted(set(only) - set(CRITERIA))
         if unknown:
             raise ValueError(f"unknown criteria: {unknown}")
         cids = [c for c in CRITERIA if c in only]
-    return [CRITERIA[cid](quick=quick) for cid in cids]
+    return [CRITERIA[cid]() for cid in cids]

@@ -309,8 +309,10 @@ def predict(a1: float, a2: float, spec: InnovationSpec, x: float) -> Prediction:
     A pure function of the region and the innovation's analytic flags.
     When the region's rule does not hold for the innovation the prediction
     is INCONCLUSIVE and carries the hypothesis report.  The comparison with
-    fitted curves is only claimed for x >= 0.
+    fitted curves is only claimed for x >= 0; a NaN barrier raises ValueError.
     """
+    if math.isnan(x):
+        raise ValueError("barrier x must not be NaN")
     region = classify_ar2(a1, a2)
     notes = ("predictions are stated for barriers x >= 0",) if x < 0.0 else ()
     theorem, decay_class, needs, fail_notes = _REGIONS[region]

@@ -124,7 +124,7 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
         raise PreconditionError(f"needs sum |a_k| < 1, got {total}")
     a = np.asarray(params.a)
     a_plus, a_minus = float(a[a > 0].sum()), float(a[a < 0].sum())
-    abs_minus = -a_minus
+    abs_minus = abs(a_minus)        # -a_minus is -0.0 when no coefficient is negative
     if not (spec.kind is Kind.GAUSSIAN and spec.params[0] == 0.0 and abs_minus > 0.0):
         return _scan_lower_bound(spec, a_plus, a_minus)
     sigma = spec.params[1]
@@ -143,7 +143,7 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
 
 def _scan_lower_bound(spec, a_plus: float, a_minus: float) -> LowerBoundResult:
     """exp_lower_bound's numeric scan, for any innovation law."""
-    abs_minus = -a_minus
+    abs_minus = abs(a_minus)
     scale = spec.scale
 
     def objective(alpha):
@@ -177,8 +177,9 @@ def _scan_lower_bound(spec, a_plus: float, a_minus: float) -> LowerBoundResult:
         raise DegenerateBoundError(
             "no negative interval carries innovation mass; the certified "
             "constant would be 0")
-    return LowerBoundResult(c=best_c, alpha_star=best_alpha, a_plus=a_plus,
-                            a_minus=a_minus, A=abs_minus / (1.0 - a_plus),
+    return LowerBoundResult(c=float(best_c), alpha_star=float(best_alpha),
+                            a_plus=a_plus, a_minus=a_minus,
+                            A=abs_minus / (1.0 - a_plus),
                             method=BoundMethod.NUMERIC_SCAN)
 
 

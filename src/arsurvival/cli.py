@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -27,8 +26,9 @@ from .asymptotics import fit_decay, predict
 from .bounds import (DegenerateBoundError, PreconditionError, e1_rate_bound,
                      e3_sign_change_index, exp_lower_bound)
 from .coeffs import ar_params, coeff_limit_class
-from .innovations import InnovationSpec, spec_from_json
-from .mc import SurvivalCurve, estimate_survival, json_run_fields, resolve_workers
+from .innovations import (InnovationSpec, exponential_centered, gaussian, rademacher,
+                          spec_from_json, two_point, uniform)
+from .mc import SurvivalCurve, estimate_survival, json_run_fields
 from .regions import Region, classify_ar2
 
 EXIT_OK = 0
@@ -36,13 +36,9 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_INVALID = 4
 
-_DEFAULT_SPECS = {
-    "gaussian": {"kind": "gaussian", "params": {"mu": 0.0, "sigma": 1.0}},
-    "rademacher": {"kind": "rademacher", "params": {}},
-    "two_point": {"kind": "two_point", "params": {"y": 1.0}},
-    "uniform": {"kind": "uniform", "params": {"lo": -1.0, "hi": 1.0}},
-    "exponential_centered": {"kind": "exponential_centered", "params": {"rate": 1.0}},
-}
+_DEFAULT_SPECS = {spec.kind.value: spec for spec in (
+    gaussian(), rademacher(), two_point(1.0), uniform(-1.0, 1.0),
+    exponential_centered())}
 
 _CONFIG_KEYS = {"a", "innovation", "x", "grid", "paths", "seed", "out", "gnuplot"}
 _CONFIG_REQUIRED = {"a", "innovation", "x", "grid", "paths", "seed", "out"}
@@ -69,23 +65,12 @@ def _parse_spec(name: str, params_json: str | None) -> InnovationSpec:
     if name not in _DEFAULT_SPECS:
         raise ValueError(f"unknown innovation {name!r}; choose from "
                          f"{sorted(_DEFAULT_SPECS)}")
-    obj = dict(_DEFAULT_SPECS[name])
-    if params_json is not None:
-        obj = {"kind": name, "params": json.loads(params_json)}
-    return spec_from_json(obj)
-
-
-def _parse_coeffs(text: str) -> list[float]:
-    vals = [float(v) for v in text.split(",") if v.strip() != ""]
-    if not vals or not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"bad coefficient list {text!r}")
-    return vals
+    if params_json is None:
+        return _DEFAULT_SPECS[name]
+    return spec_from_json({"kind": name, "params": json.loads(params_json)})
 
 
 def cmd_classify(args) -> int:
-    if math.isnan(args.x):
-        print("error: barrier x must not be NaN", file=sys.stderr)
-        return EXIT_USAGE
     spec = _parse_spec(args.innovation, args.innovation_params)
     limit = coeff_limit_class(args.a1, args.a2)
     pred = predict(args.a1, args.a2, spec, args.x)
@@ -137,9 +122,10 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    workers = resolve_workers(args.workers)
+    if args.workers < 1:      # malformed input (exit 2), not a bad config
+        raise ValueError("workers must be >= 1")
     try:
-        curve = estimate_survival(params, **run, workers=workers)
+        curve = estimate_survival(params, **run, workers=args.workers)
     except ValueError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -168,8 +154,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    a = _parse_coeffs(args.a)
-    params = ar_params(a)
+    params = ar_params(v for v in args.a.split(",") if v.strip())
     spec = _parse_spec(args.innovation, args.innovation_params)
     out: dict = {"a": list(params.a), "innovation": spec.to_json_dict()}
     try:
@@ -194,7 +179,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     only = args.only.split(",") if args.only else None
-    results = acceptance.run_suite(args.suite, only=only)
+    results = acceptance.run_suite(only)
     for res in results:
         print(res.summary())
         if args.verbose:
@@ -227,11 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="estimate a survival curve from a config")
     s.add_argument("config", help="JSON config with keys "
                    "a, innovation, x, grid, paths, seed, out (optional gnuplot)")
-    s.add_argument("--workers", type=int, default=None,
+    s.add_argument("--workers", type=int, default=1,
                    help="worker processes, each simulating one contiguous range "
-                        "of paths in tiles of at most 65,536 (default "
-                        "$ARSURVIVAL_WORKERS or 1, at most the CPU count); "
-                        "does not change the numbers")
+                        "of paths in tiles of at most 65,536 (default 1, at "
+                        "most the CPU count); does not change the numbers")
     s.set_defaults(func=cmd_simulate)
 
     f = sub.add_parser("fit", help="fit the decay class of a stored curve")
@@ -245,11 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--innovation-params", default=None)
     b.set_defaults(func=cmd_bounds)
 
-    v = sub.add_parser("verify", help="run the acceptance suite")
-    v.add_argument("--suite", default="quick", choices=sorted(acceptance.SUITES))
+    v = sub.add_parser("verify", help="run every acceptance gate")
     v.add_argument("--only", default=None,
-                   help="comma-separated criterion ids to run, from any suite; "
-                        "--suite then sets only the sizes (quick or full)")
+                   help="comma-separated criterion ids to run (default: all ten)")
     v.add_argument("--verbose", action="store_true")
     v.set_defaults(func=cmd_verify)
     return parser

@@ -54,7 +54,6 @@ __all__ = [
     "ReductionKind",
     "ReductionReport",
     "pathwise_reduction_check",
-    "resolve_workers",
 ]
 
 SCHEMA_VERSION = 3
@@ -79,19 +78,9 @@ uniform_block = path_uniform_block
 # estimates with more than this fraction of non-finite paths are invalid
 _NONFINITE_LIMIT = 1e-3
 
-WORKERS_ENV = "ARSURVIVAL_WORKERS"
-
 
 class ConstraintError(ValueError):
     """Coefficients do not satisfy the requested transform's constraints."""
-
-
-def resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +421,7 @@ class SurvivalCurve:
 
 
 def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
-                      paths: int, seed: int, workers: int | None = None) -> SurvivalCurve:
+                      paths: int, seed: int, workers: int = 1) -> SurvivalCurve:
     """Estimate p_N(x) on a grid of horizons from ``paths`` simulated paths.
 
     One crossing time per path serves the whole grid.  Paths are cut into
@@ -441,15 +430,16 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
     count) processes: the calling one and a forked child per further range.
     Innovation j of path i is read from Philox at key (seed, 0) and counter
     (i, j//4, 0, 0), so the result does not depend on the ranges, the tiles
-    or the worker count.  A NaN barrier or a seed outside [0, 2^64) raises
-    ValueError; +-inf is allowed.
+    or the worker count.  A NaN barrier, a seed outside [0, 2^64) or
+    workers < 1 raises ValueError; +-inf is allowed.
     """
     grid = _check_grid(grid)
     _check_paths(paths)
     _check_seed(seed)
     if np.isnan(x):
         raise ValueError("barrier x must not be NaN")
-    workers = resolve_workers(workers)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     procs = min(workers, paths, os.cpu_count() or 1)
     jobs = [(params, spec, x, grid, seed, lo, hi) for lo, hi in _split(0, paths, procs)]
     results = [_range_counts(*jobs[0])] if procs == 1 else _fork_ranges(jobs)

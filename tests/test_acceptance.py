@@ -2,13 +2,15 @@
 
 import pytest
 
-from arsurvival.acceptance import (CRITERIA, SUITES, coefficient_grid_discrepancy,
-                                   criterion_f1, run_suite)
+from arsurvival import acceptance
+from arsurvival.acceptance import (CRITERIA, CriterionResult,
+                                   coefficient_grid_discrepancy, criterion_f1,
+                                   run_suite)
 
 
 @pytest.mark.parametrize("cid", list(CRITERIA))
 def test_criterion(cid, capsys):
-    result = CRITERIA[cid](quick=False)
+    result = CRITERIA[cid]()
     with capsys.disabled():
         print(f"\n{result.summary()}")
         for line in result.details:
@@ -19,9 +21,25 @@ def test_criterion(cid, capsys):
 def test_suite_registry_shape():
     assert list(CRITERIA) == ["P1", "P2", "P3", "P4", "E1", "C1", "O1", "F1",
                               "R1", "G1"]
-    assert set(SUITES["quick"]) <= set(SUITES["full"])
-    with pytest.raises(ValueError):
-        run_suite("nope")
+
+
+def test_run_suite_selects_in_registry_order(monkeypatch):
+    ran = []
+
+    def stub(cid):
+        def run():
+            ran.append(cid)
+            return CriterionResult(cid, "stub", True)
+        return run
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {cid: stub(cid) for cid in CRITERIA})
+    assert [r.cid for r in run_suite()] == list(CRITERIA) == ran
+    ran.clear()
+    assert [r.cid for r in run_suite(["G1", "P1"])] == ["P1", "G1"] == ran
+    ran.clear()
+    with pytest.raises(ValueError, match="unknown criteria"):
+        run_suite(["P1", "nope"])
+    assert ran == []
 
 
 def test_coefficient_grid_counts():

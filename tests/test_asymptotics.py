@@ -281,6 +281,13 @@ def test_predict_notes_negative_barrier():
     assert any("x >= 0" in note for note in p.notes)
 
 
+def test_predict_rejects_nan_barrier():
+    with pytest.raises(ValueError, match="NaN"):
+        predict(0.5, 0.25, gaussian(), math.nan)
+    # infinite barriers stay valid, as in estimate_survival
+    assert predict(0.5, 0.25, gaussian(), math.inf).decay_class is DecayClass.EXPONENTIAL
+
+
 def test_prediction_json_shape():
     obj = predict(2.0, -1.0, gaussian(), 0.0).to_json_dict()
     assert obj["region"] == "P" and obj["predicted"] == "polynomial"

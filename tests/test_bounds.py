@@ -85,6 +85,18 @@ def test_positive_coefficients_hit_nonpositive_mass():
     assert res.c == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("a, spec", [
+    ((0.2, 0.0), gaussian()), ((0.5,), uniform(-1, 1)), ((0.3, 0.2), rademacher()),
+    ((-0.3, 0.2), gaussian()), ((-0.3, 0.2), two_point(1.0)),
+], ids=["gaussian-scan", "uniform", "rademacher", "closed-form", "two_point"])
+def test_result_fields_are_python_floats_and_a_is_nonnegative(a, spec):
+    # with no negative coefficient, -a_minus used to give A = -0.0
+    res = exp_lower_bound(ar_params(a), spec)
+    for value in (res.c, res.alpha_star, res.a_plus, res.a_minus, res.A):
+        assert type(value) is float
+    assert math.copysign(1.0, res.A) == 1.0
+
+
 def test_discrete_atoms_are_found():
     res = exp_lower_bound(ar_params([0.3, -0.2]), rademacher())
     assert res.c == pytest.approx(0.5)

@@ -355,15 +355,13 @@ def test_uniform_with_infinite_width_exit_2(capsys, command):
 
 
 def test_verify_single_criterion(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "full", "--only", "R1",
-                           "--verbose")
+    code, out, _ = run_cli(capsys, "verify", "--only", "R1", "--verbose")
     assert code == 0
     assert "R1   PASS" in out
     assert "1/1 criteria passed" in out
 
 
 def test_verify_only_picks_from_every_criterion(capsys):
-    # F1 is not in the default quick suite; --suite sets only the sizes
     code, out, _ = run_cli(capsys, "verify", "--only", "F1")
     assert code == 0
     assert "F1   PASS" in out
@@ -371,5 +369,5 @@ def test_verify_only_picks_from_every_criterion(capsys):
 
 
 def test_verify_unknown_suite_or_criterion(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "full", "--only", "ZZ")
+    code, _, err = run_cli(capsys, "verify", "--only", "ZZ")
     assert code == 2 and "unknown criteria" in err

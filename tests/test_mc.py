@@ -428,13 +428,6 @@ def test_pathwise_memory_is_bounded_by_tiles():
         assert peak < 24 * 2**20
 
 
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("ARSURVIVAL_WORKERS", "2")
-    curve = estimate_survival(RW, rademacher(), 0.0, [4], 10_000, 3)
-    base = estimate_survival(RW, rademacher(), 0.0, [4], 10_000, 3, workers=1)
-    assert (curve.survivors == base.survivors).all()
-
-
 def test_e2_trivial_upper_bound():
     for spec, seed in [(gaussian(), 51), (uniform(-1, 1), 52)]:
         pnp = spec.prob_nonpositive()
@@ -463,6 +456,9 @@ def test_grid_validation():
         estimate_survival(RW, gaussian(), math.nan, [4], 100, 1)
     for x, survivors in [(math.inf, 100), (-math.inf, 0)]:
         assert estimate_survival(RW, gaussian(), x, [4], 100, 1).survivors[0] == survivors
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            estimate_survival(RW, gaussian(), 0.0, [4], 100, 1, workers=workers)
 
 
 @pytest.mark.parametrize("run", [
