@@ -62,9 +62,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _parse_spec(name: str, params_json: str | None) -> InnovationSpec:
-    if name not in _DEFAULT_SPECS:
-        raise ValueError(f"unknown innovation {name!r}; choose from "
-                         f"{sorted(_DEFAULT_SPECS)}")
+    # argparse ``choices`` has already checked the name
     if params_json is None:
         return _DEFAULT_SPECS[name]
     return spec_from_json({"kind": name, "params": json.loads(params_json)})
@@ -95,6 +93,13 @@ def _load_config(path: str) -> dict:
     missing = sorted(_CONFIG_REQUIRED - set(cfg))
     if missing:
         raise ValueError(f"missing config keys: {missing}")
+    out = cfg["out"]
+    if not isinstance(out, str) or not os.path.basename(out):
+        raise ValueError(f"out must be a string that names a file, got {out!r}")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"out names a directory that does not exist: {out!r}")
+    if not isinstance(cfg.get("gnuplot", False), bool):
+        raise ValueError(f"gnuplot must be true or false, got {cfg['gnuplot']!r}")
     return cfg
 
 
@@ -118,8 +123,8 @@ def cmd_simulate(args) -> int:
         cfg = _load_config(args.config)
         a, run = json_run_fields(cfg, cfg["a"])
         params = ar_params(a)
-        out = str(cfg["out"])
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        out = cfg["out"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.workers < 1:      # malformed input (exit 2), not a bad config
@@ -146,7 +151,7 @@ def cmd_fit(args) -> int:
     try:
         with open(args.curve) as handle:
             curve = SurvivalCurve.from_json_dict(json.load(handle))
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid curve file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     sys.stdout.write(_dump(fit_decay(curve).to_json_dict()))
@@ -154,7 +159,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    params = ar_params(v for v in args.a.split(",") if v.strip())
+    params = ar_params(args.a.split(","))
     spec = _parse_spec(args.innovation, args.innovation_params)
     out: dict = {"a": list(params.a), "innovation": spec.to_json_dict()}
     try:
@@ -178,7 +183,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    only = args.only.split(",") if args.only else None
+    only = None if args.only is None else args.only.split(",")
     results = acceptance.run_suite(only)
     for res in results:
         print(res.summary())
@@ -242,7 +247,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:       # json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

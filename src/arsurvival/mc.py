@@ -6,16 +6,16 @@ p_N(x) = P(tau_x > N).  The engine draws one crossing time per path with the
 horizon set to the largest grid entry, so tail counts serve every horizon in
 one pass.
 
-Reproducibility: innovation j of path i in a run with seed s is built from
-lane j%4 of Philox4x64-10 at key (s, 0) and counter (i, j//4, 0, 0) (see
-rng).  Innovations are therefore a pure function of (seed, path, step),
-which makes estimates bit-identical for any worker count and any tiling,
-and makes runs at different barriers share their noise (common random
+Reproducibility: innovation j of path i in a run with seed s is the
+transform of draw j of rng stream (s, i), whose layout ``rng`` states.
+Innovations are therefore a pure function of (seed, path, step), which
+makes estimates bit-identical for any worker count and any tiling, and
+makes runs at different barriers share their noise (common random
 numbers).  Every simulation here, the engine, the pair frequency and the
 reduction checks, steps tiles of at most ``_TILE_PATHS`` paths with one
 walker, ``_Walk``, so memory is bounded whatever the path count.  It makes
-one rng call per refill, which gives a thinned-out live set k blocks (4k
-steps) at once: no innovation changes, only when it is made.
+one rng call per refill, which gives a thinned-out live set many steps at
+once: no innovation changes, only when it is made.
 
 Survival certificate: innovations are bounded above by B, the largest value
 the transform takes on the rng's uniform range [2^-54, 1 - 2^-53].  When
@@ -40,11 +40,10 @@ from enum import Enum
 
 import numpy as np
 
-from ._philox import U_MAX, U_MIN
 from .bounds import integrate_params
 from .coeffs import ARParams, ar2_closed_form, ar_step, Branch
 from .innovations import InnovationSpec, json_int, json_number, spec_from_json
-from .rng import path_uniform_block
+from .rng import RNG_PROVENANCE, U_MAX, U_MIN, path_uniform_block
 
 __all__ = [
     "SurvivalCurve",
@@ -62,11 +61,6 @@ SCHEMA_VERSION = 3
 # drawn from the earlier stream layout key = (seed, path), counter = (j//4, 0, 0, 0),
 # and version 2 mapped a word whose top 53 bits are all ones to 1.0, not 1 - 2^-53
 _READABLE_SCHEMA_VERSIONS = (1, 2, 3)
-
-RNG_PROVENANCE = ("philox4x64-10 counter mode; key = (seed, 0); "
-                  "draw j of path i = lane j%4 of counter (i, j//4, 0, 0); "
-                  "uniform = min(((word >> 11) + 0.5) * 2^-53, 1 - 2^-53); "
-                  "inverse-cdf transform")
 
 # paths per tile at most; tiles bound the engine's memory for any path count
 _TILE_PATHS = 65_536
@@ -104,16 +98,15 @@ class _Walk:
         self.seed = seed
         self.ids = np.arange(lo, hi, dtype=np.uint64)
         self.lags = [np.zeros(hi - lo) for _ in range(params.p)]
-        self.n_blocks = -(-n_max // 4)
+        self.n_max = n_max
         self.buf = np.empty((hi - lo, 0))
         self.rows = None
-        self.j = 0      # steps taken: j // 4 is the next block once buf is empty
+        self.j = 0      # steps taken: the next draw once buf is empty
 
     def step(self) -> np.ndarray:
         if self.buf.shape[1] == 0:
-            block = self.j >> 2
             self.buf = self.spec.transform(path_uniform_block(
-                self.seed, self.ids, block, self.n_blocks - block))
+                self.seed, self.ids, self.j, self.n_max - self.j))
             self.rows = None
         col = self.buf[:, 0]
         self.y = col if self.rows is None else col[self.rows]
@@ -428,10 +421,10 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
     one contiguous range per process, and each process walks its range in
     equal tiles of at most 65,536 paths.  There are min(workers, paths, CPU
     count) processes: the calling one and a forked child per further range.
-    Innovation j of path i is read from Philox at key (seed, 0) and counter
-    (i, j//4, 0, 0), so the result does not depend on the ranges, the tiles
-    or the worker count.  A NaN barrier, a seed outside [0, 2^64) or
-    workers < 1 raises ValueError; +-inf is allowed.
+    Innovation j of path i is built from draw j of rng stream (seed, i), so
+    the result does not depend on the ranges, the tiles or the worker count.
+    A NaN barrier, a seed outside [0, 2^64) or workers < 1 raises
+    ValueError; +-inf is allowed.
     """
     grid = _check_grid(grid)
     _check_paths(paths)

@@ -80,6 +80,16 @@ def test_too_few_usable_points_is_inconclusive():
     assert fit.n_usable == 4 and fit.n_censored == 4
 
 
+def test_short_window_inside_r2_band_is_inconclusive():
+    # N^(-1/2) over N = 100..111 is nearly linear in N too: the two R^2 differ by
+    # less than the 0.02 band, so neither class wins
+    grid = list(range(100, 112))
+    fit = fit_decay(synthetic_curve(grid, [n ** -0.5 for n in grid]))
+    assert fit.decay_class is DecayClass.INCONCLUSIVE
+    assert fit.r2_loglog == pytest.approx(1.0)
+    assert fit.r2_semilog == pytest.approx(0.99979, abs=1e-5)
+
+
 def test_censored_entries_never_enter_regression():
     grid = list(range(1, 31))
     probs = [0.7 * 0.5 ** n for n in grid]

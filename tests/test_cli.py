@@ -145,18 +145,29 @@ def test_simulate_invalid_estimate_exit_code(tmp_path, capsys):
     {"a": "12"}, {"a": [1, True]}, {"x": "0.5"}, {"x": True}, {"x": 10 ** 400},
     {"innovation": {"kind": "gaussian", "params": {"mu": "0", "sigma": True}}},
     {"seed": -1}, {"seed": 2 ** 64},
+    {"out": None}, {"out": ""}, {"out": "./"}, {"out": "nodir/x"}, {"gnuplot": "no"},
 ], ids=["grid-decreasing", "grid-zero", "paths-zero", "paths-negative", "x-nan",
         "x-nan-text", "innovation-nan", "innovation-inf", "innovation-wide-uniform",
         "innovation-params-number", "innovation-params-list", "innovation-params-null",
         "paths-fraction", "paths-bool", "paths-text", "seed-fraction", "grid-fraction",
         "grid-beyond-int64", "grid-at-int64-max", "paths-beyond-int64",
         "a-text", "a-bool", "x-text", "x-bool", "x-beyond-float",
-        "innovation-params-text-bool", "seed-negative", "seed-beyond-uint64"])
-def test_simulate_invalid_config_values_exit_3(tmp_path, capsys, bad):
+        "innovation-params-text-bool", "seed-negative", "seed-beyond-uint64",
+        "out-null", "out-empty", "out-no-name", "out-missing-dir", "gnuplot-text"])
+def test_simulate_invalid_config_values_exit_3(tmp_path, monkeypatch, capsys, bad):
+    # relative outputs would land in the working directory
+    monkeypatch.chdir(tmp_path)
     cfg = _write_config(tmp_path, **bad)
     code, _, err = run_cli(capsys, "simulate", str(cfg))
     assert code == 3 and "invalid config" in err
-    assert not list(tmp_path.glob("curve.*"))
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_simulate_config_not_an_object_exit_3(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps([1.0]))
+    code, _, err = run_cli(capsys, "simulate", str(cfg_path))
+    assert code == 3 and "JSON object" in err
 
 
 def test_simulate_bad_workers_is_malformed_input(tmp_path, capsys):
@@ -203,6 +214,7 @@ def _impossible_curves():
                       ("survivors", lambda s: [s[1], s[0]] + s[2:]),
                       ("grid", lambda g: [0] + g[1:]),
                       ("grid", lambda g: g[::-1]),
+                      ("survivors", lambda s: s[:-1]),
                       ("nonfinite_paths", lambda n: -5),
                       ("nonfinite_paths", lambda n: 10 ** 9 + 1),
                       # survivors[0] = paths / 2, so half the paths are left
@@ -305,6 +317,11 @@ def test_bounds_reports_region_extras(capsys):
     # c = 1, 0.5, 0.25 - 0.4 < 0: first sign change at k = 2
     assert obj["e3_sign_change_index"] == 2
     assert "error" not in obj["exp_lower_bound"]
+    code, out, _ = run_cli(capsys, "bounds", "--a=-1,2")
+    obj = json.loads(out)
+    assert code == 0
+    assert obj["region"] == "E/E1"
+    assert obj["e1_rate_bound"] == math.log(2.0)
 
 
 @pytest.mark.parametrize("a, index", [("1,-0.25000001", 15707),
@@ -324,8 +341,10 @@ def test_bounds_precondition_reported(capsys):
 
 
 def test_bounds_rejects_bad_coefficients(capsys):
-    code, _, err = run_cli(capsys, "bounds", "--a", "0.3,oops")
-    assert code == 2
+    # an empty field is no coefficient, not a skipped one
+    for a in ("0.3,oops", "0.5,,0.2", "0.3,", ",0.3"):
+        code, out, err = run_cli(capsys, "bounds", f"--a={a}")
+        assert code == 2 and err.startswith("error: ") and out == ""
 
 
 @pytest.mark.parametrize("command", [["classify", "--a1", "0.5", "--a2", "0.25"],
@@ -368,6 +387,20 @@ def test_verify_only_picks_from_every_criterion(capsys):
     assert "1/1 criteria passed" in out
 
 
-def test_verify_unknown_suite_or_criterion(capsys):
+def test_verify_unknown_criterion(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "ZZ")
     assert code == 2 and "unknown criteria" in err
+    # an empty list names the empty criterion, it does not mean all of them
+    code, out, err = run_cli(capsys, "verify", "--only", "")
+    assert code == 2 and "unknown criteria: ['']" in err and out == ""
+
+
+def test_verify_failed_criterion_exit_4(monkeypatch, capsys):
+    from arsurvival import acceptance
+
+    stubs = {cid: (lambda cid=cid, ok=ok: acceptance.CriterionResult(cid, "stub", ok))
+             for cid, ok in [("P1", True), ("E1", False), ("C1", False)]}
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 4
+    assert out.splitlines()[-2:] == ["1/3 criteria passed", "failed: E1, C1"]

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from arsurvival._philox import philox_block, words_to_uniform
 from arsurvival.innovations import (InnovationSpec, Kind, exponential_centered,
                                     gaussian, rademacher, spec_from_json,
                                     two_point, uniform)
+from arsurvival.rng import philox_block, words_to_uniform
 
 ALL_SPECS = [gaussian(), gaussian(0.3, 2.0), rademacher(), two_point(2.0),
              uniform(-1.0, 1.0), uniform(0.0, 1.0), exponential_centered(1.0),

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from arsurvival.coeffs import ar_params
-from arsurvival._philox import philox_block, words_to_uniform
 from arsurvival.innovations import (exponential_centered, gaussian, rademacher,
                                     two_point, uniform)
 from arsurvival.mc import (ConstraintError, ReductionKind, SurvivalCurve,
@@ -15,7 +14,7 @@ from arsurvival.mc import (ConstraintError, ReductionKind, SurvivalCurve,
                            _Walk, estimate_survival, pair_survival_frequency,
                            pathwise_reduction_check)
 from arsurvival.oracle import enumerate_survival
-from arsurvival.rng import path_uniform_block
+from arsurvival.rng import path_uniform_block, philox_block, words_to_uniform
 
 RW = ar_params([1.0])
 IRW = ar_params([2.0, -1.0])
@@ -102,9 +101,9 @@ def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
     n_max, lo, hi = 4 * 97 + 3, 500, 3500
     drawn = []
 
-    def recorded(seed, ids, block, blocks_left=1):
-        u = path_uniform_block(seed, ids, block, blocks_left)
-        drawn.append((block, u.shape[1] // 4))
+    def recorded(seed, ids, step, steps_left=1):
+        u = path_uniform_block(seed, ids, step, steps_left)
+        drawn.append((step, u.shape[1]))
         return u
 
     monkeypatch.setattr(mc, "path_uniform_block", recorded)
@@ -112,7 +111,7 @@ def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
     tau = _crossing_times_range(params, spec, x, n_max, 99, lo, hi)
     y = innovations(spec, 99, np.arange(lo, hi, dtype=np.uint64), n_max)
     assert tau.tolist() == [crossing_time_from_innovations(params, x, row) for row in y]
-    ahead = [(4 * b, 4 * (b + k)) for b, k in drawn if k > 1]
+    ahead = [(step, step + width) for step, width in drawn if width > 4]
     assert ahead
     # paths died before the last column of a look-ahead buffer
     j = tau[tau <= n_max] - 1
@@ -164,8 +163,8 @@ def test_certified_paths_keep_their_crossing_times(monkeypatch, a, spec, x):
     assert _survival_level(params, spec, x) is not None
     words = []
 
-    def counted(seed, ids, block, blocks_left=1):
-        u = path_uniform_block(seed, ids, block, blocks_left)
+    def counted(seed, ids, step, steps_left=1):
+        u = path_uniform_block(seed, ids, step, steps_left)
         words.append(u.size)
         return u
 

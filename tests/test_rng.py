@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-from arsurvival._philox import philox_block, words_to_uniform
 from arsurvival import rng
-from arsurvival.rng import _dense_words, path_uniform_block
+from arsurvival.rng import (_dense_words, path_uniform_block, philox_block,
+                            words_to_uniform)
 
 M64 = 2**64
 
@@ -53,7 +53,7 @@ def test_counter_carry_edges_match_numpy(seed, path, block):
     ref = (((numpy_words(seed, path, block) >> np.uint64(11)).astype(np.float64) + 0.5)
            * 2.0**-53)
     ids = np.array([path], dtype=np.uint64)
-    assert (path_uniform_block(seed, ids, block) == ref).all()
+    assert (path_uniform_block(seed, ids, 4 * block) == ref).all()
     expect = numpy_words(seed, path, block)
     assert (_dense_words(seed % M64, ids, block) == expect).all()
     assert (philox_block(ids, np.uint64(block), seed % M64) == expect).all()
@@ -108,7 +108,7 @@ def test_streams_are_independent_and_reproducible():
 def test_path_uniform_block_matches_streams():
     # dense (all ten) and sparse (two far apart) id sets read the same streams
     for ids in (np.arange(10, dtype=np.uint64), np.array([3, 9000], np.uint64)):
-        block = path_uniform_block(99, ids, 3)
+        block = path_uniform_block(99, ids, 4 * 3)
         for row, i in zip(block, ids):
             expect = words_to_uniform(numpy_words(99, int(i), 3))
             assert (row == expect).all()
@@ -127,12 +127,12 @@ def test_block_count_equals_single_blocks(ids, block, blocks_left):
     # about 2^16 words (at least one block, at most blocks_left); the k blocks
     # are what k one-block calls read, through the counter's wrap at 2^64 too
     ids = ids.astype(np.uint64)
-    u = path_uniform_block(31, ids, block, blocks_left)
+    u = path_uniform_block(31, ids, 4 * block, 4 * blocks_left)
     if ids.size >= rng._DENSE_SHARE * (int(ids[-1]) - int(ids[0]) + 1):
         k = 1
     else:
         k = max(1, min(rng._LOOKAHEAD_WORDS // (4 * ids.size), blocks_left))
     assert u.shape == (ids.size, 4 * k)
-    singles = [path_uniform_block(31, ids, block + i) for i in range(k)]
+    singles = [path_uniform_block(31, ids, 4 * (block + i)) for i in range(k)]
     assert all(s.shape == (ids.size, 4) for s in singles)
     assert u.tobytes() == np.concatenate(singles, axis=1).tobytes()
