@@ -113,15 +113,18 @@ def _weighted_r2(xv, yv, w):
 def fit_decay(curve: SurvivalCurve) -> DecayFit:
     """Fit the decay class of a survival curve.
 
-    Censored (zero-survivor) entries never enter any regression.  With fewer
-    than 6 uncensored points the fit is INCONCLUSIVE.  The plateau test runs
-    first: if the last quarter of the uncensored entries agree pairwise
-    within 2 combined standard errors, the curve is a POSITIVE_LIMIT.  The
-    flatness claim needs a resolved level, so the plateau additionally
-    requires the pooled tail estimate to carry at most 25% relative standard
-    error; a near-censored tail of single-digit counts is flat only for lack
-    of power and must not pass.  Otherwise log p is regressed on log N and
-    on N (weighted by inverse squared relative standard error) over the
+    Censored (zero-survivor) entries never enter any regression.  An invalid
+    curve (too many non-finite paths, which count as non-survivors from
+    N = 1 on) and a curve with fewer than 6 uncensored points are
+    INCONCLUSIVE.  The plateau test runs first: if the last quarter of the
+    uncensored entries agree pairwise within 2 combined standard errors, the
+    curve is a POSITIVE_LIMIT.  The flatness claim needs a resolved level, so
+    the plateau additionally requires the pooled tail estimate to carry at
+    most 25% relative standard error, and survivors at the last horizon; a
+    near-censored tail of single-digit counts is flat only for lack of power
+    and must not pass, and a true positive limit never ends in zero.
+    Otherwise log p is regressed on log N and on N (weighted by inverse
+    squared relative standard error) over the
     upper half of the uncensored grid, and the class follows the
     better-explaining model: POLYNOMIAL when the log-log R^2 (over all
     uncensored points) beats the semilog R^2 by at least 0.02, EXPONENTIAL
@@ -130,7 +133,7 @@ def fit_decay(curve: SurvivalCurve) -> DecayFit:
     usable = ~curve.zero_flag
     n_censored = int(curve.zero_flag.sum())
     n_usable = int(usable.sum())
-    if n_usable < _MIN_USABLE:
+    if curve.invalid or n_usable < _MIN_USABLE:
         return DecayFit(DecayClass.INCONCLUSIVE, n_usable=n_usable,
                         n_censored=n_censored)
     nn = curve.grid[usable].astype(float)
@@ -166,7 +169,8 @@ def fit_decay(curve: SurvivalCurve) -> DecayFit:
     wq = 1.0 / np.where(se > 0.0, se, 1.0 / curve.paths)[-q:] ** 2
     p_pool = float((wq * tail_p).sum() / wq.sum())
     se_pool = 1.0 / math.sqrt(wq.sum())
-    if plateau_stat <= _PLATEAU_Z and se_pool <= 0.25 * p_pool:
+    if (plateau_stat <= _PLATEAU_Z and se_pool <= 0.25 * p_pool
+            and curve.survivors[-1] > 0):
         return DecayFit(DecayClass.POSITIVE_LIMIT, p_inf=p_pool,
                         p_inf_ci=_CI_Z * se_pool, **common)
     if r2_ll - r2_sl >= _R2_BAND:

@@ -172,20 +172,33 @@ class InnovationSpec:
         prob = np.where(hi < lo, 0.0, prob)
         return float(prob) if prob.ndim == 0 else prob
 
-    def transform(self, u: np.ndarray) -> np.ndarray:
-        """Map (0,1) uniforms to Y samples by the inverse cdf."""
+    def transform(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Map (0,1) uniforms to Y samples by the inverse cdf.
+
+        The samples go into ``out`` (``out=u`` works in place) or, when it is
+        None, into a new array; either way every kind takes the same float
+        operations in the same order, so the samples are the same bits.
+        """
         k, q = self.kind, self.params
         if k is Kind.GAUSSIAN:
             from scipy.special import ndtri
-            return q[0] + q[1] * ndtri(u)
-        if k is Kind.RADEMACHER:
-            return np.where(u < 0.5, -1.0, 1.0)
-        if k is Kind.TWO_POINT:
-            return np.where(u < 0.5, -q[0], q[0])
+            y = ndtri(u, out=out)
+            y *= q[1]
+            y += q[0]
+            return y
+        if k is Kind.RADEMACHER or k is Kind.TWO_POINT:
+            # u - 0.5 is negative exactly when u < 0.5, and u = 0.5 gives +0.0
+            y = np.subtract(u, 0.5, out=out)
+            return np.copysign(q[0] if q else 1.0, y, out=out)
         if k is Kind.UNIFORM:
-            return q[0] + (q[1] - q[0]) * u
+            y = np.multiply(u, q[1] - q[0], out=out)
+            y += q[0]
+            return y
         rate = q[0]
-        return -np.log(u) / rate - 1.0 / rate
+        y = np.negative(np.log(u, out=out), out=out)
+        y /= rate
+        y -= 1.0 / rate
+        return y
 
     # ---- serialization ------------------------------------------------------
 

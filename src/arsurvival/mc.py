@@ -88,7 +88,10 @@ class _Walk:
     ``keep(rows)`` drops the rows where the boolean ``rows`` is False.
     ``buf`` holds the unused columns of the last refill's draws, one row per
     path live at that refill, and ``rows`` maps each live path to its row
-    (None: row i is path i), so a death moves an index, never a draw.
+    (None: row i is path i), so a death moves an index, never a draw.  The
+    dense route's refills draw and transform in place in ``out``, 4 floats
+    per path of the tile, allocated once: a refill allocates no array of
+    its size, whose memory the allocator would hand back to the system.
     """
 
     def __init__(self, params: ARParams, spec: InnovationSpec, seed: int,
@@ -99,14 +102,16 @@ class _Walk:
         self.ids = np.arange(lo, hi, dtype=np.uint64)
         self.lags = [np.zeros(hi - lo) for _ in range(params.p)]
         self.n_max = n_max
+        self.out = np.empty(4 * (hi - lo))
         self.buf = np.empty((hi - lo, 0))
         self.rows = None
         self.j = 0      # steps taken: the next draw once buf is empty
 
     def step(self) -> np.ndarray:
         if self.buf.shape[1] == 0:
-            self.buf = self.spec.transform(path_uniform_block(
-                self.seed, self.ids, self.j, self.n_max - self.j))
+            u = path_uniform_block(self.seed, self.ids, self.j, self.n_max - self.j,
+                                   out=self.out)
+            self.buf = self.spec.transform(u, out=u)
             self.rows = None
         col = self.buf[:, 0]
         self.y = col if self.rows is None else col[self.rows]

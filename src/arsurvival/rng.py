@@ -17,13 +17,18 @@ Block j//4 of consecutive streams sits at consecutive counters, so
 ``path_uniform_block`` draws one block of a dense set from numpy's C Philox
 and several blocks ahead of a sparse set from the vectorized
 ``philox_block``, and the width of its result says how many.  Both give the
-same words, so the choice never changes a draw.
+same words, so the choice never changes a draw.  The dense route makes its
+uniforms in C as well: ``Generator.random`` gives (w >> 11) * 2^-53 of the
+same words w, and adding 2^-54 gives ((w >> 11) + 0.5) * 2^-53 rounded as
+``words_to_uniform`` rounds it, since scaling by a power of two is exact.
+It writes them into a buffer the caller keeps, so a refill allocates no
+array of its size.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 __all__ = ["path_uniform_block", "RNG_PROVENANCE", "U_MIN", "U_MAX"]
 
@@ -54,6 +59,8 @@ ROUNDS = 10
 
 # 2**-53; uniforms are ((word >> 11) + 0.5) * 2**-53, open on both ends
 _U53 = np.float64(1.0 / 9007199254740992.0)
+# 2**-54, the 0.5 * 2**-53 the dense route adds to Generator.random's (word >> 11) * 2**-53
+_U54 = 2.0 ** -54
 
 # the smallest and the largest uniform words_to_uniform returns: top 53 bits
 # all zero give 2^-54, and all ones would round to 1.0 and are clamped
@@ -145,25 +152,46 @@ def words_to_uniform(words):
     return u
 
 
-def _dense_words(seed: int, ids: np.ndarray, block: int) -> np.ndarray:
-    """Words of ``block`` for ascending ``ids``, drawn over their whole span by C Philox.
+# the dense route's uniforms of a whole span, before the live rows are
+# gathered; kept across calls, so a refill allocates no span-sized array
+_span_uniforms = np.empty(0)
+
+
+def _open_interval(u):
+    """Turn (w >> 11) * 2^-53 into ((w >> 11) + 0.5) * 2^-53, clamped to U_MAX, in place."""
+    u += _U54
+    return np.minimum(u, U_MAX, out=u)
+
+
+def _dense_uniforms(seed: int, ids: np.ndarray, block: int, out: np.ndarray) -> np.ndarray:
+    """Uniforms of ``block`` for ascending ``ids``, drawn over their whole span by C Philox.
 
     numpy's Philox adds one to the 256-bit counter (c0 first, then carries)
     before each output block, so starting from (ids[0], block) - 1 yields
-    the counters (ids[0], block), (ids[0] + 1, block), ... in order.
+    the counters (ids[0], block), (ids[0] + 1, block), ... in order.  The
+    (len(ids), 4) result is a view of the front of the flat float64 ``out``.
     """
+    global _span_uniforms
     lo = int(ids[0])
     span = int(ids[-1]) - lo + 1
     start = (lo + (block << 64) - 1) & _MASK256
-    key = np.array([seed, 0], np.uint64)
-    words = Philox(key=key, counter=start).random_raw(4 * span).reshape(span, 4)
+    gen = Generator(Philox(key=np.array([seed, 0], np.uint64), counter=start))
+    u = out[:4 * ids.size].reshape(ids.size, 4)
     if span == ids.size:
-        return words
-    return words[(ids - np.uint64(lo)).astype(np.intp)]
+        gen.random(out=out[:4 * span])
+    else:
+        if _span_uniforms.size < 4 * span:
+            _span_uniforms = np.empty(4 * span)
+        whole = _span_uniforms[:4 * span]
+        gen.random(out=whole)
+        # mode "clip" writes straight into u; "raise" would buffer a copy
+        np.take(whole.reshape(span, 4), (ids - np.uint64(lo)).astype(np.intp),
+                axis=0, out=u, mode="clip")
+    return _open_interval(u)
 
 
 def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
-                       steps_left: int = 1) -> np.ndarray:
+                       steps_left: int = 1, out: np.ndarray | None = None) -> np.ndarray:
     """Draws ``step`` onwards of many streams at once, whole counter blocks at a time.
 
     ``step`` is a multiple of 4, the first draw of block step//4.  Row i of
@@ -171,7 +199,10 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
     of stream (seed, path_ids[i]); ``path_ids`` must ascend.  k is 1 on the
     dense route, whose cost is per block anyway, and on the sparse route
     enough for about 2^16 words, at most the blocks that ``steps_left``
-    draws reach into.
+    draws reach into.  The dense route writes its result into the front of
+    ``out``, a flat float64 array of at least 4 * len(path_ids) values, and
+    returns that view (a new array when ``out`` is None); the sparse route
+    always returns a new array.
     """
     ids = np.asarray(path_ids, dtype=np.uint64)
     if ids.size == 0:
@@ -179,7 +210,9 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
     seed = int(seed) & _MASK64
     block = (int(step) >> 2) & _MASK64
     if ids.size >= _DENSE_SHARE * (int(ids[-1]) - int(ids[0]) + 1):
-        return words_to_uniform(_dense_words(seed, ids, block))
+        if out is None:
+            out = np.empty(4 * ids.size)
+        return _dense_uniforms(seed, ids, block, out)
     k = max(1, min(_LOOKAHEAD_WORDS // (4 * ids.size), -(-steps_left // 4)))
     blocks = np.uint64(block) + np.arange(k, dtype=np.uint64)
     u = words_to_uniform(philox_block(ids[:, None], blocks[None, :], np.uint64(seed)))

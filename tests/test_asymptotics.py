@@ -72,6 +72,30 @@ def test_exact_one_entries_pool_without_warning():
         assert not any(math.isnan(v) for v in numbers)
 
 
+def test_plateau_needs_survivors_at_the_last_horizon():
+    # (0, -0.5) is on E: its tail 12, 7, 6 at N = 8..10 agrees within two
+    # standard errors, but the next horizon has no survivor left
+    from arsurvival.mc import estimate_survival
+
+    grid = list(range(1, 33)) + [64, 128, 256, 512, 1024]
+    curve = estimate_survival(ar_params([0.0, -0.5]), gaussian(), 0.0, grid, 20_000, 1)
+    assert curve.survivors[6:11].tolist() == [32, 12, 7, 6, 0]
+    fit = fit_decay(curve)
+    assert fit.plateau_stat <= 2.0
+    assert fit.decay_class is DecayClass.EXPONENTIAL
+
+
+def test_invalid_curve_is_inconclusive():
+    grid = list(range(1, 31))
+    curve = synthetic_curve(grid, [0.4 * 0.5 ** n for n in grid], paths=10 ** 6)
+    assert fit_decay(curve).decay_class is DecayClass.EXPONENTIAL
+    curve.nonfinite_paths = 1001        # just over 0.1% of the paths
+    assert curve.invalid
+    fit = fit_decay(curve)
+    assert fit.decay_class is DecayClass.INCONCLUSIVE and fit.lam is None
+    assert (fit.n_usable, fit.n_censored) == (19, 11)
+
+
 def test_too_few_usable_points_is_inconclusive():
     grid = [1, 2, 3, 4, 5, 6, 7, 8]
     probs = [0.5, 0.2, 0.05, 0.01, 0.0, 0.0, 0.0, 0.0]

@@ -206,6 +206,23 @@ def test_fit_roundtrip_on_synthetic_curve(tmp_path, capsys):
     assert abs(fit["lambda"] - math.log(2.0)) < 0.05 * math.log(2.0)
 
 
+def test_fit_of_an_invalid_curve_is_inconclusive(tmp_path, capsys):
+    # (2.5, -0.5) lies in C, but a2 < 0 leaves it outside the survival
+    # certificate: paths that never cross run off to -inf and turn NaN, and
+    # without the check the curve's fast fall fits an exponential
+    cfg = tmp_path / "c.cfg.json"
+    cfg.write_text(json.dumps({
+        "a": [2.5, -0.5], "innovation": {"kind": "gaussian", "params": {"mu": 0, "sigma": 1}},
+        "x": 0.0, "grid": list(range(1, 33)) + [64, 128, 256, 512, 1024],
+        "paths": 20_000, "seed": 1, "out": str(tmp_path / "c")}))
+    code, _, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 4 and "8232 of 20000 paths were non-finite" in err
+    code, out, _ = run_cli(capsys, "fit", str(tmp_path / "c.json"))
+    assert code == 0
+    fit = json.loads(out)
+    assert fit["class"] == "inconclusive" and fit["lambda"] is None
+
+
 def _impossible_curves():
     """Version-2 curve files that no simulation can produce."""
     for key, edit in [("paths", lambda p: 0),

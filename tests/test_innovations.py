@@ -162,3 +162,39 @@ def test_json_round_trip():
     for params in (1, ["mu", "sigma"], {"mu": None, "sigma": 1}):
         with pytest.raises(ValueError):
             spec_from_json({"kind": "gaussian", "params": params})
+
+
+def plain_transform(spec, u):
+    """The inverse cdfs as whole-array expressions, for the in-place transform to match."""
+    from scipy.special import ndtri
+
+    q = spec.params
+    if spec.kind is Kind.GAUSSIAN:
+        return q[0] + q[1] * ndtri(u)
+    if spec.kind is Kind.RADEMACHER:
+        return np.where(u < 0.5, -1.0, 1.0)
+    if spec.kind is Kind.TWO_POINT:
+        return np.where(u < 0.5, -q[0], q[0])
+    if spec.kind is Kind.UNIFORM:
+        return q[0] + (q[1] - q[0]) * u
+    return -np.log(u) / q[0] - 1.0 / q[0]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: f"{spec.kind.value}{spec.params}")
+def test_transform_in_place_gives_the_same_bits(spec):
+    from arsurvival.rng import U_MAX, U_MIN
+
+    edges = [U_MIN, U_MAX, 0.5, np.nextafter(0.5, 0.0)]
+    u = np.concatenate([edges, np.random.default_rng(5).random(10**5)])
+    u = np.maximum(u, U_MIN)
+    kept = u.copy()
+    fresh = spec.transform(u)
+    assert u.tobytes() == kept.tobytes()        # the input is left alone
+    assert fresh.tobytes() == plain_transform(spec, u).tobytes()
+    assert float(spec.transform(u[3])) == float(plain_transform(spec, u[3]))
+    inplace = spec.transform(u, out=u)
+    assert inplace is u
+    assert inplace.tobytes() == fresh.tobytes()
+    if spec.atoms() is not None:
+        # u = 0.5 gives +y and the largest uniform below it -y
+        assert fresh[2] == -fresh[3] > 0.0

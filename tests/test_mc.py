@@ -101,8 +101,8 @@ def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
     n_max, lo, hi = 4 * 97 + 3, 500, 3500
     drawn = []
 
-    def recorded(seed, ids, step, steps_left=1):
-        u = path_uniform_block(seed, ids, step, steps_left)
+    def recorded(seed, ids, step, steps_left=1, out=None):
+        u = path_uniform_block(seed, ids, step, steps_left, out)
         drawn.append((step, u.shape[1]))
         return u
 
@@ -163,8 +163,8 @@ def test_certified_paths_keep_their_crossing_times(monkeypatch, a, spec, x):
     assert _survival_level(params, spec, x) is not None
     words = []
 
-    def counted(seed, ids, step, steps_left=1):
-        u = path_uniform_block(seed, ids, step, steps_left)
+    def counted(seed, ids, step, steps_left=1, out=None):
+        u = path_uniform_block(seed, ids, step, steps_left, out)
         words.append(u.size)
         return u
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 from arsurvival import rng
-from arsurvival.rng import (_dense_words, path_uniform_block, philox_block,
-                            words_to_uniform)
+from arsurvival.rng import (_dense_uniforms, _open_interval, path_uniform_block,
+                            philox_block, words_to_uniform)
 
 M64 = 2**64
 
@@ -55,7 +55,8 @@ def test_counter_carry_edges_match_numpy(seed, path, block):
     ids = np.array([path], dtype=np.uint64)
     assert (path_uniform_block(seed, ids, 4 * block) == ref).all()
     expect = numpy_words(seed, path, block)
-    assert (_dense_words(seed % M64, ids, block) == expect).all()
+    assert (_dense_uniforms(seed % M64, ids, block, np.empty(4))
+            == words_to_uniform(expect)).all()
     assert (philox_block(ids, np.uint64(block), seed % M64) == expect).all()
 
 
@@ -68,9 +69,49 @@ def test_counter_carry_edges_match_numpy(seed, path, block):
 def test_dense_and_sparse_evaluators_agree(ids):
     ids = ids.astype(np.uint64)
     for seed, block in [(0, 0), (99, 3), (2**64 - 1, 2**40)]:
-        dense = _dense_words(seed, ids, block)
+        dense = _dense_uniforms(seed, ids, block, np.empty(4 * ids.size))
         assert dense.shape == (ids.size, 4)
-        assert (dense == philox_block(ids, np.uint64(block), seed)).all()
+        sparse = words_to_uniform(philox_block(ids, np.uint64(block), seed))
+        assert dense.tobytes() == sparse.tobytes()
+
+
+def test_generator_random_is_shifted_words():
+    # the dense route's premise: numpy's Generator.random gives (w >> 11) * 2^-53
+    # of the very words random_raw gives, from a counter one below the first block
+    key = np.array([2**64 - 1, 0], np.uint64)
+    for counter in (0, 2**64 - 1, 2**200 + 12345):
+        words = Philox(key=key, counter=counter).random_raw(4096)
+        u = np.empty(4096)
+        Generator(Philox(key=key, counter=counter)).random(out=u)
+        assert u.tobytes() == ((words >> np.uint64(11)).astype(np.float64)
+                               * 2.0**-53).tobytes()
+
+
+def test_open_interval_matches_words_to_uniform_at_edges():
+    # 0 and 2^11 - 1 give U_MIN, 2^63 the tie at 0.5 + 2^-54, the top two U_MAX
+    words = np.array([0, 2**11 - 1, 2**63, 2**64 - 2**11, 2**64 - 1], np.uint64)
+    u = _open_interval((words >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+    assert u.tobytes() == words_to_uniform(words).tobytes()
+    assert u.tolist() == [rng.U_MIN, rng.U_MIN, 0.5, rng.U_MAX, rng.U_MAX]
+
+
+@pytest.mark.parametrize("ids", [
+    np.arange(1000, 1400),                  # live == span: no gather
+    np.arange(1000, 1400, 3),               # live < span: rows gathered
+    np.array([2**64 - 3, 2**64 - 1]),
+], ids=["whole-span", "gathered", "top"])
+def test_dense_route_fills_the_callers_buffer(ids):
+    ids = ids.astype(np.uint64)
+    out = np.full(4 * 1400 + 7, np.nan)
+    for seed, step in [(0, 0), (2**64 - 1, 4 * (2**64 - 1)), (77, 4 * 2**40)]:
+        u = path_uniform_block(seed, ids, step, 1000, out=out)
+        assert u.shape == (ids.size, 4)
+        assert np.shares_memory(u, out)
+        expect = words_to_uniform(philox_block(ids, np.uint64(step // 4), seed))
+        assert u.tobytes() == expect.tobytes()
+        assert path_uniform_block(seed, ids, step, 1000).tobytes() == expect.tobytes()
+    # the buffer past the result is never written
+    assert np.isnan(out[4 * ids.size:]).all()
 
 
 def test_philox_vectorized_consistent_with_scalar():
