@@ -77,7 +77,9 @@ _EXACT_STEPS = 64         # e3_sign_change_index walks this many steps exactly
 def _golden_max(f, lo: float, hi: float, scale: float):
     """Golden-section maximum of f on [lo, hi]; returns the best point seen.
 
-    Stops once the bracket is narrower than 1e-8 times max(scale, |lo|).
+    Stops once the bracket is narrower than 1e-8 times max(scale, |lo|), or
+    once its inner points round onto its ends, which a bracket a few ulps
+    wide does when that width underflows (a law of subnormal scale).
     """
     best_x, best_f = lo, f(lo)
     fhi = f(hi)
@@ -86,7 +88,7 @@ def _golden_max(f, lo: float, hi: float, scale: float):
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > _GOLDEN_TOL * max(scale, abs(lo)):
+    while hi - lo > _GOLDEN_TOL * max(scale, abs(lo)) and lo < c < d < hi:
         if fc > best_f:
             best_x, best_f = c, fc
         if fd > best_f:

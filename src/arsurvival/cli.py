@@ -100,6 +100,10 @@ def _load_config(path: str) -> dict:
         raise ValueError(f"out names a directory that does not exist: {out!r}")
     if not isinstance(cfg.get("gnuplot", False), bool):
         raise ValueError(f"gnuplot must be true or false, got {cfg['gnuplot']!r}")
+    suffixes = (".json", ".csv", ".gp") if cfg.get("gnuplot", False) else (".json", ".csv")
+    for suffix in suffixes:
+        if os.path.isdir(out + suffix):
+            raise ValueError(f"out names a file that is a directory: {out + suffix!r}")
     return cfg
 
 

@@ -43,7 +43,7 @@ import numpy as np
 from .bounds import integrate_params
 from .coeffs import ARParams, ar2_closed_form, ar_step, Branch
 from .innovations import InnovationSpec, json_int, json_number, spec_from_json
-from .rng import RNG_PROVENANCE, U_MAX, U_MIN, path_uniform_block
+from .rng import RNG_PROVENANCE, U_MAX, U_MIN, path_uniform_block, refill_buffer
 
 __all__ = [
     "SurvivalCurve",
@@ -89,9 +89,9 @@ class _Walk:
     ``buf`` holds the unused columns of the last refill's draws, one row per
     path live at that refill, and ``rows`` maps each live path to its row
     (None: row i is path i), so a death moves an index, never a draw.  The
-    dense route's refills draw and transform in place in ``out``, 4 floats
-    per path of the tile, allocated once: a refill allocates no array of
-    its size, whose memory the allocator would hand back to the system.
+    dense route's refills draw and transform in place in ``out``, the tile's
+    ``refill_buffer``, allocated once: a refill allocates no array of its
+    size, whose memory the allocator would hand back to the system.
     """
 
     def __init__(self, params: ARParams, spec: InnovationSpec, seed: int,
@@ -102,7 +102,7 @@ class _Walk:
         self.ids = np.arange(lo, hi, dtype=np.uint64)
         self.lags = [np.zeros(hi - lo) for _ in range(params.p)]
         self.n_max = n_max
-        self.out = np.empty(4 * (hi - lo))
+        self.out = refill_buffer(hi - lo)
         self.buf = np.empty((hi - lo, 0))
         self.rows = None
         self.j = 0      # steps taken: the next draw once buf is empty

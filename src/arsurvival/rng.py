@@ -19,10 +19,10 @@ and several blocks ahead of a sparse set from the vectorized
 ``philox_block``, and the width of its result says how many.  Both give the
 same words, so the choice never changes a draw.  The dense route makes its
 uniforms in C as well: ``Generator.random`` gives (w >> 11) * 2^-53 of the
-same words w, and adding 2^-54 gives ((w >> 11) + 0.5) * 2^-53 rounded as
-``words_to_uniform`` rounds it, since scaling by a power of two is exact.
-It writes them into a buffer the caller keeps, so a refill allocates no
-array of its size.
+same words w, and ``_open_interval``, the one map from there to u_j, adds
+2^-54, which rounds as ((w >> 11) + 0.5) * 2^-53 does: scaling by a power
+of two is exact.  The module keeps no state: the dense route works in the
+``refill_buffer`` its caller owns, so a refill allocates no array of its size.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, Philox
 
-__all__ = ["path_uniform_block", "RNG_PROVENANCE", "U_MIN", "U_MAX"]
+__all__ = ["path_uniform_block", "refill_buffer", "RNG_PROVENANCE", "U_MIN", "U_MAX"]
 
 RNG_PROVENANCE = ("philox4x64-10 counter mode; key = (seed, 0); "
                   "draw j of path i = lane j%4 of counter (i, j//4, 0, 0); "
@@ -59,8 +59,6 @@ ROUNDS = 10
 
 # 2**-53; uniforms are ((word >> 11) + 0.5) * 2**-53, open on both ends
 _U53 = np.float64(1.0 / 9007199254740992.0)
-# 2**-54, the 0.5 * 2**-53 the dense route adds to Generator.random's (word >> 11) * 2**-53
-_U54 = 2.0 ** -54
 
 # the smallest and the largest uniform words_to_uniform returns: top 53 bits
 # all zero give 2^-54, and all ones would round to 1.0 and are clamped
@@ -142,47 +140,48 @@ def philox_block(c0, c1, seed):
     return out
 
 
-def words_to_uniform(words):
-    """Map uint64 words to float64 uniforms in [U_MIN, U_MAX], strictly inside (0, 1)."""
-    u = (words >> _S11).astype(np.float64)
-    u += 0.5
-    u *= _U53
-    # (2^53 - 1) + 0.5 rounds to 2^53, which would give exactly 1.0
-    np.minimum(u, U_MAX, out=u)
-    return u
-
-
-# the dense route's uniforms of a whole span, before the live rows are
-# gathered; kept across calls, so a refill allocates no span-sized array
-_span_uniforms = np.empty(0)
-
-
 def _open_interval(u):
     """Turn (w >> 11) * 2^-53 into ((w >> 11) + 0.5) * 2^-53, clamped to U_MAX, in place."""
-    u += _U54
+    u += U_MIN
+    # (2^53 - 1) + 0.5 rounds to 2^53, which would give exactly 1.0
     return np.minimum(u, U_MAX, out=u)
 
 
-def _dense_uniforms(seed: int, ids: np.ndarray, block: int, out: np.ndarray) -> np.ndarray:
+def words_to_uniform(words):
+    """Map uint64 words to float64 uniforms in [U_MIN, U_MAX], strictly inside (0, 1)."""
+    u = (words >> _S11).astype(np.float64)
+    u *= _U53
+    return _open_interval(u)
+
+
+def refill_buffer(paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense route's buffer for ids inside a range of ``paths``: 4 floats per
+    path for its result and 4 for its span's draws.  Two arrays, not one twice
+    the size: glibc raises its mmap threshold to the largest block freed, which
+    would change how fast the rest of the process allocates large arrays."""
+    return np.empty(4 * paths), np.empty(4 * paths)
+
+
+def _dense_uniforms(seed: int, ids: np.ndarray, block: int,
+                    result: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Uniforms of ``block`` for ascending ``ids``, drawn over their whole span by C Philox.
 
     numpy's Philox adds one to the 256-bit counter (c0 first, then carries)
     before each output block, so starting from (ids[0], block) - 1 yields
-    the counters (ids[0], block), (ids[0] + 1, block), ... in order.  The
-    (len(ids), 4) result is a view of the front of the flat float64 ``out``.
+    the counters (ids[0], block), (ids[0] + 1, block), ... in order.
+    (result, draws) is a ``refill_buffer`` of the span at least; the (len(ids),
+    4) result is a view of the front of ``result``, and a span with gaps is
+    drawn into ``draws`` before its live rows are gathered.
     """
-    global _span_uniforms
     lo = int(ids[0])
     span = int(ids[-1]) - lo + 1
     start = (lo + (block << 64) - 1) & _MASK256
     gen = Generator(Philox(key=np.array([seed, 0], np.uint64), counter=start))
-    u = out[:4 * ids.size].reshape(ids.size, 4)
+    u = result[:4 * ids.size].reshape(ids.size, 4)
     if span == ids.size:
-        gen.random(out=out[:4 * span])
+        gen.random(out=result[:4 * span])
     else:
-        if _span_uniforms.size < 4 * span:
-            _span_uniforms = np.empty(4 * span)
-        whole = _span_uniforms[:4 * span]
+        whole = draws[:4 * span]
         gen.random(out=whole)
         # mode "clip" writes straight into u; "raise" would buffer a copy
         np.take(whole.reshape(span, 4), (ids - np.uint64(lo)).astype(np.intp),
@@ -191,7 +190,7 @@ def _dense_uniforms(seed: int, ids: np.ndarray, block: int, out: np.ndarray) -> 
 
 
 def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
-                       steps_left: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+                       steps_left: int = 1, out: tuple | None = None) -> np.ndarray:
     """Draws ``step`` onwards of many streams at once, whole counter blocks at a time.
 
     ``step`` is a multiple of 4, the first draw of block step//4.  Row i of
@@ -199,20 +198,20 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
     of stream (seed, path_ids[i]); ``path_ids`` must ascend.  k is 1 on the
     dense route, whose cost is per block anyway, and on the sparse route
     enough for about 2^16 words, at most the blocks that ``steps_left``
-    draws reach into.  The dense route writes its result into the front of
-    ``out``, a flat float64 array of at least 4 * len(path_ids) values, and
-    returns that view (a new array when ``out`` is None); the sparse route
-    always returns a new array.
+    draws reach into.  The dense route works in ``out``, a ``refill_buffer``
+    of the span ids[0]..ids[-1] at least (a new one when None), and returns
+    a view of its first array; the sparse route returns a new array.
     """
     ids = np.asarray(path_ids, dtype=np.uint64)
     if ids.size == 0:
         return np.empty((0, 4), np.float64)
     seed = int(seed) & _MASK64
     block = (int(step) >> 2) & _MASK64
-    if ids.size >= _DENSE_SHARE * (int(ids[-1]) - int(ids[0]) + 1):
+    span = int(ids[-1]) - int(ids[0]) + 1
+    if ids.size >= _DENSE_SHARE * span:
         if out is None:
-            out = np.empty(4 * ids.size)
-        return _dense_uniforms(seed, ids, block, out)
+            out = refill_buffer(span)
+        return _dense_uniforms(seed, ids, block, *out)
     k = max(1, min(_LOOKAHEAD_WORDS // (4 * ids.size), -(-steps_left // 4)))
     blocks = np.uint64(block) + np.arange(k, dtype=np.uint64)
     u = words_to_uniform(philox_block(ids[:, None], blocks[None, :], np.uint64(seed)))

@@ -327,3 +327,23 @@ def test_prediction_json_shape():
     assert obj["region"] == "P" and obj["predicted"] == "polynomial"
     assert obj["theta"] == 0.25
     assert obj["hypotheses"]["satisfied"] is True
+
+
+def test_fitted_classes_never_contradict_the_ar2_map():
+    # the paper's class map over the (a1, a2) plane, cell by cell: the Monte
+    # Carlo curve's fitted class is the predicted class or inconclusive
+    from arsurvival.mc import estimate_survival
+
+    grid = list(range(1, 33)) + [64, 128, 256, 512, 1024]
+    cells = [(-1.5 + 0.5 * i, -1.5 + 0.5 * j) for i in range(9) for j in range(7)]
+    inconclusive, contradictions = [], []
+    for a1, a2 in cells:
+        curve = estimate_survival(ar_params([a1, a2]), gaussian(), 0.0, grid, 20_000, 1)
+        fitted = fit_decay(curve).decay_class
+        predicted = predict(a1, a2, gaussian(), 0.0).decay_class
+        if fitted is DecayClass.INCONCLUSIVE:
+            inconclusive.append((a1, a2))
+        elif fitted is not predicted:
+            contradictions.append((a1, a2, predicted.value, fitted.value))
+    print(f"{len(inconclusive)} of {len(cells)} cells inconclusive: {inconclusive}")
+    assert contradictions == []

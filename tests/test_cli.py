@@ -107,6 +107,12 @@ def test_simulate_gnuplot_script(tmp_path, capsys):
     assert "logscale" in script and "curve.csv" in script
 
 
+def test_simulate_without_gnuplot_ignores_a_gp_directory(tmp_path, capsys):
+    (tmp_path / "curve.gp").mkdir()
+    code, _, _ = run_cli(capsys, "simulate", str(_write_config(tmp_path)))
+    assert code == 0 and (tmp_path / "curve.json").is_file()
+
+
 def test_simulate_rejects_unknown_keys(tmp_path, capsys):
     cfg = _write_config(tmp_path, typo_key=1)
     code, _, err = run_cli(capsys, "simulate", str(cfg))
@@ -129,7 +135,7 @@ def test_simulate_invalid_estimate_exit_code(tmp_path, capsys):
     assert json.loads((tmp_path / "curve.json").read_text())["invalid"] is True
 
 
-@pytest.mark.parametrize("bad", [
+@pytest.mark.parametrize("bad, made", [(bad, ()) for bad in [
     {"grid": [16, 4]}, {"grid": [0, 4]},
     {"paths": 0}, {"paths": -5},
     {"x": math.nan}, {"x": "nan"},
@@ -146,6 +152,10 @@ def test_simulate_invalid_estimate_exit_code(tmp_path, capsys):
     {"innovation": {"kind": "gaussian", "params": {"mu": "0", "sigma": True}}},
     {"seed": -1}, {"seed": 2 ** 64},
     {"out": None}, {"out": ""}, {"out": "./"}, {"out": "nodir/x"}, {"gnuplot": "no"},
+]] + [
+    # an output file that would replace a directory
+    ({"out": "x"}, ("x.json",)), ({"out": "x"}, ("x.csv",)),
+    ({"out": "x", "gnuplot": True}, ("x.gp",)),
 ], ids=["grid-decreasing", "grid-zero", "paths-zero", "paths-negative", "x-nan",
         "x-nan-text", "innovation-nan", "innovation-inf", "innovation-wide-uniform",
         "innovation-params-number", "innovation-params-list", "innovation-params-null",
@@ -153,14 +163,18 @@ def test_simulate_invalid_estimate_exit_code(tmp_path, capsys):
         "grid-beyond-int64", "grid-at-int64-max", "paths-beyond-int64",
         "a-text", "a-bool", "x-text", "x-bool", "x-beyond-float",
         "innovation-params-text-bool", "seed-negative", "seed-beyond-uint64",
-        "out-null", "out-empty", "out-no-name", "out-missing-dir", "gnuplot-text"])
-def test_simulate_invalid_config_values_exit_3(tmp_path, monkeypatch, capsys, bad):
+        "out-null", "out-empty", "out-no-name", "out-missing-dir", "gnuplot-text",
+        "out-json-is-dir", "out-csv-is-dir", "out-gp-is-dir"])
+def test_simulate_invalid_config_values_exit_3(tmp_path, monkeypatch, capsys, bad, made):
     # relative outputs would land in the working directory
     monkeypatch.chdir(tmp_path)
+    for name in made:
+        (tmp_path / name).mkdir()
     cfg = _write_config(tmp_path, **bad)
     code, _, err = run_cli(capsys, "simulate", str(cfg))
     assert code == 3 and "invalid config" in err
-    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", *made])
+    assert not any(any((tmp_path / name).iterdir()) for name in made)
 
 
 def test_simulate_config_not_an_object_exit_3(tmp_path, capsys):
@@ -288,6 +302,29 @@ def test_tiny_negative_coefficient_gives_finite_bound(capsys):
     assert code == 0
     # the prediction's upper rate is -log c
     assert math.isfinite(json.loads(out)["rate_upper_bound"])
+
+
+@pytest.mark.parametrize("command", [
+    ["bounds", "--a=0.3,-0.2", "--innovation", "two_point",
+     "--innovation-params", '{"y": 1e-320}'],
+    ["bounds", "--a=0.3,-0.2", "--innovation", "uniform",
+     "--innovation-params", '{"lo": -1e-320, "hi": 1e-320}'],
+    ["classify", "--a1=-0.4", "--a2=-0.4", "--innovation", "two_point",
+     "--innovation-params", '{"y": 1e-320}'],
+], ids=["bounds-two_point", "bounds-uniform", "classify-two_point"])
+def test_law_of_subnormal_scale_returns(command):
+    # the scan's stopping width underflows to 0 at this scale; run in a child
+    # with a timeout, so a scan that never stops fails instead of hanging
+    src = str(Path(arsurvival.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "arsurvival.cli", *command],
+                         env=env, check=True, capture_output=True, text=True, timeout=10)
+    obj = json.loads(out.stdout)
+    if command[0] == "bounds":
+        # both laws put mass 1/2 at or below 0
+        assert 0.0 < obj["exp_lower_bound"]["c"] <= 0.5
+    else:
+        assert 0.0 < obj["rate_lower_bound"] <= obj["rate_upper_bound"] < math.inf
 
 
 # run in a fresh interpreter: this session has imported scipy already

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -353,6 +354,26 @@ def test_worker_count_does_not_change_counts():
                                       paths, 13, workers=workers)
             assert (other.survivors == base.survivors).all()
             assert other.nonfinite_paths == base.nonfinite_paths
+
+
+def test_threads_running_at_once_get_their_serial_curves():
+    # a draw is a pure function of (seed, path, step), so two runs that share
+    # one process at the same time must not share a buffer either
+    from concurrent.futures import ThreadPoolExecutor
+
+    grid = list(range(1, 65))
+    runs = [(RW, gaussian(), 0.0, grid, 50_000, seed) for seed in (7, 8)]
+    serial = [estimate_survival(*run).survivors for run in runs]
+    start = threading.Barrier(len(runs), timeout=60)
+
+    def run_at_once(run):
+        start.wait()
+        return estimate_survival(*run).survivors
+
+    with ThreadPoolExecutor(len(runs)) as pool:
+        for _ in range(5):
+            for got, want in zip(pool.map(run_at_once, runs), serial):
+                assert (got == want).all()
 
 
 def test_worker_failure_raises_instead_of_hanging(monkeypatch):

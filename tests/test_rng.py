@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
 from arsurvival import rng
 from arsurvival.rng import (_dense_uniforms, _open_interval, path_uniform_block,
-                            philox_block, words_to_uniform)
+                            philox_block, refill_buffer, words_to_uniform)
 
 M64 = 2**64
 
@@ -55,7 +57,7 @@ def test_counter_carry_edges_match_numpy(seed, path, block):
     ids = np.array([path], dtype=np.uint64)
     assert (path_uniform_block(seed, ids, 4 * block) == ref).all()
     expect = numpy_words(seed, path, block)
-    assert (_dense_uniforms(seed % M64, ids, block, np.empty(4))
+    assert (_dense_uniforms(seed % M64, ids, block, *refill_buffer(1))
             == words_to_uniform(expect)).all()
     assert (philox_block(ids, np.uint64(block), seed % M64) == expect).all()
 
@@ -68,8 +70,9 @@ def test_counter_carry_edges_match_numpy(seed, path, block):
 ], ids=["contiguous", "gappy", "top", "single"])
 def test_dense_and_sparse_evaluators_agree(ids):
     ids = ids.astype(np.uint64)
+    out = refill_buffer(int(ids[-1] - ids[0]) + 1)
     for seed, block in [(0, 0), (99, 3), (2**64 - 1, 2**40)]:
-        dense = _dense_uniforms(seed, ids, block, np.empty(4 * ids.size))
+        dense = _dense_uniforms(seed, ids, block, *out)
         assert dense.shape == (ids.size, 4)
         sparse = words_to_uniform(philox_block(ids, np.uint64(block), seed))
         assert dense.tobytes() == sparse.tobytes()
@@ -87,12 +90,28 @@ def test_generator_random_is_shifted_words():
                                * 2.0**-53).tobytes()
 
 
+def exact_uniforms(words):
+    """min(((w >> 11) + 0.5) * 2^-53, 1 - 2^-53) of each word, rounded once from
+    the exact value."""
+    return np.array([min(float(Fraction(2 * (int(w) >> 11) + 1, 2**54)), 1.0 - 2.0**-53)
+                     for w in words])
+
+
 def test_open_interval_matches_words_to_uniform_at_edges():
     # 0 and 2^11 - 1 give U_MIN, 2^63 the tie at 0.5 + 2^-54, the top two U_MAX
-    words = np.array([0, 2**11 - 1, 2**63, 2**64 - 2**11, 2**64 - 1], np.uint64)
-    u = _open_interval((words >> np.uint64(11)).astype(np.float64) * 2.0**-53)
-    assert u.tobytes() == words_to_uniform(words).tobytes()
-    assert u.tolist() == [rng.U_MIN, rng.U_MIN, 0.5, rng.U_MAX, rng.U_MAX]
+    edges = np.array([0, 2**11 - 1, 2**63, (2**53 - 1) << 11, 2**64 - 1], np.uint64)
+    assert exact_uniforms(edges).tolist() == [rng.U_MIN, rng.U_MIN, 0.5, rng.U_MAX, rng.U_MAX]
+    words = np.concatenate([edges, np.random.default_rng(5).integers(
+        0, 2**64, 10_000, dtype=np.uint64, endpoint=False)])
+    expect = exact_uniforms(words).tobytes()
+    assert words_to_uniform(words).tobytes() == expect
+    # the dense route: Generator.random's (w >> 11) * 2^-53, then the same map
+    shifted = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    assert _open_interval(shifted).tobytes() == expect
+    ids = np.arange(40, 2540, dtype=np.uint64)
+    dense = _dense_uniforms(3, ids, 7, *refill_buffer(ids.size))
+    expect = exact_uniforms(philox_block(ids, np.uint64(7), 3).ravel()).tobytes()
+    assert dense.tobytes() == expect
 
 
 @pytest.mark.parametrize("ids", [
@@ -102,16 +121,17 @@ def test_open_interval_matches_words_to_uniform_at_edges():
 ], ids=["whole-span", "gathered", "top"])
 def test_dense_route_fills_the_callers_buffer(ids):
     ids = ids.astype(np.uint64)
-    out = np.full(4 * 1400 + 7, np.nan)
-    for seed, step in [(0, 0), (2**64 - 1, 4 * (2**64 - 1)), (77, 4 * 2**40)]:
-        u = path_uniform_block(seed, ids, step, 1000, out=out)
-        assert u.shape == (ids.size, 4)
-        assert np.shares_memory(u, out)
-        expect = words_to_uniform(philox_block(ids, np.uint64(step // 4), seed))
-        assert u.tobytes() == expect.tobytes()
-        assert path_uniform_block(seed, ids, step, 1000).tobytes() == expect.tobytes()
-    # the buffer past the result is never written
-    assert np.isnan(out[4 * ids.size:]).all()
+    span = int(ids[-1] - ids[0]) + 1
+    # the smallest buffer the route may be given, and a tile's larger one
+    for out in (refill_buffer(span), refill_buffer(1400)):
+        for seed, step in [(0, 0), (2**64 - 1, 4 * (2**64 - 1)), (77, 4 * 2**40)]:
+            u = path_uniform_block(seed, ids, step, 1000, out=out)
+            assert u.shape == (ids.size, 4)
+            # the result is the front of the buffer's first array
+            assert u.ctypes.data == out[0].ctypes.data and u.flags.c_contiguous
+            expect = words_to_uniform(philox_block(ids, np.uint64(step // 4), seed))
+            assert u.tobytes() == expect.tobytes()
+            assert path_uniform_block(seed, ids, step, 1000).tobytes() == expect.tobytes()
 
 
 def test_philox_vectorized_consistent_with_scalar():
