@@ -4,6 +4,8 @@ Each criterion pins one verifiable consequence of the theory to a concrete
 simulation or computation with a fixed seed, so the whole suite is
 deterministic.  The suite is the release gate: ``arsurvival verify`` runs
 every criterion, each at its one size, and ``--only`` picks among them.
+Every criterion takes the worker count for its ``estimate_survival`` calls,
+which does not change a number; F1, R1 and G1 make no such call.
 
     P1  random walk               theta in [0.45, 0.55]
     P2  integrated random walk    theta in [0.18, 0.32]
@@ -53,9 +55,9 @@ def _dyadic(lo: int, hi: int) -> list[int]:
     return [2 ** k for k in range(lo, hi + 1)]
 
 
-def _theta_fit(a, grid, paths, seed, lo, hi):
+def _theta_fit(a, grid, paths, seed, lo, hi, workers):
     """Fit a Gaussian curve from x = 0: polynomial with theta in [lo, hi] passes."""
-    curve = estimate_survival(ar_params(a), gaussian(), 0.0, grid, paths, seed)
+    curve = estimate_survival(ar_params(a), gaussian(), 0.0, grid, paths, seed, workers)
     fit = fit_decay(curve)
     ok = fit.decay_class is DecayClass.POLYNOMIAL and fit.theta is not None \
         and lo <= fit.theta <= hi
@@ -66,8 +68,8 @@ def _theta_fit(a, grid, paths, seed, lo, hi):
 
 
 def _theta_criterion(cid, desc, a, grid, paths, seed, lo, hi):
-    def run() -> CriterionResult:
-        _, fit, ok, detail = _theta_fit(a, grid, paths, seed, lo, hi)
+    def run(workers: int = 1) -> CriterionResult:
+        _, fit, ok, detail = _theta_fit(a, grid, paths, seed, lo, hi, workers)
         return CriterionResult(
             cid, desc, ok, details=[detail],
             metrics={"theta": fit.theta, "class": fit.decay_class.value,
@@ -88,17 +90,17 @@ criterion_p4 = _theta_criterion(
     _dyadic(4, 13), 100_000, 104, 0.40, 0.60)
 
 
-def criterion_p3() -> CriterionResult:
+def criterion_p3(workers: int = 1) -> CriterionResult:
     """Two interleaved walks: theta near 1 plus the exact squared identity."""
     paths, top = 200_000, 12
     curve, fit, ok_theta, detail = _theta_fit([0.0, 1.0], _dyadic(4, top), paths,
-                                              103, 0.85, 1.15)
+                                              103, 0.85, 1.15, workers)
     details = [detail]
 
     # p_hat(2N) must match the squared one-walk estimate at N
     half = 2 ** (top - 1)
     walk = estimate_survival(ar_params([1.0]), gaussian(), 0.0, [half],
-                             paths, 1031)
+                             paths, 1031, workers)
     p2n = float(curve.p_hat[-1])
     q, qse = float(walk.p_hat[0]), float(walk.stderr[0])
     comb = math.hypot(float(curve.stderr[-1]), 2.0 * q * qse)
@@ -123,12 +125,12 @@ def criterion_p3() -> CriterionResult:
                  "enum_max_diff": worst})
 
 
-def criterion_e1() -> CriterionResult:
+def criterion_e1(workers: int = 1) -> CriterionResult:
     """All-negative coefficients: exponential decay between the two bounds."""
     paths = 1_000_000
     params = ar_params([-0.4, -0.4])
     spec = gaussian()
-    curve = estimate_survival(params, spec, 0.0, list(range(1, 41)), paths, 105)
+    curve = estimate_survival(params, spec, 0.0, list(range(1, 41)), paths, 105, workers)
     fit = fit_decay(curve)
     details = [f"class={fit.decay_class.value} "
                f"lambda={fit.lam if fit.lam is not None else float('nan'):.4f} "
@@ -158,11 +160,11 @@ def criterion_e1() -> CriterionResult:
                  "c": bound.c, "paths": paths})
 
 
-def criterion_c1() -> CriterionResult:
+def criterion_c1(workers: int = 1) -> CriterionResult:
     """Supercritical region: the survival curve plateaus at a positive level."""
     paths = 100_000
     curve = estimate_survival(ar_params([1.0, 1.0]), gaussian(), 0.0,
-                              _dyadic(4, 10), paths, 106)
+                              _dyadic(4, 10), paths, 106, workers)
     fit = fit_decay(curve)
     ok_class = fit.decay_class is DecayClass.POSITIVE_LIMIT
     p_last, p_prev = float(curve.p_hat[-1]), float(curve.p_hat[-2])
@@ -178,7 +180,7 @@ def criterion_c1() -> CriterionResult:
         metrics={"class": fit.decay_class.value, "p_inf": fit.p_inf})
 
 
-def criterion_o1() -> CriterionResult:
+def criterion_o1(workers: int = 1) -> CriterionResult:
     """MC agrees with the exact oracle in at least 11 of 12 cells."""
     paths = 1_000_000
     cases = ([1.0, 0.0], [2.0, -1.0], [0.5, 0.5], [-0.4, -0.4])
@@ -188,7 +190,7 @@ def criterion_o1() -> CriterionResult:
     for i, a in enumerate(cases):
         params = ar_params(a)
         curve = estimate_survival(params, rademacher(), 0.0, horizons, paths,
-                                  107 + i)
+                                  107 + i, workers)
         for j, n in enumerate(horizons):
             exact = enumerate_survival(params, rademacher().atoms(), 0.0, n)
             err = abs(float(curve.p_hat[j]) - exact)
@@ -241,7 +243,7 @@ def coefficient_grid_discrepancy(n_max: int = 200, grid_points: int = 41):
     return worst, checked
 
 
-def criterion_f1() -> CriterionResult:
+def criterion_f1(workers: int = 1) -> CriterionResult:
     """Closed forms agree with the recursion across the coefficient grid."""
     n_max, grid_points = 200, 41
     worst, checked = coefficient_grid_discrepancy(n_max, grid_points)
@@ -255,7 +257,7 @@ def criterion_f1() -> CriterionResult:
         metrics={"max_rel_err": worst, "values": checked, "skipped": skipped})
 
 
-def criterion_r1() -> CriterionResult:
+def criterion_r1(workers: int = 1) -> CriterionResult:
     """Pathwise process transforms hold exactly on shared innovations."""
     paths, n_max, seed = 1000, 1000, 109
     spec = gaussian()
@@ -279,7 +281,7 @@ def criterion_r1() -> CriterionResult:
         total == 0, details, metrics={"violations": total})
 
 
-def criterion_g1() -> CriterionResult:
+def criterion_g1(workers: int = 1) -> CriterionResult:
     """Arcsine pair formula matches the MC pair frequency; rho=0 gives 1/4."""
     paths = 1_000_000
     params = ar_params([0.5, 0.25])
@@ -308,12 +310,13 @@ CRITERIA = {
     "G1": criterion_g1,
 }
 
-def run_suite(only: list[str] | None = None) -> list[CriterionResult]:
-    """Run every criterion, or only the named ones, in registry order."""
+def run_suite(only: list[str] | None = None, workers: int = 1) -> list[CriterionResult]:
+    """Run every criterion, or only the named ones, in registry order, each
+    simulating with ``workers`` processes."""
     cids = list(CRITERIA)
     if only:
         unknown = sorted(set(only) - set(CRITERIA))
         if unknown:
             raise ValueError(f"unknown criteria: {unknown}")
         cids = [c for c in CRITERIA if c in only]
-    return [CRITERIA[cid]() for cid in cids]
+    return [CRITERIA[cid](workers) for cid in cids]

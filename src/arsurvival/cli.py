@@ -188,7 +188,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     only = None if args.only is None else args.only.split(",")
-    results = acceptance.run_suite(only)
+    if args.workers < 1:
+        raise ValueError("workers must be >= 1")
+    results = acceptance.run_suite(only, args.workers)
     for res in results:
         print(res.summary())
         if args.verbose:
@@ -200,6 +202,12 @@ def cmd_verify(args) -> int:
         print(f"failed: {', '.join(failed)}")
         return EXIT_INVALID
     return EXIT_OK
+
+
+_WORKERS = dict(type=int, default=1,
+                help="worker processes, each simulating one contiguous range "
+                     "of paths in tiles of at most 65,536 (default 1, at "
+                     "most the CPU count); does not change the numbers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,10 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="estimate a survival curve from a config")
     s.add_argument("config", help="JSON config with keys "
                    "a, innovation, x, grid, paths, seed, out (optional gnuplot)")
-    s.add_argument("--workers", type=int, default=1,
-                   help="worker processes, each simulating one contiguous range "
-                        "of paths in tiles of at most 65,536 (default 1, at "
-                        "most the CPU count); does not change the numbers")
+    s.add_argument("--workers", **_WORKERS)
     s.set_defaults(func=cmd_simulate)
 
     f = sub.add_parser("fit", help="fit the decay class of a stored curve")
@@ -242,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--only", default=None,
                    help="comma-separated criterion ids to run (default: all ten)")
     v.add_argument("--verbose", action="store_true")
+    v.add_argument("--workers", **_WORKERS)
     v.set_defaults(func=cmd_verify)
     return parser
 

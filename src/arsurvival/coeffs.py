@@ -106,16 +106,17 @@ class CoeffSolution:
     modulus: float | None = None
 
 
-def ar_step(a, y, state):
+def ar_step(a, y, state, out=None):
     """One AR step: y + a[0]*state[0] + ... + a[p-1]*state[p-1], left to right.
 
     state[k] holds X_{n-1-k}.  Works on floats and on broadcastable arrays;
-    the later terms must broadcast to the shape of y + a[0]*state[0].
-    Every recursion in the package steps through here, so all of them make
-    the same survive/cross decision when a lattice path hits the barrier
-    exactly.
+    the later terms must broadcast to the shape of y + a[0]*state[0].  The
+    sum goes into ``out`` when given, by the same float operations in the
+    same order.  Every recursion in the package steps through here, so all
+    of them make the same survive/cross decision when a lattice path hits
+    the barrier exactly.
     """
-    acc = y + a[0] * state[0]
+    acc = y + a[0] * state[0] if out is None else np.add(y, a[0] * state[0], out=out)
     for k in range(1, len(a)):
         acc += a[k] * state[k]      # in place on the fresh sum: no new array
     return acc

@@ -15,7 +15,8 @@ numbers).  Every simulation here, the engine, the pair frequency and the
 reduction checks, steps tiles of at most ``_TILE_PATHS`` paths with one
 walker, ``_Walk``, so memory is bounded whatever the path count.  It makes
 one rng call per refill, which gives a thinned-out live set many steps at
-once: no innovation changes, only when it is made.
+once, and steps the recursion through the whole refill as one time-major
+block: no innovation changes, only when it is made.
 
 Survival certificate: innovations are bounded above by B, the largest value
 the transform takes on the rng's uniform range [2^-54, 1 - 2^-53].  When
@@ -24,12 +25,13 @@ summed as ``ar_step`` sums, keeps a path whose lags are all <= c at or below
 c forever, since rounding is monotone: it never crosses and never turns NaN.
 The engine takes the first of c* = -B/(a_1 + ... + a_p - 1) and 2c*, each
 capped at x, that passes the check when the sum exceeds 1 (c* itself is the
-fixed point, where rounding decides), and c = x otherwise.  A death inside
-the look-ahead buffer only narrows the walker's index of live rows; at each
-step that uses up the buffer the engine drops, with the dead paths, the live
-paths whose lags are all <= c, with tau = n_max + 1, which is what walking
-them would give, and the next refill draws no words for them.  Words are
-counter-based, so no other path's draws change.
+fixed point, where rounding decides), and c = x otherwise.  The engine
+compacts once per block: it drops the paths that crossed or went NaN inside
+it, each with the step of its first crossing or NaN found in the block,
+and the live paths whose lags are all <= c at the block's end, with tau =
+n_max + 1, which is what walking them would give, and the next refill
+draws no words for them.  Words are counter-based, so no other path's
+draws change.
 """
 
 from __future__ import annotations
@@ -84,14 +86,17 @@ class ConstraintError(ValueError):
 class _Walk:
     """Paths lo..hi-1 of one run, stepped together from the zero start.
 
-    ``step()`` returns X_n and leaves Y_n in ``y``; lags[k] is then X_{n-k}.
-    ``keep(rows)`` drops the rows where the boolean ``rows`` is False.
-    ``buf`` holds the unused columns of the last refill's draws, one row per
-    path live at that refill, and ``rows`` maps each live path to its row
-    (None: row i is path i), so a death moves an index, never a draw.  The
-    dense route's refills draw and transform in place in ``out``, the tile's
-    ``refill_buffer``, allocated once: a refill allocates no array of its
-    size, whose memory the allocator would hand back to the system.
+    ``block()`` makes one rng call and steps the recursion through every
+    column it returned: it returns X and Y as time-major (steps, live)
+    blocks, row t holding step j + t + 1, and leaves lags[k] = X_{j-k} for
+    the new j, the steps taken.  X is written into the second array of
+    ``out``, the tile's ``refill_buffer``, which the refill no longer
+    needs; the next refill overwrites both blocks, so ``compact(live)``,
+    called once after each block, copies the lags out and keeps only the
+    rows where the boolean ``live`` is True (every row when None).  The
+    dense route's refills draw and transform in place in ``out`` too: no
+    refill allocates an array of its size, whose memory the allocator
+    would hand back to the system.
     """
 
     def __init__(self, params: ARParams, spec: InnovationSpec, seed: int,
@@ -103,30 +108,29 @@ class _Walk:
         self.lags = [np.zeros(hi - lo) for _ in range(params.p)]
         self.n_max = n_max
         self.out = refill_buffer(hi - lo)
-        self.buf = np.empty((hi - lo, 0))
-        self.rows = None
-        self.j = 0      # steps taken: the next draw once buf is empty
+        self.j = 0      # steps taken
 
-    def step(self) -> np.ndarray:
-        if self.buf.shape[1] == 0:
-            u = path_uniform_block(self.seed, self.ids, self.j, self.n_max - self.j,
-                                   out=self.out)
-            self.buf = self.spec.transform(u, out=u)
-            self.rows = None
-        col = self.buf[:, 0]
-        self.y = col if self.rows is None else col[self.rows]
-        self.buf = self.buf[:, 1:]
+    def block(self) -> tuple[np.ndarray, np.ndarray]:
+        u = path_uniform_block(self.seed, self.ids, self.j, self.n_max - self.j,
+                               out=self.out)
+        steps = min(u.shape[1], self.n_max - self.j)
+        ys = self.spec.transform(u, out=u).T[:steps]
+        xs = self.out[1][:ys.size].reshape(ys.shape)
+        lags = self.lags
+        # a path stepped past its crossing may overflow; it is decided already
         with np.errstate(invalid="ignore", over="ignore"):
-            self.lags = [ar_step(self.a, self.y, self.lags)] + self.lags[:-1]
-        self.j += 1
-        return self.lags[0]
+            for y, x in zip(ys, xs):
+                lags = [ar_step(self.a, y, lags, out=x)] + lags[:-1]
+        self.lags = lags
+        self.j += steps
+        return xs, ys
 
-    def keep(self, rows) -> None:
-        self.ids = self.ids[rows]
-        self.lags = [lag[rows] for lag in self.lags]
-        if self.buf.shape[1]:       # a used-up buffer is replaced at the next step
-            rows = np.flatnonzero(rows)
-            self.rows = rows if self.rows is None else self.rows[rows]
+    def compact(self, live=None) -> None:
+        if live is None:
+            self.lags = [lag.copy() for lag in self.lags]
+        else:
+            self.ids = self.ids[live]
+            self.lags = [lag[live] for lag in self.lags]
 
 
 def _innovation_bound(spec: InnovationSpec) -> float:
@@ -165,29 +169,31 @@ def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
     """Crossing times tau for paths lo..hi-1.
 
     tau = n_max + 1 marks survival through n_max; tau = 0 marks a path that
-    went non-finite (NaN) and is excluded from every survivor count.  A step
-    that uses up the look-ahead buffer also drops the paths held below the
-    survival level, since they can never cross, so no refill draws for them.
+    went non-finite (NaN) and is excluded from every survivor count.  Each
+    block's end also drops the paths held below the survival level, since
+    they can never cross, so no refill draws for them.
     """
-    walk = _Walk(params, spec, seed, lo, hi, n_max)
+    # the level first: its transform may import scipy, whose module objects,
+    # allocated above the tile's arrays, would keep their memory in the heap
     level = _survival_level(params, spec, x)
+    walk = _Walk(params, spec, seed, lo, hi, n_max)
     tau = np.full(hi - lo, n_max + 1, dtype=np.int64)
-    for n in range(1, n_max + 1):
-        xval = walk.step()
-        bad = np.isnan(xval)
-        crossed = xval > x
-        drop = crossed | bad
-        if level is not None and walk.buf.shape[1] == 0:
-            # held: every lag at or below the level (a NaN lag is not held)
-            drop |= np.maximum.reduce(walk.lags) <= level
-        if drop.any():
+    while walk.ids.size and walk.j < n_max:
+        n0 = walk.j
+        xs, _ = walk.block()
+        # NaN fails <= x, so a path leaves at its first crossing or NaN
+        below = xs <= x
+        live = below.all(axis=0)
+        gone = np.flatnonzero(~live)
+        if gone.size:
+            first = np.argmin(below[:, gone], axis=0)
+            crossed = xs[first, gone] > x
             # walk.ids - lo is each live path's row in tau
-            tau[walk.ids[crossed] - lo] = n
-            if bad.any():
-                tau[walk.ids[bad] - lo] = 0
-            walk.keep(~drop)
-            if walk.ids.size == 0:
-                break
+            tau[walk.ids[gone] - lo] = np.where(crossed, n0 + 1 + first, 0)
+        if level is not None:
+            # held: every lag at or below the level; tau stays n_max + 1
+            live &= np.maximum.reduce(walk.lags) > level
+        walk.compact(live)
     return tau
 
 
@@ -462,9 +468,13 @@ def pair_survival_frequency(params: ARParams, spec: InnovationSpec, n: int,
     hits = 0
     for lo, hi in _split(0, paths):
         walk = _Walk(params, spec, seed, lo, hi, n)
-        for _ in range(n - 1):
-            prev = walk.step()
-        hits += int(np.count_nonzero((prev <= 0.0) & (walk.step() <= 0.0)))
+        while walk.j < n:
+            prev = walk.lags[0]
+            xs, _ = walk.block()
+            walk.compact()
+        # X_{n-1} is the last block's next-to-last row, or the block before ends on it
+        before = xs[-2] if len(xs) > 1 else prev
+        hits += int(np.count_nonzero((before <= 0.0) & (xs[-1] <= 0.0)))
     freq = hits / paths
     return freq, float(np.sqrt(freq * (1.0 - freq) / paths))
 
@@ -496,7 +506,8 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
 
     Simulates X and the transformed process from the same innovations and
     asserts the transformed recursion entrywise to 1e-8 relative tolerance.
-    Raises ConstraintError when the coefficients do not meet the transform's
+    A non-finite entry on either side is a violation, and makes max_rel_err
+    inf.  Raises ConstraintError when the coefficients do not meet the transform's
     requirements.
     """
     if not isinstance(kind, ReductionKind):
@@ -535,18 +546,28 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
     for lo, hi in _split(0, paths):
         walk = _Walk(params, spec, seed, lo, hi, n_max)
         w_lags = [np.zeros(hi - lo)] * (params.p + 1)
-        z_prev = total = 0.0
-        for _ in range(n_max):
-            xval = walk.step()
-            if lifted is None:
-                rhs = r * z_prev + walk.y
-                lhs = z_prev = xval - s * walk.lags[1]      # order 2: lags[1] is X_{n-1}
-            else:
-                lhs = ar_step(lifted, walk.y, w_lags)       # W_n, the running sum of X
-                w_lags = [lhs] + w_lags[:-1]
-                rhs = total = total + xval
-            rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
-            violations += int(np.count_nonzero(rel > _REL_TOL))
+        z_prev = total = np.zeros((1, hi - lo))
+        while walk.j < n_max:
+            x_prev = walk.lags[0][None]
+            xs, ys = walk.block()
+            walk.compact()
+            # a non-finite entry is a violation, not a warning
+            with np.errstate(invalid="ignore", over="ignore"):
+                if lifted is None:
+                    lhs = xs - s * np.concatenate([x_prev, xs[:-1]])
+                    rhs = r * np.concatenate([z_prev, lhs[:-1]]) + ys
+                    z_prev = lhs[-1:]
+                else:
+                    lhs = np.empty_like(xs)         # W_n, the running sum of X
+                    for y, w in zip(ys, lhs):
+                        w_lags = [ar_step(lifted, y, w_lags, out=w)] + w_lags[:-1]
+                    # accumulate adds along time in the order a loop would
+                    rhs = np.add.accumulate(np.concatenate([total, xs]))[1:]
+                    total = rhs[-1:]
+                rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
+            # NaN fails <= as well: it comes only from a non-finite entry
+            violations += int(np.count_nonzero(~(rel <= _REL_TOL)))
             worst = np.maximum(worst, rel.max())
+    worst = np.inf if np.isnan(worst) else float(worst)
     return ReductionReport(kind=kind, paths=paths, n_max=n_max,
-                           violations=violations, max_rel_err=float(worst), rho=rho)
+                           violations=violations, max_rel_err=worst, rho=rho)

@@ -156,9 +156,12 @@ def words_to_uniform(words):
 
 def refill_buffer(paths: int) -> tuple[np.ndarray, np.ndarray]:
     """The dense route's buffer for ids inside a range of ``paths``: 4 floats per
-    path for its result and 4 for its span's draws.  Two arrays, not one twice
-    the size: glibc raises its mmap threshold to the largest block freed, which
-    would change how fast the rest of the process allocates large arrays."""
+    path for its result and 4 for its span's draws.  The second array is idle
+    once a call returns, and no result of a call given this buffer is larger,
+    so a caller may write a block of that size there.  Two arrays, not one
+    twice the size: glibc raises its mmap threshold to the largest block
+    freed, which would change how fast the rest of the process allocates
+    large arrays."""
     return np.empty(4 * paths), np.empty(4 * paths)
 
 
@@ -198,9 +201,10 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
     of stream (seed, path_ids[i]); ``path_ids`` must ascend.  k is 1 on the
     dense route, whose cost is per block anyway, and on the sparse route
     enough for about 2^16 words, at most the blocks that ``steps_left``
-    draws reach into.  The dense route works in ``out``, a ``refill_buffer``
-    of the span ids[0]..ids[-1] at least (a new one when None), and returns
-    a view of its first array; the sparse route returns a new array.
+    draws reach into and the words an array of ``out`` holds.  The dense
+    route works in ``out``, a ``refill_buffer`` of the span ids[0]..ids[-1]
+    at least (a new one when None), and returns a view of its first array;
+    the sparse route returns a new array.
     """
     ids = np.asarray(path_ids, dtype=np.uint64)
     if ids.size == 0:
@@ -212,7 +216,8 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
         if out is None:
             out = refill_buffer(span)
         return _dense_uniforms(seed, ids, block, *out)
-    k = max(1, min(_LOOKAHEAD_WORDS // (4 * ids.size), -(-steps_left // 4)))
+    words = _LOOKAHEAD_WORDS if out is None else min(_LOOKAHEAD_WORDS, out[1].size)
+    k = max(1, min(words // (4 * ids.size), -(-steps_left // 4)))
     blocks = np.uint64(block) + np.arange(k, dtype=np.uint64)
     u = words_to_uniform(philox_block(ids[:, None], blocks[None, :], np.uint64(seed)))
     return u.reshape(ids.size, 4 * k)

@@ -27,15 +27,17 @@ def test_run_suite_selects_in_registry_order(monkeypatch):
     ran = []
 
     def stub(cid):
-        def run():
-            ran.append(cid)
+        def run(workers):
+            ran.append((cid, workers))
             return CriterionResult(cid, "stub", True)
         return run
 
     monkeypatch.setattr(acceptance, "CRITERIA", {cid: stub(cid) for cid in CRITERIA})
-    assert [r.cid for r in run_suite()] == list(CRITERIA) == ran
+    assert [r.cid for r in run_suite()] == list(CRITERIA)
+    assert ran == [(cid, 1) for cid in CRITERIA]
     ran.clear()
-    assert [r.cid for r in run_suite(["G1", "P1"])] == ["P1", "G1"] == ran
+    assert [r.cid for r in run_suite(["G1", "P1"], workers=2)] == ["P1", "G1"]
+    assert ran == [("P1", 2), ("G1", 2)]
     ran.clear()
     with pytest.raises(ValueError, match="unknown criteria"):
         run_suite(["P1", "nope"])

@@ -449,10 +449,19 @@ def test_verify_unknown_criterion(capsys):
     assert code == 2 and "unknown criteria: ['']" in err and out == ""
 
 
+def test_verify_workers_do_not_change_the_output(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--only", "C1,R1", "--verbose")
+    assert code == 0
+    assert run_cli(capsys, "verify", "--only", "C1,R1", "--verbose",
+                   "--workers", "2") == (0, out, "")
+    code, out, err = run_cli(capsys, "verify", "--only", "F1", "--workers", "0")
+    assert code == 2 and "workers" in err and out == ""
+
+
 def test_verify_failed_criterion_exit_4(monkeypatch, capsys):
     from arsurvival import acceptance
 
-    stubs = {cid: (lambda cid=cid, ok=ok: acceptance.CriterionResult(cid, "stub", ok))
+    stubs = {cid: (lambda workers, cid=cid, ok=ok: acceptance.CriterionResult(cid, "stub", ok))
              for cid, ok in [("P1", True), ("E1", False), ("C1", False)]}
     monkeypatch.setattr(acceptance, "CRITERIA", stubs)
     code, out, _ = run_cli(capsys, "verify")

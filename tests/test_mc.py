@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arsurvival.coeffs import ar_params
+from arsurvival.coeffs import ar_params, ar_step
 from arsurvival.innovations import (exponential_centered, gaussian, rademacher,
                                     two_point, uniform)
 from arsurvival.mc import (ConstraintError, ReductionKind, SurvivalCurve,
@@ -55,6 +55,40 @@ def innovations(spec, seed, ids, n):
     return spec.transform(words_to_uniform(words))[:, :n]
 
 
+def reference_tau(params, x, y) -> int:
+    """The engine's tau from the scalar reference: 0 for a path that goes NaN first."""
+    try:
+        return crossing_time_from_innovations(params, x, y)
+    except NonFiniteSampleError:
+        return 0
+
+
+def record_refills(monkeypatch) -> list:
+    """(ids, step, steps) of every refill the engine draws from now on."""
+    from arsurvival import mc
+
+    drawn = []
+
+    def recorded(seed, ids, step, steps_left=1, out=None):
+        u = path_uniform_block(seed, ids, step, steps_left, out)
+        drawn.append((ids.copy(), step, min(u.shape[1], steps_left)))
+        return u
+
+    monkeypatch.setattr(mc, "path_uniform_block", recorded)
+    return drawn
+
+
+def path_values(params, y) -> np.ndarray:
+    """X[row, n - 1] for every step of every row, walked on past any crossing."""
+    lags = [np.zeros(len(y))] * params.p
+    cols = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col in y.T:
+            lags = [ar_step(params.a, col, lags)] + lags[:-1]
+            cols.append(lags[0])
+    return np.array(cols).T
+
+
 def test_crossing_time_hand_cases():
     # random walk crosses 0 immediately on an up-tick
     assert crossing_time_from_innovations(RW, 0.0, [1.0, -1.0]) == 1
@@ -84,7 +118,13 @@ def test_engine_matches_scalar_reference(a, spec, x):
     assert (tau_vec == tau_scalar).all()
     # a walk that keeps every row crosses first at the same step on every row
     walk = _Walk(params, spec, 99, 0, 300, 64)
-    crossed = np.array([walk.step() > x for _ in range(64)]).T
+    crossed = []
+    while walk.j < 64:
+        xs, _ = walk.block()
+        assert np.shares_memory(xs, walk.out[1])
+        crossed.append(xs > x)
+        walk.compact()
+    crossed = np.concatenate(crossed).T
     tau_walk = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 65)
     assert (tau_walk == tau_scalar).all()
 
@@ -97,54 +137,74 @@ def test_engine_matches_scalar_reference(a, spec, x):
 def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
     # a horizon that ends inside a block, on a tile whose live set thins out
     # enough for the rng to draw many blocks per call
-    from arsurvival import mc
-
+    drawn = record_refills(monkeypatch)
     n_max, lo, hi = 4 * 97 + 3, 500, 3500
-    drawn = []
-
-    def recorded(seed, ids, step, steps_left=1, out=None):
-        u = path_uniform_block(seed, ids, step, steps_left, out)
-        drawn.append((step, u.shape[1]))
-        return u
-
-    monkeypatch.setattr(mc, "path_uniform_block", recorded)
     params = ar_params(a)
     tau = _crossing_times_range(params, spec, x, n_max, 99, lo, hi)
     y = innovations(spec, 99, np.arange(lo, hi, dtype=np.uint64), n_max)
     assert tau.tolist() == [crossing_time_from_innovations(params, x, row) for row in y]
-    ahead = [(step, step + width) for step, width in drawn if width > 4]
+    ahead = [(step, step + steps) for _, step, steps in drawn if steps > 4]
     assert ahead
-    # paths died before the last column of a look-ahead buffer
+    # paths died before the last column of a look-ahead refill, and on the
+    # last column of a refill before the horizon
     j = tau[tau <= n_max] - 1
     assert any(((start <= j) & (j < end - 1)).any() for start, end in ahead)
+    assert np.isin(tau, [step + steps for _, step, steps in drawn[:-1]]).any()
 
 
-def test_keep_composes_the_index_and_never_copies_the_buffer():
-    # a tile thinned below the dense share takes the sparse route, and its one
-    # refill draws every block at once; a death inside that buffer moves the
-    # live paths' row index, never their draws
-    params, spec, seed, n, x = RW, gaussian(), 99, 80, 0.0
+def test_compact_keeps_each_live_paths_own_draws():
+    # a tile thinned below the dense share takes the sparse route, whose
+    # refills span many steps; after each compaction the next block's rows
+    # are the kept paths' own draws, and X lies in the idle refill array
+    params, spec, seed, n, x = RW, gaussian(), 99, 400, 0.0
     walk = _Walk(params, spec, seed, 0, 3000, n)
-    walk.keep(np.arange(3000) % 10 == 0)
+    walk.compact(np.arange(3000) % 10 == 0)
     ids0 = walk.ids
     tau = np.full(ids0.size, n + 1)
-    drawn, keeps = None, 0
-    for j in range(n):
-        xval = walk.step()
-        if drawn is None:
-            drawn = walk.buf        # a view of the refill's draws
-            assert drawn.shape == (ids0.size, n - 1)
-        assert (walk.y == innovations(spec, seed, walk.ids, n)[:, j]).all()
-        crossed = xval > x
-        if crossed.any():
-            tau[np.searchsorted(ids0, walk.ids[crossed])] = j + 1
-            walk.keep(~crossed)
-            if walk.buf.shape[1]:
-                keeps += 1
-                assert np.shares_memory(walk.buf, drawn)
-    assert keeps >= 2
+    widths = []
+    while walk.ids.size and walk.j < n:
+        j = walk.j
+        xs, ys = walk.block()
+        widths.append(len(xs))
+        assert np.shares_memory(xs, walk.out[1])
+        assert (ys == innovations(spec, seed, walk.ids, walk.j)[:, j:].T).all()
+        crossed = (xs > x).any(axis=0)
+        tau[np.searchsorted(ids0, walk.ids[crossed])] = j + 1 + (xs[:, crossed] > x).argmax(axis=0)
+        walk.compact(~crossed)
+    assert len(widths) >= 2 and min(widths) > 4
     y = innovations(spec, seed, ids0, n)
     assert tau.tolist() == [crossing_time_from_innovations(params, x, row) for row in y]
+
+
+def test_nan_inside_a_refill_after_or_before_a_crossing():
+    # X_3 overflows to +-inf and X_4 = inf - inf is NaN, inside the first
+    # 4-step refill: a path that crossed at step 1 keeps tau = 1, and one that
+    # went NaN before any crossing gets tau = 0
+    params, spec = ar_params([1e200, -1e200]), gaussian()
+    tau = _crossing_times_range(params, spec, 0.0, 10, 3, 0, 300)
+    y = innovations(spec, 3, np.arange(300, dtype=np.uint64), 10)
+    assert tau.tolist() == [reference_tau(params, 0.0, row) for row in y]
+    assert set(tau.tolist()) == {0, 1}
+    assert np.isnan(path_values(params, y[tau == 1])[:, 3]).all()
+
+
+def test_a_held_path_leaves_at_its_refills_end(monkeypatch):
+    # mostly negative innovations sink paths below the level: those held at
+    # the first refill's end draw no more, while a path that crossed and then
+    # sank below the level inside that refill keeps its crossing time
+    drawn = record_refills(monkeypatch)
+    params, spec, n_max = ar_params([0.5, 0.6]), uniform(-100.0, 1.0), 50
+    level = _survival_level(params, spec, 0.0)
+    assert level is not None
+    tau = _crossing_times_range(params, spec, 0.0, n_max, 5, 0, 2000)
+    y = innovations(spec, 5, np.arange(2000, dtype=np.uint64), n_max)
+    assert tau.tolist() == [reference_tau(params, 0.0, row) for row in y]
+    xs = path_values(params, y)
+    held = np.maximum(xs[:, 2], xs[:, 3]) <= level
+    assert ((tau <= 4) & held).any()
+    assert (drawn[0][2], drawn[1][1]) == (4, 4)
+    assert drawn[1][0].tolist() == np.flatnonzero((tau > 4) & ~held).tolist()
+    assert (tau[(tau > 4) & held] == n_max + 1).all()
 
 
 @pytest.mark.parametrize("a, spec, x", [
@@ -585,6 +645,14 @@ def test_reductions_hold_pathwise(a, kind, rho):
         assert rep.rho is None
     else:
         assert rep.rho == pytest.approx(rho, abs=1e-12)
+
+
+def test_reduction_counts_non_finite_entries_as_violations():
+    # both sides overflow to inf and NaN, which fails no tolerance test by
+    # itself; the check must report it without a warning
+    for a, kind, n_max in [((0.5, 1.5), "pair_sum", 2000), ((1.2,), "integrated", 4500)]:
+        rep = pathwise_reduction_check(ar_params(a), gaussian(), kind, 100, n_max, 1)
+        assert rep.violations > 0 and rep.max_rel_err == math.inf
 
 
 def test_reduction_accepts_string_kind():

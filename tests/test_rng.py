@@ -197,3 +197,13 @@ def test_block_count_equals_single_blocks(ids, block, blocks_left):
     singles = [path_uniform_block(31, ids, 4 * (block + i)) for i in range(k)]
     assert all(s.shape == (ids.size, 4) for s in singles)
     assert u.tobytes() == np.concatenate(singles, axis=1).tobytes()
+
+
+def test_sparse_width_fits_the_callers_buffer():
+    # given a small tile's buffer, a sparse call draws no more words than an
+    # array of it holds, so its result fits in the idle second array
+    ids = np.arange(0, 3000, 10, dtype=np.uint64)
+    out = refill_buffer(3000)
+    u = path_uniform_block(31, ids, 0, 400, out=out)
+    assert u.size <= out[1].size and u.shape[1] > 4
+    assert u.tobytes() == path_uniform_block(31, ids, 0, 400)[:, :u.shape[1]].tobytes()
