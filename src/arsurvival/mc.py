@@ -229,43 +229,26 @@ def _range_counts(params: ARParams, spec: InnovationSpec, x: float, grid: np.nda
     return np.cumsum(hist[::-1])[::-1][1:], nonfinite
 
 
-def _send_counts(job, conn):
-    conn.send(_range_counts(*job))
-    conn.close()
+def _range_counts_of(job):
+    # the pool pickles this function by name; _range_counts is looked up when
+    # called, so a forked child runs whatever it is then, a test's patch too
+    return _range_counts(*job)
 
 
 def _fork_ranges(jobs):
     """Counts of every range: the first in this process, each other in a forked child.
 
-    Running one range here saves a fork and its cold heap.  A child that dies
-    before it sends raises RuntimeError instead of leaving the caller waiting.
+    Running one range here saves a fork and its cold heap.  A child's exception
+    is raised here; a child that dies raises BrokenProcessPool, a RuntimeError.
+    Every child is joined before this returns or raises.
     """
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    ctx = multiprocessing.get_context("fork")
-    procs, readers = [], []
-    try:
-        for job in jobs[1:]:
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_send_counts, args=(job, writer), daemon=True)
-            proc.start()
-            writer.close()
-            procs.append(proc)
-            readers.append(reader)
-        results = [_range_counts(*jobs[0])]
-        for reader in readers:
-            try:
-                results.append(reader.recv())
-            except EOFError:
-                raise RuntimeError("a simulation worker exited without its result") from None
-        return results
-    finally:
-        for reader in readers:
-            reader.close()
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
+    with ProcessPoolExecutor(len(jobs) - 1,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        rest = [pool.submit(_range_counts_of, job) for job in jobs[1:]]
+        return [_range_counts(*jobs[0])] + [future.result() for future in rest]
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -399,7 +382,7 @@ class SurvivalCurve:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SurvivalCurve":
-        if obj.get("type") != "survival_curve":
+        if not isinstance(obj, dict) or obj.get("type") != "survival_curve":
             raise ValueError("not a survival_curve object")
         if obj.get("schema_version") not in _READABLE_SCHEMA_VERSIONS:
             raise ValueError(f"unsupported schema_version {obj.get('schema_version')!r}")
@@ -431,11 +414,13 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
     One crossing time per path serves the whole grid.  Paths are cut into
     one contiguous range per process, and each process walks its range in
     equal tiles of at most 65,536 paths.  There are min(workers, paths, CPU
-    count) processes: the calling one and a forked child per further range.
-    Innovation j of path i is built from draw j of rng stream (seed, i), so
-    the result does not depend on the ranges, the tiles or the worker count.
-    A NaN barrier, a seed outside [0, 2^64) or workers < 1 raises
-    ValueError; +-inf is allowed.
+    count) processes: the calling one and a forked child per further range,
+    run by one ``ProcessPoolExecutor``.  Innovation j of path i is built from
+    draw j of rng stream (seed, i), so the result does not depend on the
+    ranges, the tiles or the worker count.  A NaN barrier, a seed outside
+    [0, 2^64) or workers < 1 raises ValueError; +-inf is allowed.  A child's
+    exception is raised here, a child that dies raises a RuntimeError, and no
+    child outlives the call.
     """
     grid = _check_grid(grid)
     _check_paths(paths)

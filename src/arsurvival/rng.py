@@ -193,7 +193,7 @@ def _dense_uniforms(seed: int, ids: np.ndarray, block: int,
 
 
 def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
-                       steps_left: int = 1, out: tuple | None = None) -> np.ndarray:
+                       steps_left: int, out: tuple) -> np.ndarray:
     """Draws ``step`` onwards of many streams at once, whole counter blocks at a time.
 
     ``step`` is a multiple of 4, the first draw of block step//4.  Row i of
@@ -203,8 +203,8 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
     enough for about 2^16 words, at most the blocks that ``steps_left``
     draws reach into and the words an array of ``out`` holds.  The dense
     route works in ``out``, a ``refill_buffer`` of the span ids[0]..ids[-1]
-    at least (a new one when None), and returns a view of its first array;
-    the sparse route returns a new array.
+    at least, and returns a view of its first array; the sparse route
+    returns a new array.
     """
     ids = np.asarray(path_ids, dtype=np.uint64)
     if ids.size == 0:
@@ -213,10 +213,8 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
     block = (int(step) >> 2) & _MASK64
     span = int(ids[-1]) - int(ids[0]) + 1
     if ids.size >= _DENSE_SHARE * span:
-        if out is None:
-            out = refill_buffer(span)
         return _dense_uniforms(seed, ids, block, *out)
-    words = _LOOKAHEAD_WORDS if out is None else min(_LOOKAHEAD_WORDS, out[1].size)
+    words = min(_LOOKAHEAD_WORDS, out[1].size)
     k = max(1, min(words // (4 * ids.size), -(-steps_left // 4)))
     blocks = np.uint64(block) + np.arange(k, dtype=np.uint64)
     u = words_to_uniform(philox_block(ids[:, None], blocks[None, :], np.uint64(seed)))

@@ -273,7 +273,9 @@ def _impossible_curves():
 
 def test_fit_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for bad in ({"type": "something_else"}, _synthetic_curve(4), *_impossible_curves()):
+    # a top level that is not an object: a list, a string, null
+    for bad in ({"type": "something_else"}, [1, 2], "x", None, _synthetic_curve(4),
+                *_impossible_curves()):
         path.write_text(json.dumps(bad))
         code, out, err = run_cli(capsys, "fit", str(path))
         assert code == 3 and "invalid curve file" in err and out == ""

@@ -1,7 +1,9 @@
 import json
 import math
+import multiprocessing
 import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -69,7 +71,7 @@ def record_refills(monkeypatch) -> list:
 
     drawn = []
 
-    def recorded(seed, ids, step, steps_left=1, out=None):
+    def recorded(seed, ids, step, steps_left, out):
         u = path_uniform_block(seed, ids, step, steps_left, out)
         drawn.append((ids.copy(), step, min(u.shape[1], steps_left)))
         return u
@@ -224,7 +226,7 @@ def test_certified_paths_keep_their_crossing_times(monkeypatch, a, spec, x):
     assert _survival_level(params, spec, x) is not None
     words = []
 
-    def counted(seed, ids, step, steps_left=1, out=None):
+    def counted(seed, ids, step, steps_left, out):
         u = path_uniform_block(seed, ids, step, steps_left, out)
         words.append(u.size)
         return u
@@ -450,8 +452,31 @@ def test_worker_failure_raises_instead_of_hanging(monkeypatch):
     monkeypatch.setattr(mc, "_range_counts", range_counts)
     # two forked workers on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    with pytest.raises(RuntimeError, match="without its result"):
+    # the child's own exception reaches the caller
+    with pytest.raises(MemoryError, match="worker failed"):
         estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_raises_instead_of_hanging(monkeypatch):
+    from arsurvival import mc
+
+    caller = os.getpid()
+    real = mc._range_counts
+
+    def range_counts(*job):
+        if os.getpid() != caller:
+            os._exit(1)
+        return real(*job)
+
+    monkeypatch.setattr(mc, "_range_counts", range_counts)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError):
+        estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=3)
+    assert time.monotonic() - start < 30
+    # every child is joined before the call raises
+    assert multiprocessing.active_children() == []
 
 
 def test_engine_memory_is_bounded_by_tiles():

@@ -11,6 +11,14 @@ from arsurvival.rng import (_dense_uniforms, _open_interval, path_uniform_block,
 M64 = 2**64
 
 
+def draw(seed, ids, step, steps_left=1):
+    """path_uniform_block in a buffer of its own, large enough for the span of
+    ``ids`` and for the whole sparse look-ahead, so only steps_left caps it."""
+    span = int(ids[-1]) - int(ids[0]) + 1
+    return path_uniform_block(seed, ids, step, steps_left,
+                              refill_buffer(max(span, rng._LOOKAHEAD_WORDS // 4)))
+
+
 def numpy_words(seed, path, block):
     """numpy's Philox4x64-10 at counter (path, block, 0, 0), key (seed, 0).
 
@@ -55,7 +63,7 @@ def test_counter_carry_edges_match_numpy(seed, path, block):
     ref = (((numpy_words(seed, path, block) >> np.uint64(11)).astype(np.float64) + 0.5)
            * 2.0**-53)
     ids = np.array([path], dtype=np.uint64)
-    assert (path_uniform_block(seed, ids, 4 * block) == ref).all()
+    assert (draw(seed, ids, 4 * block) == ref).all()
     expect = numpy_words(seed, path, block)
     assert (_dense_uniforms(seed % M64, ids, block, *refill_buffer(1))
             == words_to_uniform(expect)).all()
@@ -131,7 +139,7 @@ def test_dense_route_fills_the_callers_buffer(ids):
             assert u.ctypes.data == out[0].ctypes.data and u.flags.c_contiguous
             expect = words_to_uniform(philox_block(ids, np.uint64(step // 4), seed))
             assert u.tobytes() == expect.tobytes()
-            assert path_uniform_block(seed, ids, step, 1000).tobytes() == expect.tobytes()
+            assert draw(seed, ids, step, 1000).tobytes() == expect.tobytes()
 
 
 def test_philox_vectorized_consistent_with_scalar():
@@ -169,7 +177,7 @@ def test_streams_are_independent_and_reproducible():
 def test_path_uniform_block_matches_streams():
     # dense (all ten) and sparse (two far apart) id sets read the same streams
     for ids in (np.arange(10, dtype=np.uint64), np.array([3, 9000], np.uint64)):
-        block = path_uniform_block(99, ids, 4 * 3)
+        block = draw(99, ids, 4 * 3)
         for row, i in zip(block, ids):
             expect = words_to_uniform(numpy_words(99, int(i), 3))
             assert (row == expect).all()
@@ -188,13 +196,13 @@ def test_block_count_equals_single_blocks(ids, block, blocks_left):
     # about 2^16 words (at least one block, at most blocks_left); the k blocks
     # are what k one-block calls read, through the counter's wrap at 2^64 too
     ids = ids.astype(np.uint64)
-    u = path_uniform_block(31, ids, 4 * block, 4 * blocks_left)
+    u = draw(31, ids, 4 * block, 4 * blocks_left)
     if ids.size >= rng._DENSE_SHARE * (int(ids[-1]) - int(ids[0]) + 1):
         k = 1
     else:
         k = max(1, min(rng._LOOKAHEAD_WORDS // (4 * ids.size), blocks_left))
     assert u.shape == (ids.size, 4 * k)
-    singles = [path_uniform_block(31, ids, 4 * (block + i)) for i in range(k)]
+    singles = [draw(31, ids, 4 * (block + i)) for i in range(k)]
     assert all(s.shape == (ids.size, 4) for s in singles)
     assert u.tobytes() == np.concatenate(singles, axis=1).tobytes()
 
@@ -206,4 +214,4 @@ def test_sparse_width_fits_the_callers_buffer():
     out = refill_buffer(3000)
     u = path_uniform_block(31, ids, 0, 400, out=out)
     assert u.size <= out[1].size and u.shape[1] > 4
-    assert u.tobytes() == path_uniform_block(31, ids, 0, 400)[:, :u.shape[1]].tobytes()
+    assert u.tobytes() == draw(31, ids, 0, 400)[:, :u.shape[1]].tobytes()
