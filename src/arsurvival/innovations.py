@@ -258,8 +258,9 @@ def json_int(value, name: str) -> int:
 
 
 def spec_from_json(obj: dict) -> InnovationSpec:
-    """Parse {"kind": ..., "params": {...}}; unknown kinds or params, and
-    params that are not JSON numbers, fail."""
+    """Parse {"kind": ..., "params": {...}}, where a missing params means {};
+    unknown kinds or params, params that are not an object and values that
+    are not JSON numbers fail."""
     if not isinstance(obj, dict) or set(obj) - {"kind", "params"}:
         raise ValueError(f"bad innovation object: {obj!r}")
     try:
@@ -267,7 +268,7 @@ def spec_from_json(obj: dict) -> InnovationSpec:
     except (KeyError, ValueError):
         raise ValueError(f"unknown innovation kind: {obj.get('kind')!r}") from None
     names = _PARAM_NAMES[kind]
-    given = obj.get("params", {}) or {}
+    given = obj.get("params", {})
     if not isinstance(given, dict):
         raise ValueError(f"{kind.value} params must be an object, got {given!r}")
     if set(given) != set(names):

@@ -209,45 +209,38 @@ def _split(lo: int, hi: int, parts: int | None = None):
 
 
 def _range_counts(params: ARParams, spec: InnovationSpec, x: float, grid: np.ndarray,
-                  seed: int, lo: int, hi: int):
-    """Survivor counts on the grid and the non-finite count of paths lo..hi-1.
+                  seed: int, lo: int, hi: int) -> np.ndarray:
+    """The histogram of the crossing times of paths lo..hi-1 over the grid.
 
-    The range is walked in equal tiles of at most ``_TILE_PATHS`` paths, which
-    bounds the engine's memory; the tiles' crossing times share one histogram
-    over the len(grid) + 1 gaps of the grid, so no count grows with n_max.
+    Bin 0 holds the non-finite paths (tau = 0), bin k + 1 those with
+    grid[k-1] < tau <= grid[k], which survive exactly k horizons, and the last
+    bin those that survive every horizon.  The range is walked in equal tiles
+    of at most ``_TILE_PATHS`` paths, which bounds the engine's memory.
     """
     n_max = int(grid[-1])
-    hist = np.zeros(grid.size + 1, dtype=np.int64)
-    nonfinite = 0
+    hist = np.zeros(grid.size + 2, dtype=np.int64)
     for a, b in _split(lo, hi):
         tau = _crossing_times_range(params, spec, x, n_max, seed, a, b)
-        # gap k holds the paths with grid[k-1] < tau <= grid[k]: they survive
-        # exactly the first k horizons; non-finite paths (tau = 0) fall in gap 0
-        hist += np.bincount(np.searchsorted(grid, tau), minlength=grid.size + 1)
-        nonfinite += int(np.count_nonzero(tau == 0))
-    # survivors of horizon grid[k] are the paths in gaps k + 1 and above
-    return np.cumsum(hist[::-1])[::-1][1:], nonfinite
-
-
-def _range_counts_of(job):
-    # the pool pickles this function by name; _range_counts is looked up when
-    # called, so a forked child runs whatever it is then, a test's patch too
-    return _range_counts(*job)
+        # tau > 0 moves every finite path one bin up, past the non-finite bin
+        hist += np.bincount(np.searchsorted(grid, tau) + (tau > 0),
+                            minlength=grid.size + 2)
+    return hist
 
 
 def _fork_ranges(jobs):
-    """Counts of every range: the first in this process, each other in a forked child.
+    """The histogram of each range: the first here, each other in a forked child.
 
-    Running one range here saves a fork and its cold heap.  A child's exception
-    is raised here; a child that dies raises BrokenProcessPool, a RuntimeError.
-    Every child is joined before this returns or raises.
+    Running one range here saves a fork and its cold heap.  A child's
+    exception is raised here; a child that dies raises BrokenProcessPool, a
+    RuntimeError.  Every child is joined before this returns or raises, so an
+    exception of the first range waits for the other ranges to finish.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(len(jobs) - 1,
                              mp_context=multiprocessing.get_context("fork")) as pool:
-        rest = [pool.submit(_range_counts_of, job) for job in jobs[1:]]
+        rest = [pool.submit(_range_counts, *job) for job in jobs[1:]]
         return [_range_counts(*jobs[0])] + [future.result() for future in rest]
 
 
@@ -415,7 +408,9 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
     one contiguous range per process, and each process walks its range in
     equal tiles of at most 65,536 paths.  There are min(workers, paths, CPU
     count) processes: the calling one and a forked child per further range,
-    run by one ``ProcessPoolExecutor``.  Innovation j of path i is built from
+    run by one ``ProcessPoolExecutor``.  Each range returns one histogram of
+    its crossing times (``_range_counts``); their sum gives the survivors and,
+    in bin 0, the non-finite count.  Innovation j of path i is built from
     draw j of rng stream (seed, i), so the result does not depend on the
     ranges, the tiles or the worker count.  A NaN barrier, a seed outside
     [0, 2^64) or workers < 1 raises ValueError; +-inf is allowed.  A child's
@@ -431,12 +426,11 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
         raise ValueError("workers must be >= 1")
     procs = min(workers, paths, os.cpu_count() or 1)
     jobs = [(params, spec, x, grid, seed, lo, hi) for lo, hi in _split(0, paths, procs)]
-    results = [_range_counts(*jobs[0])] if procs == 1 else _fork_ranges(jobs)
-    survivors = sum(counts for counts, _ in results)
-    nonfinite = sum(bad for _, bad in results)
+    hist = sum([_range_counts(*jobs[0])] if procs == 1 else _fork_ranges(jobs))
+    # survivors of horizon grid[k] are the paths in bins k + 2 and above
     return SurvivalCurve(params=params, spec=spec, x=float(x), grid=grid,
-                         survivors=survivors, paths=paths, seed=seed,
-                         nonfinite_paths=nonfinite)
+                         survivors=np.cumsum(hist[:1:-1])[::-1], paths=paths,
+                         seed=seed, nonfinite_paths=int(hist[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +534,7 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
             with np.errstate(invalid="ignore", over="ignore"):
                 if lifted is None:
                     lhs = xs - s * np.concatenate([x_prev, xs[:-1]])
-                    rhs = r * np.concatenate([z_prev, lhs[:-1]]) + ys
+                    rhs = ar_step((r,), ys, [np.concatenate([z_prev, lhs[:-1]])])
                     z_prev = lhs[-1:]
                 else:
                     lhs = np.empty_like(xs)         # W_n, the running sum of X

@@ -198,17 +198,15 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
 
     ``step`` is a multiple of 4, the first draw of block step//4.  Row i of
     the ``(len(path_ids), 4 * k)`` result holds draws step .. step + 4k - 1
-    of stream (seed, path_ids[i]); ``path_ids`` must ascend.  k is 1 on the
-    dense route, whose cost is per block anyway, and on the sparse route
-    enough for about 2^16 words, at most the blocks that ``steps_left``
-    draws reach into and the words an array of ``out`` holds.  The dense
-    route works in ``out``, a ``refill_buffer`` of the span ids[0]..ids[-1]
-    at least, and returns a view of its first array; the sparse route
-    returns a new array.
+    of stream (seed, path_ids[i]); ``path_ids`` must be non-empty and
+    ascend.  k is 1 on the dense route, whose cost is per block anyway, and
+    on the sparse route enough for about 2^16 words, at most the blocks that
+    ``steps_left`` draws reach into and the words an array of ``out`` holds.
+    The dense route works in ``out``, a ``refill_buffer`` of the span
+    ids[0]..ids[-1] at least, and returns a view of its first array; the
+    sparse route returns a new array.
     """
     ids = np.asarray(path_ids, dtype=np.uint64)
-    if ids.size == 0:
-        return np.empty((0, 4), np.float64)
     seed = int(seed) & _MASK64
     block = (int(step) >> 2) & _MASK64
     span = int(ids[-1]) - int(ids[0]) + 1

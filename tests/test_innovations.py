@@ -159,9 +159,13 @@ def test_json_round_trip():
     with pytest.raises(ValueError):
         spec_from_json({"kind": "gaussian", "params": {"mu": 0, "sigma": 1},
                         "extra": 1})
-    for params in (1, ["mu", "sigma"], {"mu": None, "sigma": 1}):
+    # params, when present, must be an object: a falsy value is no exception
+    for kind, params in [("gaussian", 1), ("gaussian", ["mu", "sigma"]),
+                         ("gaussian", {"mu": None, "sigma": 1}),
+                         *[("rademacher", v) for v in (0, False, [], "", None)]]:
         with pytest.raises(ValueError):
-            spec_from_json({"kind": "gaussian", "params": params})
+            spec_from_json({"kind": kind, "params": params})
+    assert spec_from_json({"kind": "rademacher"}) == rademacher()
 
 
 def plain_transform(spec, u):

@@ -404,7 +404,7 @@ def test_monotone_in_barrier_under_common_random_numbers():
     assert (high.survivors >= low.survivors).all()
 
 
-def test_worker_count_does_not_change_counts():
+def test_worker_count_does_not_change_counts(monkeypatch):
     # 20k paths make one tile per range; 140k paths at two workers make two
     # ranges of two tiles each
     for grid, paths, counts in [([1, 4, 16, 64], 20_000, (2, 8)),
@@ -416,6 +416,15 @@ def test_worker_count_does_not_change_counts():
                                       paths, 13, workers=workers)
             assert (other.survivors == base.survivors).all()
             assert other.nonfinite_paths == base.nonfinite_paths
+    # (2.5, -0.5) runs 8,232 of these paths off to NaN; the patched CPU count
+    # walks half the paths in a forked child on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    walk = (ar_params([2.5, -0.5]), gaussian(), 0.0, [2 ** k for k in range(11)], 20_000, 1)
+    base = estimate_survival(*walk, workers=1)
+    other = estimate_survival(*walk, workers=2)
+    assert base.nonfinite_paths > 0
+    assert (other.survivors == base.survivors).all()
+    assert other.nonfinite_paths == base.nonfinite_paths
 
 
 def test_threads_running_at_once_get_their_serial_curves():
@@ -442,14 +451,15 @@ def test_worker_failure_raises_instead_of_hanging(monkeypatch):
     from arsurvival import mc
 
     caller = os.getpid()
-    real = mc._range_counts
+    real = mc._crossing_times_range
 
-    def range_counts(*job):
+    def crossing_times_range(*args):
         if os.getpid() != caller:
             raise MemoryError("worker failed")
-        return real(*job)
+        return real(*args)
 
-    monkeypatch.setattr(mc, "_range_counts", range_counts)
+    # a forked child looks the function up when it runs, so it sees the patch
+    monkeypatch.setattr(mc, "_crossing_times_range", crossing_times_range)
     # two forked workers on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     # the child's own exception reaches the caller
@@ -462,14 +472,15 @@ def test_a_worker_that_dies_raises_instead_of_hanging(monkeypatch):
     from arsurvival import mc
 
     caller = os.getpid()
-    real = mc._range_counts
+    real = mc._crossing_times_range
 
-    def range_counts(*job):
+    def crossing_times_range(*args):
         if os.getpid() != caller:
             os._exit(1)
-        return real(*job)
+        return real(*args)
 
-    monkeypatch.setattr(mc, "_range_counts", range_counts)
+    # a forked child looks the function up when it runs, so it sees the patch
+    monkeypatch.setattr(mc, "_crossing_times_range", crossing_times_range)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     start = time.monotonic()
     with pytest.raises(RuntimeError):
