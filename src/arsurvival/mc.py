@@ -11,12 +11,15 @@ transform of draw j of rng stream (s, i), whose layout ``rng`` states.
 Innovations are therefore a pure function of (seed, path, step), which
 makes estimates bit-identical for any worker count and any tiling, and
 makes runs at different barriers share their noise (common random
-numbers).  Every simulation here, the engine, the pair frequency and the
-reduction checks, steps tiles of at most ``_TILE_PATHS`` paths with one
-walker, ``_Walk``, so memory is bounded whatever the path count.  It makes
-one rng call per refill, which gives a thinned-out live set many steps at
-once, and steps the recursion through the whole refill as one time-major
-block: no innovation changes, only when it is made.
+numbers).  With more than one worker the calling process walks the first
+range of paths and a forked child each other range; a child sends its
+histogram back through a pipe and exits at once.  Every simulation here,
+the engine, the pair frequency and the reduction checks, steps tiles of at
+most ``_TILE_PATHS`` paths with one walker, ``_Walk``, so memory is bounded
+whatever the path count.  It makes one rng call per refill, which gives a
+thinned-out live set many steps at once, and steps the recursion through
+the whole refill as one time-major block: no innovation changes, only when
+it is made.
 
 Survival certificate: innovations are bounded above by B, the largest value
 the transform takes on the rng's uniform range [2^-54, 1 - 2^-53].  When
@@ -37,6 +40,7 @@ draws change.
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -230,18 +234,75 @@ def _range_counts(params: ARParams, spec: InnovationSpec, x: float, grid: np.nda
 def _fork_ranges(jobs):
     """The histogram of each range: the first here, each other in a forked child.
 
-    Running one range here saves a fork and its cold heap.  A child's
-    exception is raised here; a child that dies raises BrokenProcessPool, a
-    RuntimeError.  Every child is joined before this returns or raises, so an
-    exception of the first range waits for the other ranges to finish.
+    Running one range here saves a fork and its cold heap.  Each child writes
+    one pickled (ok, value) message to its pipe and exits at once; each pipe
+    is read to EOF before its child is reaped, since a histogram may outgrow
+    the pipe's buffer.  A child's exception is raised here with the child's
+    traceback in a note, or as a RuntimeError that names it when it does not
+    pickle.  A child that exits non-zero or sends a message that does not
+    unpickle raises RuntimeError.  However this call ends, by an exception of
+    the first range or an interrupt too, every child not yet reaped is killed
+    and reaped at once, so none outlives it.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import signal
+    import traceback
 
-    with ProcessPoolExecutor(len(jobs) - 1,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        rest = [pool.submit(_range_counts, *job) for job in jobs[1:]]
-        return [_range_counts(*jobs[0])] + [future.result() for future in rest]
+    children = {}       # pid -> read end of its pipe, for each child not yet reaped
+    try:
+        for job in jobs[1:]:
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(reader)
+                    try:
+                        message = pickle.dumps((True, _range_counts(*job)))
+                    except Exception as exc:
+                        note = (f"raised in worker process {os.getpid()}:\n"
+                                + "".join(traceback.format_exception(exc)).rstrip())
+                        exc.add_note(note)
+                        try:
+                            message = pickle.dumps((False, exc))
+                        except Exception:
+                            # it carries what pickle cannot take, a lambda say
+                            failure = RuntimeError(f"{type(exc).__name__}: {exc}")
+                            failure.add_note(note)
+                            message = pickle.dumps((False, failure))
+                    with open(writer, "wb") as pipe:
+                        pipe.write(message)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(writer)
+            children[pid] = open(reader, "rb")
+        results = [_range_counts(*jobs[0])]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                message = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                raise RuntimeError(f"a simulation worker exited with status {code}")
+            try:
+                ok, value = pickle.loads(message)
+            except Exception:
+                raise RuntimeError("a simulation worker's result does not unpickle") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -407,15 +468,17 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
     One crossing time per path serves the whole grid.  Paths are cut into
     one contiguous range per process, and each process walks its range in
     equal tiles of at most 65,536 paths.  There are min(workers, paths, CPU
-    count) processes: the calling one and a forked child per further range,
-    run by one ``ProcessPoolExecutor``.  Each range returns one histogram of
-    its crossing times (``_range_counts``); their sum gives the survivors and,
-    in bin 0, the non-finite count.  Innovation j of path i is built from
-    draw j of rng stream (seed, i), so the result does not depend on the
-    ranges, the tiles or the worker count.  A NaN barrier, a seed outside
-    [0, 2^64) or workers < 1 raises ValueError; +-inf is allowed.  A child's
-    exception is raised here, a child that dies raises a RuntimeError, and no
-    child outlives the call.
+    count) processes: the calling one and a child forked per further range,
+    which sends its result through a pipe and exits (``_fork_ranges``).  Each
+    range returns one histogram of its crossing times (``_range_counts``);
+    their sum gives the survivors and, in bin 0, the non-finite count.
+    Innovation j of path i is built from draw j of rng stream (seed, i), so
+    the result does not depend on the ranges, the tiles or the worker count.
+    A NaN barrier, a seed outside [0, 2^64) or workers < 1 raises ValueError;
+    +-inf is allowed.  A child's exception is raised here with its traceback,
+    a child that dies raises a RuntimeError, and no child outlives the call:
+    an exception or interrupt in the calling process kills the children at
+    once instead of waiting for them.
     """
     grid = _check_grid(grid)
     _check_paths(paths)

@@ -2,8 +2,10 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import threading
 import time
+import traceback
 import tracemalloc
 
 import numpy as np
@@ -462,10 +464,14 @@ def test_worker_failure_raises_instead_of_hanging(monkeypatch):
     monkeypatch.setattr(mc, "_crossing_times_range", crossing_times_range)
     # two forked workers on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    # the child's own exception reaches the caller
-    with pytest.raises(MemoryError, match="worker failed"):
+    # the child's own exception reaches the caller, with the child's traceback
+    with pytest.raises(MemoryError, match="worker failed") as excinfo:
         estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=3)
+    assert "crossing_times_range" in "".join(traceback.format_exception(excinfo.value))
     assert multiprocessing.active_children() == []
+    # active_children sees no os.fork child; waitpid sees every one
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_worker_that_dies_raises_instead_of_hanging(monkeypatch):
@@ -486,8 +492,85 @@ def test_a_worker_that_dies_raises_instead_of_hanging(monkeypatch):
     with pytest.raises(RuntimeError):
         estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=3)
     assert time.monotonic() - start < 30
-    # every child is joined before the call raises
+    # every child is reaped before the call raises
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_exception_of_the_callers_range_does_not_wait_for_the_children(monkeypatch):
+    from arsurvival import mc
+
+    caller = os.getpid()
+
+    def crossing_times_range(*args):
+        if os.getpid() != caller:
+            time.sleep(3)
+        raise MemoryError("caller failed")
+
+    monkeypatch.setattr(mc, "_crossing_times_range", crossing_times_range)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(MemoryError, match="caller failed"):
+        estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=2)
+    # the sleeping child is killed, not waited for
+    assert time.monotonic() - start < 1
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _TwoArgumentError(Exception):
+    # pickles with args (message,) and so cannot be rebuilt from them
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: ValueError("worker failed", lambda: 0), "ValueError: .*worker failed"),
+    (lambda: _TwoArgumentError("worker failed", 1), "does not unpickle"),
+], ids=["does-not-pickle", "does-not-unpickle"])
+def test_an_exception_that_cannot_cross_the_pipe_raises_runtime_error(monkeypatch, make,
+                                                                       match):
+    from arsurvival import mc
+
+    caller = os.getpid()
+    real = mc._crossing_times_range
+
+    def crossing_times_range(*args):
+        if os.getpid() != caller:
+            raise make()
+        return real(*args)
+
+    monkeypatch.setattr(mc, "_crossing_times_range", crossing_times_range)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match=match):
+        estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_histogram_larger_than_the_pipe_buffer_comes_back_whole(monkeypatch):
+    # 20,002 int64 bins: 160 KB, well past a 64 KB pipe buffer.  A caller that
+    # reaped the child before reading its pipe would wait forever; the alarm
+    # turns that wait into a failure
+    def expire(signum, frame):
+        raise TimeoutError("the 2-worker call did not return")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run = (ar_params([-0.4, -0.4]), gaussian(), 0.0, list(range(1, 20_001)), 20_000, 3)
+    base = estimate_survival(*run, workers=1)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        other = estimate_survival(*run, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert base.survivors[0] > 0
+    assert (other.survivors == base.survivors).all()
+    assert other.nonfinite_paths == base.nonfinite_paths
 
 
 def test_engine_memory_is_bounded_by_tiles():
