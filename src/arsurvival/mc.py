@@ -2,9 +2,9 @@
 
 A path survives to horizon N when X_n <= x for every n = 1..N; the crossing
 time tau_x = inf{n >= 0 : X_n > x} makes the survival probability
-p_N(x) = P(tau_x > N).  The engine draws one crossing time per path with the
-horizon set to the largest grid entry, so tail counts serve every horizon in
-one pass.
+p_N(x) = P(tau_x > N).  The engine walks every path to its crossing or to
+the largest grid entry and counts the crossings of each grid interval, so
+one pass serves every horizon.
 
 Reproducibility: innovation j of path i in a run with seed s is the
 transform of draw j of rng stream (s, i), whose layout ``rng`` states.
@@ -16,10 +16,10 @@ range of paths and a forked child each other range; a child sends its
 histogram back through a pipe and exits at once.  Every simulation here,
 the engine, the pair frequency and the reduction checks, steps tiles of at
 most ``_TILE_PATHS`` paths with one walker, ``_Walk``, so memory is bounded
-whatever the path count.  It makes one rng call per refill, which gives a
-thinned-out live set many steps at once, and steps the recursion through
-the whole refill as one time-major block: no innovation changes, only when
-it is made.
+whatever the path count, and all tiles of a range reuse one refill buffer.
+It makes one rng call per refill, which gives a small or thinned-out live
+set many steps at once, and steps the recursion through the whole refill as
+one time-major block: no innovation changes, only when it is made.
 
 Survival certificate: innovations are bounded above by B, the largest value
 the transform takes on the rng's uniform range [2^-54, 1 - 2^-53].  When
@@ -29,10 +29,11 @@ c forever, since rounding is monotone: it never crosses and never turns NaN.
 The engine takes the first of c* = -B/(a_1 + ... + a_p - 1) and 2c*, each
 capped at x, that passes the check when the sum exceeds 1 (c* itself is the
 fixed point, where rounding decides), and c = x otherwise.  The engine
-compacts once per block: it drops the paths that crossed or went NaN inside
-it, each with the step of its first crossing or NaN found in the block,
-and the live paths whose lags are all <= c at the block's end, with tau =
-n_max + 1, which is what walking them would give, and the next refill
+counts and compacts once per block: each path that crossed inside it goes
+into the grid bin of its first crossing's step, each that went NaN first
+into the non-finite bin, and it drops both, along with the live paths whose
+lags are all <= c at the block's end.  Those stay among the survivors of
+every horizon, which is what walking them would give, and the next refill
 draws no words for them.  Words are counter-based, so no other path's
 draws change.
 """
@@ -93,25 +94,26 @@ class _Walk:
     ``block()`` makes one rng call and steps the recursion through every
     column it returned: it returns X and Y as time-major (steps, live)
     blocks, row t holding step j + t + 1, and leaves lags[k] = X_{j-k} for
-    the new j, the steps taken.  X is written into the second array of
-    ``out``, the tile's ``refill_buffer``, which the refill no longer
-    needs; the next refill overwrites both blocks, so ``compact(live)``,
-    called once after each block, copies the lags out and keeps only the
-    rows where the boolean ``live`` is True (every row when None).  The
-    dense route's refills draw and transform in place in ``out`` too: no
-    refill allocates an array of its size, whose memory the allocator
-    would hand back to the system.
+    the new j, the steps taken.  ``out`` is a ``refill_buffer`` of a range
+    that holds lo..hi-1, made for ``n_max`` steps, which walks of its tiles
+    share one after another.  X is written into its second array, which the
+    refill no longer needs; the next refill overwrites both blocks, so
+    ``compact(live)``, called once after each block, copies the lags out
+    and keeps only the rows where the boolean ``live`` is True (every row
+    when None).  The dense route's refills draw and transform in place in
+    ``out`` too: no refill allocates an array of its size, whose memory the
+    allocator would hand back to the system.
     """
 
     def __init__(self, params: ARParams, spec: InnovationSpec, seed: int,
-                 lo: int, hi: int, n_max: int):
+                 lo: int, hi: int, n_max: int, out: tuple):
         self.a = params.a
         self.spec = spec
         self.seed = seed
         self.ids = np.arange(lo, hi, dtype=np.uint64)
         self.lags = [np.zeros(hi - lo) for _ in range(params.p)]
         self.n_max = n_max
-        self.out = refill_buffer(hi - lo)
+        self.out = out
         self.j = 0      # steps taken
 
     def block(self) -> tuple[np.ndarray, np.ndarray]:
@@ -135,6 +137,21 @@ class _Walk:
         else:
             self.ids = self.ids[live]
             self.lags = [lag[live] for lag in self.lags]
+
+
+def _walks(params: ARParams, spec: InnovationSpec, seed: int, lo: int, hi: int,
+           n_max: int):
+    """A walk of each tile of paths lo..hi-1 in turn, all on one refill buffer.
+
+    The tiles are the fewest equal ranges of at most ``_TILE_PATHS`` paths.
+    They differ in size by at most one, so the buffer is made for
+    ceil((hi - lo) / tiles) paths: not every tile, and not always the first,
+    is the largest.
+    """
+    tiles = -(-(hi - lo) // _TILE_PATHS)
+    out = refill_buffer(-(-(hi - lo) // tiles), n_max)
+    for a, b in _split(lo, hi, tiles):
+        yield _Walk(params, spec, seed, a, b, n_max, out)
 
 
 def _innovation_bound(spec: InnovationSpec) -> float:
@@ -168,21 +185,25 @@ def _survival_level(params: ARParams, spec: InnovationSpec, x: float) -> float |
     return None
 
 
-def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
-                          n_max: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Crossing times tau for paths lo..hi-1.
+def _split(lo: int, hi: int, parts: int):
+    """(lo, hi) of ``parts`` ranges that cover lo..hi-1 and differ in size by at
+    most one.  Made one at a time, so a huge path count holds no list of cuts."""
+    return ((lo + (hi - lo) * k // parts, lo + (hi - lo) * (k + 1) // parts)
+            for k in range(parts))
 
-    tau = n_max + 1 marks survival through n_max; tau = 0 marks a path that
-    went non-finite (NaN) and is excluded from every survivor count.  Each
-    block's end also drops the paths held below the survival level, since
-    they can never cross, so no refill draws for them.
+
+def _tile_counts(walk: _Walk, x: float, level: float | None, grid: np.ndarray,
+                 hist: np.ndarray) -> None:
+    """Add the crossing times of the walk's paths to ``hist``, block by block.
+
+    A path that crosses at step n goes into the grid bin of n, one that goes
+    non-finite (NaN) into bin 0, and one that is still live or held at the
+    tile's end into the last bin.  Each block's end also drops the paths
+    held below the survival ``level``, since they can never cross, so no
+    refill draws for them.
     """
-    # the level first: its transform may import scipy, whose module objects,
-    # allocated above the tile's arrays, would keep their memory in the heap
-    level = _survival_level(params, spec, x)
-    walk = _Walk(params, spec, seed, lo, hi, n_max)
-    tau = np.full(hi - lo, n_max + 1, dtype=np.int64)
-    while walk.ids.size and walk.j < n_max:
+    hist[-1] += walk.ids.size
+    while walk.ids.size and walk.j < walk.n_max:
         n0 = walk.j
         xs, _ = walk.block()
         # NaN fails <= x, so a path leaves at its first crossing or NaN
@@ -191,43 +212,34 @@ def _crossing_times_range(params: ARParams, spec: InnovationSpec, x: float,
         gone = np.flatnonzero(~live)
         if gone.size:
             first = np.argmin(below[:, gone], axis=0)
-            crossed = xs[first, gone] > x
-            # walk.ids - lo is each live path's row in tau
-            tau[walk.ids[gone] - lo] = np.where(crossed, n0 + 1 + first, 0)
+            crossed = first[xs[first, gone] > x]
+            # the bin of each of the block's steps; the steps are few, the paths many
+            bins = np.searchsorted(grid, np.arange(n0 + 1, n0 + 1 + len(xs))) + 1
+            np.add.at(hist, bins, np.bincount(crossed, minlength=len(xs)))
+            hist[0] += gone.size - crossed.size
+            hist[-1] -= gone.size
         if level is not None:
-            # held: every lag at or below the level; tau stays n_max + 1
+            # held: every lag at or below the level; it stays in the last bin
             live &= np.maximum.reduce(walk.lags) > level
         walk.compact(live)
-    return tau
-
-
-def _split(lo: int, hi: int, parts: int | None = None):
-    """(lo, hi) of ``parts`` ranges that cover lo..hi-1 and differ in size by at
-    most one; by default the fewest of at most ``_TILE_PATHS`` paths, the tiles.
-
-    Made one at a time, so a huge path count holds no list of cuts."""
-    if parts is None:
-        parts = -(-(hi - lo) // _TILE_PATHS)
-    return ((lo + (hi - lo) * k // parts, lo + (hi - lo) * (k + 1) // parts)
-            for k in range(parts))
 
 
 def _range_counts(params: ARParams, spec: InnovationSpec, x: float, grid: np.ndarray,
                   seed: int, lo: int, hi: int) -> np.ndarray:
     """The histogram of the crossing times of paths lo..hi-1 over the grid.
 
-    Bin 0 holds the non-finite paths (tau = 0), bin k + 1 those with
-    grid[k-1] < tau <= grid[k], which survive exactly k horizons, and the last
-    bin those that survive every horizon.  The range is walked in equal tiles
-    of at most ``_TILE_PATHS`` paths, which bounds the engine's memory.
+    Bin 0 holds the non-finite paths, bin k + 1 those that cross at a step
+    n with grid[k-1] < n <= grid[k], which survive exactly k horizons, and
+    the last bin those that survive every horizon.  The range is walked in
+    equal tiles of at most ``_TILE_PATHS`` paths, which bounds the engine's
+    memory, and every tile reuses one refill buffer.
     """
-    n_max = int(grid[-1])
+    # the level first: its transform may import scipy, whose module objects,
+    # allocated above the range's arrays, would keep their memory in the heap
+    level = _survival_level(params, spec, x)
     hist = np.zeros(grid.size + 2, dtype=np.int64)
-    for a, b in _split(lo, hi):
-        tau = _crossing_times_range(params, spec, x, n_max, seed, a, b)
-        # tau > 0 moves every finite path one bin up, past the non-finite bin
-        hist += np.bincount(np.searchsorted(grid, tau) + (tau > 0),
-                            minlength=grid.size + 2)
+    for walk in _walks(params, spec, seed, lo, hi, int(grid[-1])):
+        _tile_counts(walk, x, level, grid, hist)
     return hist
 
 
@@ -465,13 +477,14 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
                       paths: int, seed: int, workers: int = 1) -> SurvivalCurve:
     """Estimate p_N(x) on a grid of horizons from ``paths`` simulated paths.
 
-    One crossing time per path serves the whole grid.  Paths are cut into
-    one contiguous range per process, and each process walks its range in
-    equal tiles of at most 65,536 paths.  There are min(workers, paths, CPU
-    count) processes: the calling one and a child forked per further range,
-    which sends its result through a pipe and exits (``_fork_ranges``).  Each
-    range returns one histogram of its crossing times (``_range_counts``);
-    their sum gives the survivors and, in bin 0, the non-finite count.
+    One walk per path serves the whole grid.  Paths are cut into one
+    contiguous range per process, and each process walks its range in equal
+    tiles of at most 65,536 paths on one refill buffer.  There are
+    min(workers, paths, CPU count) processes: the calling one and a child
+    forked per further range, which sends its result through a pipe and
+    exits (``_fork_ranges``).  Each range returns one histogram of its
+    crossing times (``_range_counts``); their sum gives the survivors and,
+    in bin 0, the non-finite count.
     Innovation j of path i is built from draw j of rng stream (seed, i), so
     the result does not depend on the ranges, the tiles or the worker count.
     A NaN barrier, a seed outside [0, 2^64) or workers < 1 raises ValueError;
@@ -508,8 +521,7 @@ def pair_survival_frequency(params: ARParams, spec: InnovationSpec, n: int,
     _check_paths(paths)
     _check_seed(seed)
     hits = 0
-    for lo, hi in _split(0, paths):
-        walk = _Walk(params, spec, seed, lo, hi, n)
+    for walk in _walks(params, spec, seed, 0, paths, n):
         while walk.j < n:
             prev = walk.lags[0]
             xs, _ = walk.block()
@@ -585,10 +597,9 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
         r = rho = -a2 / s
     lifted = integrate_params(params).a if kind is ReductionKind.INTEGRATED else None
     violations, worst = 0, 0.0
-    for lo, hi in _split(0, paths):
-        walk = _Walk(params, spec, seed, lo, hi, n_max)
-        w_lags = [np.zeros(hi - lo)] * (params.p + 1)
-        z_prev = total = np.zeros((1, hi - lo))
+    for walk in _walks(params, spec, seed, 0, paths, n_max):
+        w_lags = [np.zeros(walk.ids.size)] * (params.p + 1)
+        z_prev = total = np.zeros((1, walk.ids.size))
         while walk.j < n_max:
             x_prev = walk.lags[0][None]
             xs, ys = walk.block()

@@ -14,15 +14,16 @@ index rather than by splitting state.  ``RNG_PROVENANCE`` records this
 layout in every curve file.
 
 Block j//4 of consecutive streams sits at consecutive counters, so
-``path_uniform_block`` draws one block of a dense set from numpy's C Philox
-and several blocks ahead of a sparse set from the vectorized
-``philox_block``, and the width of its result says how many.  Both give the
-same words, so the choice never changes a draw.  The dense route makes its
-uniforms in C as well: ``Generator.random`` gives (w >> 11) * 2^-53 of the
-same words w, and ``_open_interval``, the one map from there to u_j, adds
-2^-54, which rounds as ((w >> 11) + 0.5) * 2^-53 does: scaling by a power
-of two is exact.  The module keeps no state: the dense route works in the
-``refill_buffer`` its caller owns, so a refill allocates no array of its size.
+``path_uniform_block`` draws the blocks ahead of a dense set from numpy's C
+Philox, one counter run per block, and those of a sparse set from the
+vectorized ``philox_block``; one rule, ``_lookahead``, says how many, and the
+width of the result tells the caller.  Both give the same words, so the
+choice never changes a draw.  The dense route makes its uniforms in C as
+well: ``Generator.random`` gives (w >> 11) * 2^-53 of the same words w, and
+``_open_interval``, the one map from there to u_j, adds 2^-54, which rounds
+as ((w >> 11) + 0.5) * 2^-53 does: scaling by a power of two is exact.  The
+module keeps no state: the dense route works in the ``refill_buffer`` its
+caller owns, so a refill allocates no array of its size.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ U_MAX = 1.0 - 2.0 ** -53
 # 1/5, 1/4 or 1/3 in its place
 _DENSE_SHARE = 1 / 6
 
-# words a sparse call may draw ahead: per-call overhead dominates small live
-# sets, and a 2^18-word buffer was slower than 2^16 on the integrated walk
+# words a call may draw ahead: per-call overhead dominates small live sets,
+# and a 2^18-word buffer was slower than 2^16 on the integrated walk
 _LOOKAHEAD_WORDS = 1 << 16
 
 
@@ -154,41 +155,65 @@ def words_to_uniform(words):
     return _open_interval(u)
 
 
-def refill_buffer(paths: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dense route's buffer for ids inside a range of ``paths``: 4 floats per
-    path for its result and 4 for its span's draws.  The second array is idle
-    once a call returns, and no result of a call given this buffer is larger,
-    so a caller may write a block of that size there.  Two arrays, not one
-    twice the size: glibc raises its mmap threshold to the largest block
-    freed, which would change how fast the rest of the process allocates
-    large arrays."""
-    return np.empty(4 * paths), np.empty(4 * paths)
+def _lookahead(rows: int, steps_left: int) -> int:
+    """Blocks a call draws for ``rows`` counters per block: as many as 2^16 words
+    hold, at most the blocks that ``steps_left`` draws reach into, and at
+    least one.  The dense route counts the span's counters, the sparse route
+    the live ids."""
+    return max(1, min(_LOOKAHEAD_WORDS // (4 * rows), -(-steps_left // 4)))
 
 
-def _dense_uniforms(seed: int, ids: np.ndarray, block: int,
+def refill_buffer(paths: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The buffer for calls on ids inside a range of ``paths`` with at most
+    ``steps`` steps left: two arrays, each of the most words such a call
+    draws by ``_lookahead``.  That is one block of the range, or 2^16 words
+    once a thinned span looks further ahead, but never more than the blocks
+    that ``steps`` reaches into.  The second array is idle once a call
+    returns, and no result of a call given this buffer is larger, so a
+    caller may write a block of that size there.  Two arrays, not one twice
+    the size: glibc raises its mmap threshold to the largest block freed,
+    which would change how fast the rest of the process allocates large
+    arrays."""
+    words = min(max(4 * paths, _LOOKAHEAD_WORDS), 4 * paths * -(-steps // 4))
+    return np.empty(words), np.empty(words)
+
+
+def _dense_uniforms(seed: int, ids: np.ndarray, block: int, k: int,
                     result: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Uniforms of ``block`` for ascending ``ids``, drawn over their whole span by C Philox.
+    """Uniforms of blocks ``block`` .. ``block + k - 1`` (mod 2^64) for ascending
+    ``ids``, drawn over their whole span by C Philox, one counter run per block.
 
     numpy's Philox adds one to the 256-bit counter (c0 first, then carries)
-    before each output block, so starting from (ids[0], block) - 1 yields
-    the counters (ids[0], block), (ids[0] + 1, block), ... in order.
-    (result, draws) is a ``refill_buffer`` of the span at least; the (len(ids),
-    4) result is a view of the front of ``result``, and a span with gaps is
-    drawn into ``draws`` before its live rows are gathered.
+    before each output block, so a run that starts from (ids[0], b) - 1
+    yields the counters (ids[0], b), (ids[0] + 1, b), ... in order.  Each run
+    after the first advances the counter by the difference of the two starts
+    mod 2^256, which wraps b from 2^64 - 1 to 0 as the layout does, where a
+    plain advance would carry into the third word.  (result, draws) is a
+    ``refill_buffer`` that holds k blocks of the span; the (len(ids), 4k)
+    result is a view of the front of ``result``, and the runs are drawn into
+    ``draws`` before the rows of ``ids`` are gathered, unless one block of a
+    span without gaps can be drawn in place.
     """
     lo = int(ids[0])
     span = int(ids[-1]) - lo + 1
-    start = (lo + (block << 64) - 1) & _MASK256
-    gen = Generator(Philox(key=np.array([seed, 0], np.uint64), counter=start))
-    u = result[:4 * ids.size].reshape(ids.size, 4)
-    if span == ids.size:
-        gen.random(out=result[:4 * span])
-    else:
-        whole = draws[:4 * span]
-        gen.random(out=whole)
-        # mode "clip" writes straight into u; "raise" would buffer a copy
-        np.take(whole.reshape(span, 4), (ids - np.uint64(lo)).astype(np.intp),
-                axis=0, out=u, mode="clip")
+    starts = [(lo + (((block + t) & _MASK64) << 64) - 1) & _MASK256 for t in range(k)]
+    bits = Philox(key=np.array([seed, 0], np.uint64), counter=starts[0])
+    gen = Generator(bits)
+    u = result[:4 * k * ids.size].reshape(ids.size, 4 * k)
+    if k == 1 and span == ids.size:
+        gen.random(out=u)
+        return _open_interval(u)
+    runs = draws[:4 * k * span].reshape(k, span, 4)
+    gen.random(out=runs[0])
+    for t in range(1, k):
+        bits.advance((starts[t] - starts[t - 1] - span) & _MASK256)
+        gen.random(out=runs[t])
+    rows = (ids - np.uint64(lo)).astype(np.intp)
+    if k > 1:
+        rows = rows[:, None] + span * np.arange(k)
+    # mode "clip" writes straight into u; "raise" would buffer a copy
+    np.take(runs.reshape(k * span, 4), rows, axis=0, out=u.reshape(rows.shape + (4,)),
+            mode="clip")
     return _open_interval(u)
 
 
@@ -199,21 +224,19 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
     ``step`` is a multiple of 4, the first draw of block step//4.  Row i of
     the ``(len(path_ids), 4 * k)`` result holds draws step .. step + 4k - 1
     of stream (seed, path_ids[i]); ``path_ids`` must be non-empty and
-    ascend.  k is 1 on the dense route, whose cost is per block anyway, and
-    on the sparse route enough for about 2^16 words, at most the blocks that
-    ``steps_left`` draws reach into and the words an array of ``out`` holds.
-    The dense route works in ``out``, a ``refill_buffer`` of the span
-    ids[0]..ids[-1] at least, and returns a view of its first array; the
-    sparse route returns a new array.
+    ascend.  k is ``_lookahead`` of the counters drawn per block: the span
+    ids[0]..ids[-1] on the dense route and the ids on the sparse one.
+    ``out`` is a ``refill_buffer`` of a range that holds the ids, made for
+    ``steps_left`` steps or more; the dense route works in it and returns a
+    view of its first array, and the sparse route returns a new array.
     """
     ids = np.asarray(path_ids, dtype=np.uint64)
     seed = int(seed) & _MASK64
     block = (int(step) >> 2) & _MASK64
     span = int(ids[-1]) - int(ids[0]) + 1
     if ids.size >= _DENSE_SHARE * span:
-        return _dense_uniforms(seed, ids, block, *out)
-    words = min(_LOOKAHEAD_WORDS, out[1].size)
-    k = max(1, min(words // (4 * ids.size), -(-steps_left // 4)))
+        return _dense_uniforms(seed, ids, block, _lookahead(span, steps_left), *out)
+    k = _lookahead(ids.size, steps_left)
     blocks = np.uint64(block) + np.arange(k, dtype=np.uint64)
     u = words_to_uniform(philox_block(ids[:, None], blocks[None, :], np.uint64(seed)))
     return u.reshape(ids.size, 4 * k)

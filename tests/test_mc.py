@@ -15,11 +15,12 @@ from arsurvival.coeffs import ar_params, ar_step
 from arsurvival.innovations import (exponential_centered, gaussian, rademacher,
                                     two_point, uniform)
 from arsurvival.mc import (ConstraintError, ReductionKind, SurvivalCurve,
-                           _crossing_times_range, _innovation_bound, _survival_level,
-                           _Walk, estimate_survival, pair_survival_frequency,
+                           _innovation_bound, _range_counts, _survival_level, _Walk,
+                           estimate_survival, pair_survival_frequency,
                            pathwise_reduction_check)
 from arsurvival.oracle import enumerate_survival
-from arsurvival.rng import path_uniform_block, philox_block, words_to_uniform
+from arsurvival.rng import (_DENSE_SHARE, _lookahead, path_uniform_block, philox_block,
+                            refill_buffer, words_to_uniform)
 
 RW = ar_params([1.0])
 IRW = ar_params([2.0, -1.0])
@@ -60,11 +61,22 @@ def innovations(spec, seed, ids, n):
 
 
 def reference_tau(params, x, y) -> int:
-    """The engine's tau from the scalar reference: 0 for a path that goes NaN first."""
+    """The scalar reference's crossing time, or 0 for a path that goes NaN first."""
     try:
         return crossing_time_from_innovations(params, x, y)
     except NonFiniteSampleError:
         return 0
+
+
+def step_counts(params, spec, x, n_max, seed, lo, hi) -> np.ndarray:
+    """The engine's histogram of paths lo..hi-1 on the grid 1..n_max: bin n holds
+    the paths that cross at step n, bin 0 the non-finite paths and bin n_max + 1
+    the survivors, so it is the bincount of the reference's crossing times."""
+    return _range_counts(params, spec, x, np.arange(1, n_max + 1), seed, lo, hi)
+
+
+def reference_counts(taus, n_max) -> list:
+    return np.bincount(taus, minlength=n_max + 2).tolist()
 
 
 def record_refills(monkeypatch) -> list:
@@ -103,8 +115,8 @@ def test_crossing_time_hand_cases():
 
 
 def test_engine_never_crosses_large_barrier():
-    tau = _crossing_times_range(ar_params([0.0]), two_point(1.0), 1e9, 50, 3, 0, 1)
-    assert tau.tolist() == [51]
+    counts = step_counts(ar_params([0.0]), two_point(1.0), 1e9, 50, 3, 0, 1)
+    assert counts.tolist() == reference_counts([51], 50)
 
 
 @pytest.mark.parametrize("a, spec, x", [
@@ -116,12 +128,12 @@ def test_engine_never_crosses_large_barrier():
 def test_engine_matches_scalar_reference(a, spec, x):
     # row i of the innovation matrix is stream (99, i), the engine's path i
     params = ar_params(a)
-    tau_vec = _crossing_times_range(params, spec, x, 64, 99, 0, 300)
+    counts = step_counts(params, spec, x, 64, 99, 0, 300)
     y = innovations(spec, 99, np.arange(300, dtype=np.uint64), 64)
     tau_scalar = np.array([crossing_time_from_innovations(params, x, row) for row in y])
-    assert (tau_vec == tau_scalar).all()
+    assert counts.tolist() == reference_counts(tau_scalar, 64)
     # a walk that keeps every row crosses first at the same step on every row
-    walk = _Walk(params, spec, 99, 0, 300, 64)
+    walk = _Walk(params, spec, 99, 0, 300, 64, refill_buffer(300, 64))
     crossed = []
     while walk.j < 64:
         xs, _ = walk.block()
@@ -140,13 +152,20 @@ def test_engine_matches_scalar_reference(a, spec, x):
 ], ids=["rw-gaussian", "iw-rademacher", "ar2-two_point"])
 def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
     # a horizon that ends inside a block, on a tile whose live set thins out
-    # enough for the rng to draw many blocks per call
+    # enough for the rng to draw many blocks per call; the tile is wide
+    # enough (over 2^13 paths) that its first refill is one block
     drawn = record_refills(monkeypatch)
-    n_max, lo, hi = 4 * 97 + 3, 500, 3500
+    n_max, lo, hi = 4 * 97 + 3, 500, 8700
     params = ar_params(a)
-    tau = _crossing_times_range(params, spec, x, n_max, 99, lo, hi)
+    counts = step_counts(params, spec, x, n_max, 99, lo, hi)
     y = innovations(spec, 99, np.arange(lo, hi, dtype=np.uint64), n_max)
-    assert tau.tolist() == [crossing_time_from_innovations(params, x, row) for row in y]
+    tau = np.array([crossing_time_from_innovations(params, x, row) for row in y])
+    assert counts.tolist() == reference_counts(tau, n_max)
+    # every refill's width is the one look-ahead rule's, on the route it took
+    for ids, step, steps in drawn:
+        span = int(ids[-1]) - int(ids[0]) + 1
+        rows = span if ids.size >= _DENSE_SHARE * span else ids.size
+        assert steps == min(4 * _lookahead(rows, n_max - step), n_max - step)
     ahead = [(step, step + steps) for _, step, steps in drawn if steps > 4]
     assert ahead
     # paths died before the last column of a look-ahead refill, and on the
@@ -161,7 +180,7 @@ def test_compact_keeps_each_live_paths_own_draws():
     # refills span many steps; after each compaction the next block's rows
     # are the kept paths' own draws, and X lies in the idle refill array
     params, spec, seed, n, x = RW, gaussian(), 99, 400, 0.0
-    walk = _Walk(params, spec, seed, 0, 3000, n)
+    walk = _Walk(params, spec, seed, 0, 3000, n, refill_buffer(3000, n))
     walk.compact(np.arange(3000) % 10 == 0)
     ids0 = walk.ids
     tau = np.full(ids0.size, n + 1)
@@ -182,12 +201,13 @@ def test_compact_keeps_each_live_paths_own_draws():
 
 def test_nan_inside_a_refill_after_or_before_a_crossing():
     # X_3 overflows to +-inf and X_4 = inf - inf is NaN, inside the first
-    # 4-step refill: a path that crossed at step 1 keeps tau = 1, and one that
-    # went NaN before any crossing gets tau = 0
+    # refill (all 10 steps): a path that crossed at step 1 counts at step 1,
+    # and one that went NaN before any crossing in the non-finite bin
     params, spec = ar_params([1e200, -1e200]), gaussian()
-    tau = _crossing_times_range(params, spec, 0.0, 10, 3, 0, 300)
+    counts = step_counts(params, spec, 0.0, 10, 3, 0, 300)
     y = innovations(spec, 3, np.arange(300, dtype=np.uint64), 10)
-    assert tau.tolist() == [reference_tau(params, 0.0, row) for row in y]
+    tau = np.array([reference_tau(params, 0.0, row) for row in y])
+    assert counts.tolist() == reference_counts(tau, 10)
     assert set(tau.tolist()) == {0, 1}
     assert np.isnan(path_values(params, y[tau == 1])[:, 3]).all()
 
@@ -195,20 +215,26 @@ def test_nan_inside_a_refill_after_or_before_a_crossing():
 def test_a_held_path_leaves_at_its_refills_end(monkeypatch):
     # mostly negative innovations sink paths below the level: those held at
     # the first refill's end draw no more, while a path that crossed and then
-    # sank below the level inside that refill keeps its crossing time
+    # sank below the level inside that refill keeps its crossing time; over
+    # 2^13 paths make the first refill one block, so that some paths are
+    # still live, and not held, at its end
     drawn = record_refills(monkeypatch)
-    params, spec, n_max = ar_params([0.5, 0.6]), uniform(-100.0, 1.0), 50
+    params, spec, n_max, paths = ar_params([0.5, 0.6]), uniform(-100.0, 1.0), 50, 8_193
     level = _survival_level(params, spec, 0.0)
     assert level is not None
-    tau = _crossing_times_range(params, spec, 0.0, n_max, 5, 0, 2000)
-    y = innovations(spec, 5, np.arange(2000, dtype=np.uint64), n_max)
-    assert tau.tolist() == [reference_tau(params, 0.0, row) for row in y]
+    counts = step_counts(params, spec, 0.0, n_max, 5, 0, paths)
+    y = innovations(spec, 5, np.arange(paths, dtype=np.uint64), n_max)
+    tau = np.array([reference_tau(params, 0.0, row) for row in y])
+    assert counts.tolist() == reference_counts(tau, n_max)
+    # the first refill is the dense route's on the whole tile
+    w = min(4 * _lookahead(paths, n_max), n_max)
+    assert w == 4
     xs = path_values(params, y)
-    held = np.maximum(xs[:, 2], xs[:, 3]) <= level
-    assert ((tau <= 4) & held).any()
-    assert (drawn[0][2], drawn[1][1]) == (4, 4)
-    assert drawn[1][0].tolist() == np.flatnonzero((tau > 4) & ~held).tolist()
-    assert (tau[(tau > 4) & held] == n_max + 1).all()
+    held = np.maximum(xs[:, w - 2], xs[:, w - 1]) <= level
+    assert ((tau <= w) & held).any()
+    assert (drawn[0][2], drawn[1][1]) == (w, w)
+    assert drawn[1][0].tolist() == np.flatnonzero((tau > w) & ~held).tolist()
+    assert (tau[(tau > w) & held] == n_max + 1).all()
 
 
 @pytest.mark.parametrize("a, spec, x", [
@@ -217,7 +243,7 @@ def test_a_held_path_leaves_at_its_refills_end(monkeypatch):
     ((0.5, 0.8, 0.3), uniform(-1.0, 1.0), 0.0),
     ((1.5,), exponential_centered(1.0), -0.5),
     # sum a < 1 and x above B / (1 - sum a): every path is held from the
-    # start, so the tile draws its first buffer (2,400 words) and stops
+    # start, so the tile draws its first refill (27 blocks, 64,800 words) and stops
     ((0.3, 0.2), uniform(-1.0, 1.0), 2.0),
 ], ids=["c1-gaussian", "c1-rademacher", "ar3-uniform", "ar1-exponential",
         "stable-uniform"])
@@ -234,16 +260,20 @@ def test_certified_paths_keep_their_crossing_times(monkeypatch, a, spec, x):
         return u
 
     monkeypatch.setattr(mc, "path_uniform_block", counted)
-    tau = _crossing_times_range(params, spec, x, n_max, 5, lo, hi)
-    certified = sum(words)
+    counts = step_counts(params, spec, x, n_max, 5, lo, hi)
+    certified = words.copy()
     y = innovations(spec, 5, np.arange(lo, hi, dtype=np.uint64), n_max)
-    assert tau.tolist() == [crossing_time_from_innovations(params, x, row) for row in y]
+    tau = [crossing_time_from_innovations(params, x, row) for row in y]
+    assert counts.tolist() == reference_counts(tau, n_max)
+    assert certified[0] == 4 * _lookahead(hi - lo, n_max) * (hi - lo)
+    if x == 2.0:
+        assert certified == [64_800]
     words.clear()
     monkeypatch.setattr(mc, "_survival_level", lambda *args: None)
-    walked = _crossing_times_range(params, spec, x, n_max, 5, lo, hi)
-    assert (walked == tau).all()
+    walked = step_counts(params, spec, x, n_max, 5, lo, hi)
+    assert (walked == counts).all()
     # held rows were dropped: fewer words drawn than by the full walk
-    assert certified < sum(words)
+    assert sum(certified) < sum(words)
 
 
 def test_no_certificate_without_positive_coefficients(monkeypatch):
@@ -308,14 +338,14 @@ def test_curve_file_independent_of_tiles_and_workers(monkeypatch):
 
     base = curve_json(1)
     assert curve_json(2) == base
-    real = mc._crossing_times_range
+    real = mc._tile_counts
     walked = []
 
-    def crossing_times_range(params, spec, x, n_max, seed, lo, hi):
-        walked.append((lo, hi))
-        return real(params, spec, x, n_max, seed, lo, hi)
+    def tile_counts(walk, *args):
+        walked.append((int(walk.ids[0]), int(walk.ids[-1]) + 1))
+        return real(walk, *args)
 
-    monkeypatch.setattr(mc, "_crossing_times_range", crossing_times_range)
+    monkeypatch.setattr(mc, "_tile_counts", tile_counts)
     monkeypatch.setattr(mc, "_TILE_PATHS", 1_000)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert curve_json(1) == base
@@ -324,6 +354,55 @@ def test_curve_file_independent_of_tiles_and_workers(monkeypatch):
     # process walks range 0 the same way and a forked child the other range
     assert walked == [(lo, lo + 1_000) for lo in range(0, 20_000, 1_000)] + \
         [(lo, lo + 1_000) for lo in range(0, 10_000, 1_000)]
+
+
+def test_a_range_draws_every_tile_into_one_buffer(monkeypatch):
+    # 131,074 paths make tiles of 43,691, 43,691 and 43,692: the one buffer
+    # is made for the last, larger tile, and every tile's refills work in it
+    from arsurvival import mc
+
+    made, tiles, used = [], [], set()
+
+    def buffer(paths, steps):
+        made.append((paths, steps))
+        return refill_buffer(paths, steps)
+
+    real = mc._tile_counts
+
+    def tile_counts(walk, *args):
+        tiles.append(walk.ids.size)
+        used.add(id(walk.out))
+        return real(walk, *args)
+
+    monkeypatch.setattr(mc, "refill_buffer", buffer)
+    monkeypatch.setattr(mc, "_tile_counts", tile_counts)
+    grid = np.array([1, 4])
+    counts = _range_counts(RW, rademacher(), 0.0, grid, 3, 0, 131_074)
+    assert tiles == [43_691, 43_691, 43_692]
+    assert made == [(43_692, 4)] and len(used) == 1
+    # a tile's counts do not depend on what the tile before it left in the buffer
+    parts = [_range_counts(RW, rademacher(), 0.0, grid, 3, lo, hi)
+             for lo, hi in [(0, 43_691), (43_691, 131_074)]]
+    assert counts.sum() == 131_074 and (counts == sum(parts)).all()
+
+
+@pytest.mark.parametrize("paths, grid", [(10, [6]), (7, [1, 3]), (400, [2, 50])])
+def test_a_tiny_runs_buffer_is_no_larger_than_its_refills_fill(monkeypatch, paths, grid):
+    from arsurvival import mc
+
+    sizes, filled = [], []
+
+    def recorded(seed, ids, step, steps_left, out):
+        u = path_uniform_block(seed, ids, step, steps_left, out)
+        sizes.append((out[0].size, out[1].size))
+        filled.append(u.size)
+        return u
+
+    monkeypatch.setattr(mc, "path_uniform_block", recorded)
+    estimate_survival(RW, gaussian(), 0.0, grid, paths, 5)
+    # the first refill draws the whole tile, as far ahead as the rule lets it
+    assert set(sizes) == {(filled[0], filled[0])}
+    assert filled[0] == 4 * _lookahead(paths, grid[-1]) * paths
 
 
 def test_processes_capped_at_cpu_count(monkeypatch):
@@ -453,21 +532,21 @@ def test_worker_failure_raises_instead_of_hanging(monkeypatch):
     from arsurvival import mc
 
     caller = os.getpid()
-    real = mc._crossing_times_range
+    real = mc._tile_counts
 
-    def crossing_times_range(*args):
+    def tile_counts(*args):
         if os.getpid() != caller:
             raise MemoryError("worker failed")
         return real(*args)
 
     # a forked child looks the function up when it runs, so it sees the patch
-    monkeypatch.setattr(mc, "_crossing_times_range", crossing_times_range)
+    monkeypatch.setattr(mc, "_tile_counts", tile_counts)
     # two forked workers on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     # the child's own exception reaches the caller, with the child's traceback
     with pytest.raises(MemoryError, match="worker failed") as excinfo:
         estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=3)
-    assert "crossing_times_range" in "".join(traceback.format_exception(excinfo.value))
+    assert "tile_counts" in "".join(traceback.format_exception(excinfo.value))
     assert multiprocessing.active_children() == []
     # active_children sees no os.fork child; waitpid sees every one
     with pytest.raises(ChildProcessError):
@@ -478,15 +557,15 @@ def test_a_worker_that_dies_raises_instead_of_hanging(monkeypatch):
     from arsurvival import mc
 
     caller = os.getpid()
-    real = mc._crossing_times_range
+    real = mc._tile_counts
 
-    def crossing_times_range(*args):
+    def tile_counts(*args):
         if os.getpid() != caller:
             os._exit(1)
         return real(*args)
 
     # a forked child looks the function up when it runs, so it sees the patch
-    monkeypatch.setattr(mc, "_crossing_times_range", crossing_times_range)
+    monkeypatch.setattr(mc, "_tile_counts", tile_counts)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     start = time.monotonic()
     with pytest.raises(RuntimeError):
@@ -503,12 +582,12 @@ def test_an_exception_of_the_callers_range_does_not_wait_for_the_children(monkey
 
     caller = os.getpid()
 
-    def crossing_times_range(*args):
+    def tile_counts(*args):
         if os.getpid() != caller:
             time.sleep(3)
         raise MemoryError("caller failed")
 
-    monkeypatch.setattr(mc, "_crossing_times_range", crossing_times_range)
+    monkeypatch.setattr(mc, "_tile_counts", tile_counts)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     start = time.monotonic()
     with pytest.raises(MemoryError, match="caller failed"):
@@ -536,14 +615,14 @@ def test_an_exception_that_cannot_cross_the_pipe_raises_runtime_error(monkeypatc
     from arsurvival import mc
 
     caller = os.getpid()
-    real = mc._crossing_times_range
+    real = mc._tile_counts
 
-    def crossing_times_range(*args):
+    def tile_counts(*args):
         if os.getpid() != caller:
             raise make()
         return real(*args)
 
-    monkeypatch.setattr(mc, "_crossing_times_range", crossing_times_range)
+    monkeypatch.setattr(mc, "_tile_counts", tile_counts)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     with pytest.raises(RuntimeError, match=match):
         estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=2)

@@ -5,18 +5,33 @@ import pytest
 from numpy.random import Generator, Philox
 
 from arsurvival import rng
-from arsurvival.rng import (_dense_uniforms, _open_interval, path_uniform_block,
-                            philox_block, refill_buffer, words_to_uniform)
+from arsurvival.rng import (_dense_uniforms, _lookahead, _open_interval,
+                            path_uniform_block, philox_block, refill_buffer,
+                            words_to_uniform)
 
 M64 = 2**64
 
 
 def draw(seed, ids, step, steps_left=1):
-    """path_uniform_block in a buffer of its own, large enough for the span of
-    ``ids`` and for the whole sparse look-ahead, so only steps_left caps it."""
+    """path_uniform_block in a buffer of its own, made for the span of ``ids``
+    and ``steps_left`` steps."""
     span = int(ids[-1]) - int(ids[0]) + 1
-    return path_uniform_block(seed, ids, step, steps_left,
-                              refill_buffer(max(span, rng._LOOKAHEAD_WORDS // 4)))
+    return path_uniform_block(seed, ids, step, steps_left, refill_buffer(span, steps_left))
+
+
+def expected_width(ids, steps_left):
+    """4k for the one look-ahead rule: k = max(1, min(2^16 // (4 rows), ceil(steps_left
+    / 4))), where rows is the span on the dense route and the ids on the sparse one."""
+    span = int(ids[-1]) - int(ids[0]) + 1
+    rows = span if ids.size >= rng._DENSE_SHARE * span else ids.size
+    return 4 * max(1, min(2**16 // (4 * rows), -(-steps_left // 4)))
+
+
+def stream_words(seed, ids, block, k):
+    """The (len(ids), 4k) uniforms of blocks block .. block + k - 1 (mod 2^64)."""
+    blocks = np.uint64(block) + np.arange(k, dtype=np.uint64)
+    return words_to_uniform(philox_block(ids[:, None], blocks[None, :], seed)).reshape(
+        ids.size, 4 * k)
 
 
 def numpy_words(seed, path, block):
@@ -65,7 +80,7 @@ def test_counter_carry_edges_match_numpy(seed, path, block):
     ids = np.array([path], dtype=np.uint64)
     assert (draw(seed, ids, 4 * block) == ref).all()
     expect = numpy_words(seed, path, block)
-    assert (_dense_uniforms(seed % M64, ids, block, *refill_buffer(1))
+    assert (_dense_uniforms(seed % M64, ids, block, 1, *refill_buffer(1, 4))
             == words_to_uniform(expect)).all()
     assert (philox_block(ids, np.uint64(block), seed % M64) == expect).all()
 
@@ -77,13 +92,39 @@ def test_counter_carry_edges_match_numpy(seed, path, block):
     np.array([123456]),
 ], ids=["contiguous", "gappy", "top", "single"])
 def test_dense_and_sparse_evaluators_agree(ids):
+    # one block, and k blocks gathered into the same (ids, 4k) layout, through
+    # the block index's wrap from 2^64 - 1 to 0
     ids = ids.astype(np.uint64)
-    out = refill_buffer(int(ids[-1] - ids[0]) + 1)
-    for seed, block in [(0, 0), (99, 3), (2**64 - 1, 2**40)]:
-        dense = _dense_uniforms(seed, ids, block, *out)
-        assert dense.shape == (ids.size, 4)
-        sparse = words_to_uniform(philox_block(ids, np.uint64(block), seed))
-        assert dense.tobytes() == sparse.tobytes()
+    span = int(ids[-1] - ids[0]) + 1
+    for k in (1, 2, 5):
+        out = refill_buffer(span, 4 * k)
+        for seed, block in [(0, 0), (99, 3), (2**64 - 1, 2**40), (7, 2**64 - 2)]:
+            dense = _dense_uniforms(seed, ids, block, k, *out)
+            assert dense.shape == (ids.size, 4 * k)
+            assert dense.tobytes() == stream_words(seed, ids, block, k).tobytes()
+
+
+@pytest.mark.parametrize("ids", [
+    np.array([2**64 - 3, 2**64 - 2, 2**64 - 1]),
+    np.array([2**64 - 9, 2**64 - 8, 2**64 - 1]),
+], ids=["whole-span", "gathered"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_dense_look_ahead_wraps_the_block_index_like_numpy(ids, k):
+    # blocks 2^64 - 2, 2^64 - 1, 0, ... on ids that end at 2^64 - 1: each is
+    # numpy's own words at the wrapped counter (id, block mod 2^64, 0, 0)
+    ids = ids.astype(np.uint64)
+    block, seed = 2**64 - 2, 2**64 - 1
+    u = _dense_uniforms(seed, ids, block, k, *refill_buffer(int(ids[-1] - ids[0]) + 1, 4 * k))
+    for row, i in zip(u, ids):
+        expect = [words_to_uniform(numpy_words(seed, int(i), (block + t) % M64))
+                  for t in range(k)]
+        assert row.tobytes() == np.concatenate(expect).tobytes()
+    # numpy's 256-bit counter carries into the third word instead: advancing
+    # from block 2^64 - 1 to the next one by 2^64 does not reach block 0
+    bits = Philox(key=np.array([seed, 0], np.uint64),
+                  counter=(int(ids[0]) + ((2**64 - 1) << 64) - 1))
+    bits.advance(2**64)
+    assert (bits.random_raw(4) != numpy_words(seed, int(ids[0]), 0)).any()
 
 
 def test_generator_random_is_shifted_words():
@@ -117,7 +158,7 @@ def test_open_interval_matches_words_to_uniform_at_edges():
     shifted = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
     assert _open_interval(shifted).tobytes() == expect
     ids = np.arange(40, 2540, dtype=np.uint64)
-    dense = _dense_uniforms(3, ids, 7, *refill_buffer(ids.size))
+    dense = _dense_uniforms(3, ids, 7, 1, *refill_buffer(ids.size, 4))
     expect = exact_uniforms(philox_block(ids, np.uint64(7), 3).ravel()).tobytes()
     assert dense.tobytes() == expect
 
@@ -130,16 +171,19 @@ def test_open_interval_matches_words_to_uniform_at_edges():
 def test_dense_route_fills_the_callers_buffer(ids):
     ids = ids.astype(np.uint64)
     span = int(ids[-1] - ids[0]) + 1
-    # the smallest buffer the route may be given, and a tile's larger one
-    for out in (refill_buffer(span), refill_buffer(1400)):
-        for seed, step in [(0, 0), (2**64 - 1, 4 * (2**64 - 1)), (77, 4 * 2**40)]:
-            u = path_uniform_block(seed, ids, step, 1000, out=out)
-            assert u.shape == (ids.size, 4)
-            # the result is the front of the buffer's first array
-            assert u.ctypes.data == out[0].ctypes.data and u.flags.c_contiguous
-            expect = words_to_uniform(philox_block(ids, np.uint64(step // 4), seed))
-            assert u.tobytes() == expect.tobytes()
-            assert draw(seed, ids, step, 1000).tobytes() == expect.tobytes()
+    # one block and a look-ahead of many, each in the smallest buffer the
+    # route may be given and in a tile's larger one
+    for steps_left in (4, 1000):
+        for out in (refill_buffer(span, steps_left), refill_buffer(1400, steps_left)):
+            for seed, step in [(0, 0), (2**64 - 1, 4 * (2**64 - 1)), (77, 4 * 2**40)]:
+                u = path_uniform_block(seed, ids, step, steps_left, out=out)
+                width = expected_width(ids, steps_left)
+                assert u.shape == (ids.size, width) and u.size <= out[1].size
+                # the result is the front of the buffer's first array
+                assert u.ctypes.data == out[0].ctypes.data and u.flags.c_contiguous
+                expect = stream_words(seed, ids, step // 4, width // 4)
+                assert u.tobytes() == expect.tobytes()
+                assert draw(seed, ids, step, steps_left).tobytes() == expect.tobytes()
 
 
 def test_philox_vectorized_consistent_with_scalar():
@@ -192,15 +236,13 @@ def test_path_uniform_block_matches_streams():
 @pytest.mark.parametrize("block, blocks_left", [
     (0, 1), (5, 3), (2**64 - 2, 5), (0, 300), (2**64 - 2, 300)])
 def test_block_count_equals_single_blocks(ids, block, blocks_left):
-    # the width is one block on the dense route and, on the sparse route,
-    # about 2^16 words (at least one block, at most blocks_left); the k blocks
-    # are what k one-block calls read, through the counter's wrap at 2^64 too
+    # both routes draw about 2^16 words ahead (at least one block, at most
+    # blocks_left), the dense one counting its span and the sparse one its
+    # ids; the k blocks are what k one-block calls read, through the
+    # counter's wrap at 2^64 too
     ids = ids.astype(np.uint64)
     u = draw(31, ids, 4 * block, 4 * blocks_left)
-    if ids.size >= rng._DENSE_SHARE * (int(ids[-1]) - int(ids[0]) + 1):
-        k = 1
-    else:
-        k = max(1, min(rng._LOOKAHEAD_WORDS // (4 * ids.size), blocks_left))
+    k = expected_width(ids, 4 * blocks_left) // 4
     assert u.shape == (ids.size, 4 * k)
     singles = [draw(31, ids, 4 * (block + i)) for i in range(k)]
     assert all(s.shape == (ids.size, 4) for s in singles)
@@ -211,7 +253,48 @@ def test_sparse_width_fits_the_callers_buffer():
     # given a small tile's buffer, a sparse call draws no more words than an
     # array of it holds, so its result fits in the idle second array
     ids = np.arange(0, 3000, 10, dtype=np.uint64)
-    out = refill_buffer(3000)
+    out = refill_buffer(3000, 400)
     u = path_uniform_block(31, ids, 0, 400, out=out)
     assert u.size <= out[1].size and u.shape[1] > 4
     assert u.tobytes() == draw(31, ids, 0, 400)[:, :u.shape[1]].tobytes()
+
+
+@pytest.mark.parametrize("paths, steps", [(1, 1), (10, 6), (10, 400), (3000, 20),
+                                          (3000, 400), (20_000, 9)])
+def test_every_width_fits_the_callers_buffer(paths, steps):
+    # a range's buffer holds the words of any call on ids inside the range with
+    # at most ``steps`` steps left, dense or sparse, so each result fits in
+    # the idle second array
+    out = refill_buffer(paths, steps)
+    assert out[0].size == out[1].size == min(max(4 * paths, 2**16),
+                                             4 * paths * -(-steps // 4))
+    whole = np.arange(paths, dtype=np.uint64)
+    for ids in (whole, whole[::10], whole[-1:], np.unique(whole[[0, -1]])):
+        for steps_left in {1, 4, 5, steps}:
+            if steps_left > steps:
+                continue
+            u = path_uniform_block(31, ids, 0, steps_left, out=out)
+            span = int(ids[-1]) - int(ids[0]) + 1
+            rows = span if ids.size >= rng._DENSE_SHARE * span else ids.size
+            assert u.shape == (ids.size, expected_width(ids, steps_left))
+            assert u.size <= out[1].size and rows * u.shape[1] <= out[1].size
+    # no larger than needed: a call on the whole range fills it when the steps
+    # or one block of the range cap it, and a span of 2^10 fills 2^16 words
+    u = path_uniform_block(31, whole, 0, steps, out=out)
+    if out[1].size < 2**16 or 4 * paths >= 2**16:
+        assert u.size == out[1].size
+    else:
+        ids = np.arange(2**10, dtype=np.uint64)
+        assert path_uniform_block(31, ids, 0, steps, out=out).size == out[1].size
+
+
+def test_both_routes_take_one_look_ahead_rule():
+    # _lookahead is the rule: the dense route counts the span, the sparse the ids
+    for rows, steps_left, k in [(1, 10**6, 2**14), (400, 1000, 40), (2**14, 10**6, 1),
+                                (2**14 + 1, 10**6, 1), (10, 6, 2), (3, 1, 1)]:
+        assert _lookahead(rows, steps_left) == k
+    dense = np.arange(100, 500, 2, dtype=np.uint64)         # 200 of a 399-id span
+    sparse = np.arange(0, 4000, 20, dtype=np.uint64)        # 200 of a 3981-id span
+    out = refill_buffer(4000, 1000)
+    assert path_uniform_block(5, dense, 0, 1000, out).shape[1] == 4 * _lookahead(399, 1000)
+    assert path_uniform_block(5, sparse, 0, 1000, out).shape[1] == 4 * _lookahead(200, 1000)
