@@ -18,8 +18,9 @@ the engine, the pair frequency and the reduction checks, steps tiles of at
 most ``_TILE_PATHS`` paths with one walker, ``_Walk``, so memory is bounded
 whatever the path count, and all tiles of a range reuse one refill buffer.
 It makes one rng call per refill, which gives a small or thinned-out live
-set many steps at once, and steps the recursion through the whole refill as
-one time-major block: no innovation changes, only when it is made.
+set many steps at once, but never more than the tile has walked, and steps
+the recursion through the whole refill as one time-major block: no
+innovation changes, only when it is made.
 
 Survival certificate: innovations are bounded above by B, the largest value
 the transform takes on the rng's uniform range [2^-54, 1 - 2^-53].  When
@@ -92,17 +93,20 @@ class _Walk:
     """Paths lo..hi-1 of one run, stepped together from the zero start.
 
     ``block()`` makes one rng call and steps the recursion through every
-    column it returned: it returns X and Y as time-major (steps, live)
-    blocks, row t holding step j + t + 1, and leaves lags[k] = X_{j-k} for
-    the new j, the steps taken.  ``out`` is a ``refill_buffer`` of a range
-    that holds lo..hi-1, made for ``n_max`` steps, which walks of its tiles
-    share one after another.  X is written into its second array, which the
-    refill no longer needs; the next refill overwrites both blocks, so
-    ``compact(live)``, called once after each block, copies the lags out
-    and keeps only the rows where the boolean ``live`` is True (every row
-    when None).  The dense route's refills draw and transform in place in
-    ``out`` too: no refill allocates an array of its size, whose memory the
-    allocator would hand back to the system.
+    column it returned that the horizon reaches: it returns X and Y as
+    time-major (steps, live) blocks, row t holding step j + t + 1, and
+    leaves lags[k] = X_{j-k} for the new j, the steps taken.  The call looks
+    ahead no further than the walk has come, so the blocks end at steps 4,
+    8, 16, 32, ... until 2^16 words cap them.  ``out`` is a
+    ``refill_buffer`` of a range that holds lo..hi-1, made for ``n_max``
+    steps, which walks of its tiles share one after another.  X is written
+    into its second array, which the refill no longer needs; the next refill
+    overwrites both blocks, so ``compact(live)``, called once after each
+    block, copies the lags out and keeps only the rows where the boolean
+    ``live`` is True (every row when None), gathering each array by one
+    index of the kept rows.  The dense route's refills draw and transform in
+    place in ``out`` too: no refill allocates an array of its size, whose
+    memory the allocator would hand back to the system.
     """
 
     def __init__(self, params: ARParams, spec: InnovationSpec, seed: int,
@@ -119,8 +123,9 @@ class _Walk:
     def block(self) -> tuple[np.ndarray, np.ndarray]:
         u = path_uniform_block(self.seed, self.ids, self.j, self.n_max - self.j,
                                out=self.out)
-        steps = min(u.shape[1], self.n_max - self.j)
-        ys = self.spec.transform(u, out=u).T[:steps]
+        # columns past the horizon are drawn, not transformed
+        u = u[:, :self.n_max - self.j]
+        ys = self.spec.transform(u, out=u).T
         xs = self.out[1][:ys.size].reshape(ys.shape)
         lags = self.lags
         # a path stepped past its crossing may overflow; it is decided already
@@ -128,15 +133,16 @@ class _Walk:
             for y, x in zip(ys, xs):
                 lags = [ar_step(self.a, y, lags, out=x)] + lags[:-1]
         self.lags = lags
-        self.j += steps
+        self.j += len(ys)
         return xs, ys
 
     def compact(self, live=None) -> None:
         if live is None:
             self.lags = [lag.copy() for lag in self.lags]
         else:
-            self.ids = self.ids[live]
-            self.lags = [lag[live] for lag in self.lags]
+            keep = np.flatnonzero(live)
+            self.ids = self.ids.take(keep)
+            self.lags = [lag.take(keep) for lag in self.lags]
 
 
 def _walks(params: ARParams, spec: InnovationSpec, seed: int, lo: int, hi: int,

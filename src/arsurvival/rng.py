@@ -17,13 +17,16 @@ Block j//4 of consecutive streams sits at consecutive counters, so
 ``path_uniform_block`` draws the blocks ahead of a dense set from numpy's C
 Philox, one counter run per block, and those of a sparse set from the
 vectorized ``philox_block``; one rule, ``_lookahead``, says how many, and the
-width of the result tells the caller.  Both give the same words, so the
-choice never changes a draw.  The dense route makes its uniforms in C as
-well: ``Generator.random`` gives (w >> 11) * 2^-53 of the same words w, and
-``_open_interval``, the one map from there to u_j, adds 2^-54, which rounds
-as ((w >> 11) + 0.5) * 2^-53 does: scaling by a power of two is exact.  The
-module keeps no state: the dense route works in the ``refill_buffer`` its
-caller owns, so a refill allocates no array of its size.
+width of the result tells the caller.  A call looks no further ahead than
+the blocks before it, so a walk that drops a path at the end of the call it
+crossed in steps it no further than max(4, 2 tau), tau its crossing step.
+Both routes give the same words, so the choice never changes a draw.  The
+dense route makes its uniforms in C as well: ``Generator.random`` gives
+(w >> 11) * 2^-53 of the same words w, and ``_open_interval``, the one map
+from there to u_j, adds 2^-54, which rounds as ((w >> 11) + 0.5) * 2^-53
+does: scaling by a power of two is exact.  The module keeps no state: the
+dense route works in the ``refill_buffer`` its caller owns, so a refill
+allocates no array of its size.
 """
 
 from __future__ import annotations
@@ -155,26 +158,29 @@ def words_to_uniform(words):
     return _open_interval(u)
 
 
-def _lookahead(rows: int, steps_left: int) -> int:
-    """Blocks a call draws for ``rows`` counters per block: as many as 2^16 words
-    hold, at most the blocks that ``steps_left`` draws reach into, and at
-    least one.  The dense route counts the span's counters, the sparse route
-    the live ids."""
-    return max(1, min(_LOOKAHEAD_WORDS // (4 * rows), -(-steps_left // 4)))
+def _lookahead(rows: int, steps_left: int, step: int) -> int:
+    """Blocks a call from ``step`` on draws for ``rows`` counters per block: as
+    many as 2^16 words hold, at most the blocks that ``steps_left`` draws reach
+    into, no more than the ``step // 4`` blocks before it, and at least one.
+    The dense route counts the span's counters, the sparse route the live ids.
+    A walk's refills thus start at steps 0, 4, 8, 16, 32, ... until 2^16
+    words cap them."""
+    return max(1, min(_LOOKAHEAD_WORDS // (4 * rows), -(-steps_left // 4), step // 4))
 
 
 def refill_buffer(paths: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The buffer for calls on ids inside a range of ``paths`` with at most
-    ``steps`` steps left: two arrays, each of the most words such a call
+    """The buffer for calls on ids inside a range of ``paths`` that end their
+    draws by step ``steps``: two arrays, each of the most words such a call
     draws by ``_lookahead``.  That is one block of the range, or 2^16 words
-    once a thinned span looks further ahead, but never more than the blocks
-    that ``steps`` reaches into.  The second array is idle once a call
+    once a thinned span looks further ahead, but never more than half the
+    blocks that ``steps`` reaches into, since a call looks no further ahead
+    than the blocks before it.  The second array is idle once a call
     returns, and no result of a call given this buffer is larger, so a
     caller may write a block of that size there.  Two arrays, not one twice
     the size: glibc raises its mmap threshold to the largest block freed,
     which would change how fast the rest of the process allocates large
     arrays."""
-    words = min(max(4 * paths, _LOOKAHEAD_WORDS), 4 * paths * -(-steps // 4))
+    words = min(max(4 * paths, _LOOKAHEAD_WORDS), 4 * paths * max(1, -(-steps // 4) // 2))
     return np.empty(words), np.empty(words)
 
 
@@ -224,19 +230,21 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
     ``step`` is a multiple of 4, the first draw of block step//4.  Row i of
     the ``(len(path_ids), 4 * k)`` result holds draws step .. step + 4k - 1
     of stream (seed, path_ids[i]); ``path_ids`` must be non-empty and
-    ascend.  k is ``_lookahead`` of the counters drawn per block: the span
-    ids[0]..ids[-1] on the dense route and the ids on the sparse one.
+    ascend.  k is ``_lookahead`` of the counters drawn per block, the span
+    ids[0]..ids[-1] on the dense route and the ids on the sparse one, and of
+    ``step``: a call looks no further ahead than the steps before it.
     ``out`` is a ``refill_buffer`` of a range that holds the ids, made for
-    ``steps_left`` steps or more; the dense route works in it and returns a
-    view of its first array, and the sparse route returns a new array.
+    ``step + steps_left`` steps or more; the dense route works in it and
+    returns a view of its first array, and the sparse route returns a new
+    array.
     """
     ids = np.asarray(path_ids, dtype=np.uint64)
     seed = int(seed) & _MASK64
     block = (int(step) >> 2) & _MASK64
     span = int(ids[-1]) - int(ids[0]) + 1
     if ids.size >= _DENSE_SHARE * span:
-        return _dense_uniforms(seed, ids, block, _lookahead(span, steps_left), *out)
-    k = _lookahead(ids.size, steps_left)
+        return _dense_uniforms(seed, ids, block, _lookahead(span, steps_left, step), *out)
+    k = _lookahead(ids.size, steps_left, step)
     blocks = np.uint64(block) + np.arange(k, dtype=np.uint64)
     u = words_to_uniform(philox_block(ids[:, None], blocks[None, :], np.uint64(seed)))
     return u.reshape(ids.size, 4 * k)

@@ -152,8 +152,7 @@ def test_engine_matches_scalar_reference(a, spec, x):
 ], ids=["rw-gaussian", "iw-rademacher", "ar2-two_point"])
 def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
     # a horizon that ends inside a block, on a tile whose live set thins out
-    # enough for the rng to draw many blocks per call; the tile is wide
-    # enough (over 2^13 paths) that its first refill is one block
+    # enough for the rng to draw many blocks per call
     drawn = record_refills(monkeypatch)
     n_max, lo, hi = 4 * 97 + 3, 500, 8700
     params = ar_params(a)
@@ -165,7 +164,7 @@ def test_engine_lookahead_matches_scalar_reference(monkeypatch, a, spec, x):
     for ids, step, steps in drawn:
         span = int(ids[-1]) - int(ids[0]) + 1
         rows = span if ids.size >= _DENSE_SHARE * span else ids.size
-        assert steps == min(4 * _lookahead(rows, n_max - step), n_max - step)
+        assert steps == min(4 * _lookahead(rows, n_max - step, step), n_max - step)
     ahead = [(step, step + steps) for _, step, steps in drawn if steps > 4]
     assert ahead
     # paths died before the last column of a look-ahead refill, and on the
@@ -194,9 +193,79 @@ def test_compact_keeps_each_live_paths_own_draws():
         crossed = (xs > x).any(axis=0)
         tau[np.searchsorted(ids0, walk.ids[crossed])] = j + 1 + (xs[:, crossed] > x).argmax(axis=0)
         walk.compact(~crossed)
-    assert len(widths) >= 2 and min(widths) > 4
+    # a refill looks no further ahead than the walk has come
+    assert widths[:3] == [4, 4, 8] and max(widths) > 8
     y = innovations(spec, seed, ids0, n)
     assert tau.tolist() == [crossing_time_from_innovations(params, x, row) for row in y]
+
+
+def test_compact_by_one_index_keeps_ascending_ids_and_their_lags():
+    params = ar_params([0.5, 0.25, 0.1])
+    walk = _Walk(params, gaussian(), 3, 100, 1_100, 40, refill_buffer(1_000, 40))
+    walk.block()
+    ids, lags = walk.ids.copy(), [lag.copy() for lag in walk.lags]
+    live = np.random.default_rng(1).random(1_000) < 0.6
+    walk.compact(live)
+    assert walk.ids.tolist() == ids[live].tolist()
+    assert (np.diff(walk.ids.astype(np.int64)) > 0).all()
+    for kept, lag in zip(walk.lags, lags):
+        assert kept.tobytes() == lag[live].tobytes()
+        assert not np.shares_memory(kept, walk.out[1])
+
+
+@pytest.mark.parametrize("a, spec, x, paths, n_max", [
+    ((-0.4, -0.4), gaussian(), 0.0, 2_000, 40),
+    ((1.0,), gaussian(), 0.0, 10, 4_096),
+    ((1.0, 1.0), gaussian(), 0.0, 10, 1_024),
+    # every path is held from the start, and leaves at the first block's end
+    ((0.3, 0.2), uniform(-1.0, 1.0), 2.0, 600, 301),
+], ids=["e1", "walk", "c1", "held-from-start"])
+def test_no_path_is_walked_past_twice_its_crossing_step(monkeypatch, a, spec, x, paths,
+                                                        n_max):
+    # a refill looks no further ahead than the walk has come, so a path that
+    # crosses at step tau is stepped to max(4, 2 tau) at most, and one that
+    # survives to the horizon counts as tau = n_max
+    params = ar_params(a)
+    reached = np.zeros(paths, dtype=np.int64)
+    real = _Walk.block
+
+    def block(self):
+        ids = self.ids.astype(np.intp)
+        result = real(self)
+        reached[ids] = self.j
+        return result
+
+    monkeypatch.setattr(_Walk, "block", block)
+    counts = step_counts(params, spec, x, n_max, 5, 0, paths)
+    y = innovations(spec, 5, np.arange(paths, dtype=np.uint64), n_max)
+    tau = np.array([reference_tau(params, x, row) for row in y])
+    assert counts.tolist() == reference_counts(tau, n_max)
+    assert (reached <= np.maximum(4, 2 * np.minimum(tau, n_max))).all()
+    if x == 2.0:
+        assert (reached == 4).all()
+
+
+def test_a_block_transforms_only_the_columns_it_walks(monkeypatch):
+    # N = 6 ends inside the second block: its refill draws 4 columns and the
+    # walk transforms and steps 2 of them
+    from arsurvival.innovations import InnovationSpec
+
+    transformed, walked = [], []
+    real_transform, real_block = InnovationSpec.transform, _Walk.block
+
+    def transform(self, u, out=None):
+        transformed.append(u.size)
+        return real_transform(self, u, out=out)
+
+    def block(self):
+        xs, ys = real_block(self)
+        walked.append(xs.size)
+        return xs, ys
+
+    monkeypatch.setattr(InnovationSpec, "transform", transform)
+    monkeypatch.setattr(_Walk, "block", block)
+    pair_survival_frequency(ar_params([0.5, 0.25]), gaussian(), 6, 2_000, 9)
+    assert transformed == walked == [8_000, 4_000]
 
 
 def test_nan_inside_a_refill_after_or_before_a_crossing():
@@ -215,9 +284,9 @@ def test_nan_inside_a_refill_after_or_before_a_crossing():
 def test_a_held_path_leaves_at_its_refills_end(monkeypatch):
     # mostly negative innovations sink paths below the level: those held at
     # the first refill's end draw no more, while a path that crossed and then
-    # sank below the level inside that refill keeps its crossing time; over
-    # 2^13 paths make the first refill one block, so that some paths are
-    # still live, and not held, at its end
+    # sank below the level inside that refill keeps its crossing time; the
+    # first refill is one block, so that some paths are still live, and not
+    # held, at its end
     drawn = record_refills(monkeypatch)
     params, spec, n_max, paths = ar_params([0.5, 0.6]), uniform(-100.0, 1.0), 50, 8_193
     level = _survival_level(params, spec, 0.0)
@@ -227,7 +296,7 @@ def test_a_held_path_leaves_at_its_refills_end(monkeypatch):
     tau = np.array([reference_tau(params, 0.0, row) for row in y])
     assert counts.tolist() == reference_counts(tau, n_max)
     # the first refill is the dense route's on the whole tile
-    w = min(4 * _lookahead(paths, n_max), n_max)
+    w = min(4 * _lookahead(paths, n_max, 0), n_max)
     assert w == 4
     xs = path_values(params, y)
     held = np.maximum(xs[:, w - 2], xs[:, w - 1]) <= level
@@ -243,7 +312,7 @@ def test_a_held_path_leaves_at_its_refills_end(monkeypatch):
     ((0.5, 0.8, 0.3), uniform(-1.0, 1.0), 0.0),
     ((1.5,), exponential_centered(1.0), -0.5),
     # sum a < 1 and x above B / (1 - sum a): every path is held from the
-    # start, so the tile draws its first refill (27 blocks, 64,800 words) and stops
+    # start, so the tile draws its first refill (one block, 2,400 words) and stops
     ((0.3, 0.2), uniform(-1.0, 1.0), 2.0),
 ], ids=["c1-gaussian", "c1-rademacher", "ar3-uniform", "ar1-exponential",
         "stable-uniform"])
@@ -265,9 +334,9 @@ def test_certified_paths_keep_their_crossing_times(monkeypatch, a, spec, x):
     y = innovations(spec, 5, np.arange(lo, hi, dtype=np.uint64), n_max)
     tau = [crossing_time_from_innovations(params, x, row) for row in y]
     assert counts.tolist() == reference_counts(tau, n_max)
-    assert certified[0] == 4 * _lookahead(hi - lo, n_max) * (hi - lo)
+    assert certified[0] == 4 * _lookahead(hi - lo, n_max, 0) * (hi - lo) == 2_400
     if x == 2.0:
-        assert certified == [64_800]
+        assert certified == [2_400]
     words.clear()
     monkeypatch.setattr(mc, "_survival_level", lambda *args: None)
     walked = step_counts(params, spec, x, n_max, 5, lo, hi)
@@ -400,9 +469,14 @@ def test_a_tiny_runs_buffer_is_no_larger_than_its_refills_fill(monkeypatch, path
 
     monkeypatch.setattr(mc, "path_uniform_block", recorded)
     estimate_survival(RW, gaussian(), 0.0, grid, paths, 5)
-    # the first refill draws the whole tile, as far ahead as the rule lets it
-    assert set(sizes) == {(filled[0], filled[0])}
-    assert filled[0] == 4 * _lookahead(paths, grid[-1]) * paths
+    # the buffer is the largest call the rule makes on the whole tile, at
+    # any step of the run; the first refill draws one block of it
+    n = grid[-1]
+    largest = max(4 * paths * _lookahead(paths, n - j, j) for j in range(0, n, 4))
+    assert set(sizes) == {(largest, largest)} and max(filled) <= largest
+    assert filled[0] == 4 * paths
+    if n <= 8:
+        assert max(filled) == largest
 
 
 def test_processes_capped_at_cpu_count(monkeypatch):

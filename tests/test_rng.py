@@ -14,17 +14,19 @@ M64 = 2**64
 
 def draw(seed, ids, step, steps_left=1):
     """path_uniform_block in a buffer of its own, made for the span of ``ids``
-    and ``steps_left`` steps."""
+    and ``step + steps_left`` steps."""
     span = int(ids[-1]) - int(ids[0]) + 1
-    return path_uniform_block(seed, ids, step, steps_left, refill_buffer(span, steps_left))
+    return path_uniform_block(seed, ids, step, steps_left,
+                              refill_buffer(span, step + steps_left))
 
 
-def expected_width(ids, steps_left):
+def expected_width(ids, step, steps_left):
     """4k for the one look-ahead rule: k = max(1, min(2^16 // (4 rows), ceil(steps_left
-    / 4))), where rows is the span on the dense route and the ids on the sparse one."""
+    / 4), step // 4)), where rows is the span on the dense route and the ids on the
+    sparse one."""
     span = int(ids[-1]) - int(ids[0]) + 1
     rows = span if ids.size >= rng._DENSE_SHARE * span else ids.size
-    return 4 * max(1, min(2**16 // (4 * rows), -(-steps_left // 4)))
+    return 4 * max(1, min(2**16 // (4 * rows), -(-steps_left // 4), step // 4))
 
 
 def stream_words(seed, ids, block, k):
@@ -97,7 +99,8 @@ def test_dense_and_sparse_evaluators_agree(ids):
     ids = ids.astype(np.uint64)
     span = int(ids[-1] - ids[0]) + 1
     for k in (1, 2, 5):
-        out = refill_buffer(span, 4 * k)
+        # a call of k blocks ends its draws by step 8k at the earliest
+        out = refill_buffer(span, 8 * k)
         for seed, block in [(0, 0), (99, 3), (2**64 - 1, 2**40), (7, 2**64 - 2)]:
             dense = _dense_uniforms(seed, ids, block, k, *out)
             assert dense.shape == (ids.size, 4 * k)
@@ -114,7 +117,7 @@ def test_dense_look_ahead_wraps_the_block_index_like_numpy(ids, k):
     # numpy's own words at the wrapped counter (id, block mod 2^64, 0, 0)
     ids = ids.astype(np.uint64)
     block, seed = 2**64 - 2, 2**64 - 1
-    u = _dense_uniforms(seed, ids, block, k, *refill_buffer(int(ids[-1] - ids[0]) + 1, 4 * k))
+    u = _dense_uniforms(seed, ids, block, k, *refill_buffer(int(ids[-1] - ids[0]) + 1, 8 * k))
     for row, i in zip(u, ids):
         expect = [words_to_uniform(numpy_words(seed, int(i), (block + t) % M64))
                   for t in range(k)]
@@ -174,10 +177,11 @@ def test_dense_route_fills_the_callers_buffer(ids):
     # one block and a look-ahead of many, each in the smallest buffer the
     # route may be given and in a tile's larger one
     for steps_left in (4, 1000):
-        for out in (refill_buffer(span, steps_left), refill_buffer(1400, steps_left)):
-            for seed, step in [(0, 0), (2**64 - 1, 4 * (2**64 - 1)), (77, 4 * 2**40)]:
+        for seed, step in [(0, 0), (2**64 - 1, 4 * (2**64 - 1)), (77, 4 * 2**40), (5, 500)]:
+            for out in (refill_buffer(span, step + steps_left),
+                        refill_buffer(1400, step + steps_left)):
                 u = path_uniform_block(seed, ids, step, steps_left, out=out)
-                width = expected_width(ids, steps_left)
+                width = expected_width(ids, step, steps_left)
                 assert u.shape == (ids.size, width) and u.size <= out[1].size
                 # the result is the front of the buffer's first array
                 assert u.ctypes.data == out[0].ctypes.data and u.flags.c_contiguous
@@ -237,12 +241,12 @@ def test_path_uniform_block_matches_streams():
     (0, 1), (5, 3), (2**64 - 2, 5), (0, 300), (2**64 - 2, 300)])
 def test_block_count_equals_single_blocks(ids, block, blocks_left):
     # both routes draw about 2^16 words ahead (at least one block, at most
-    # blocks_left), the dense one counting its span and the sparse one its
-    # ids; the k blocks are what k one-block calls read, through the
-    # counter's wrap at 2^64 too
+    # blocks_left and at most block), the dense one counting its span and the
+    # sparse one its ids; the k blocks are what k one-block calls read,
+    # through the counter's wrap at 2^64 too
     ids = ids.astype(np.uint64)
     u = draw(31, ids, 4 * block, 4 * blocks_left)
-    k = expected_width(ids, 4 * blocks_left) // 4
+    k = expected_width(ids, 4 * block, 4 * blocks_left) // 4
     assert u.shape == (ids.size, 4 * k)
     singles = [draw(31, ids, 4 * (block + i)) for i in range(k)]
     assert all(s.shape == (ids.size, 4) for s in singles)
@@ -254,47 +258,58 @@ def test_sparse_width_fits_the_callers_buffer():
     # array of it holds, so its result fits in the idle second array
     ids = np.arange(0, 3000, 10, dtype=np.uint64)
     out = refill_buffer(3000, 400)
-    u = path_uniform_block(31, ids, 0, 400, out=out)
+    u = path_uniform_block(31, ids, 200, 200, out=out)
     assert u.size <= out[1].size and u.shape[1] > 4
-    assert u.tobytes() == draw(31, ids, 0, 400)[:, :u.shape[1]].tobytes()
+    assert u.tobytes() == draw(31, ids, 200, 200)[:, :u.shape[1]].tobytes()
 
 
 @pytest.mark.parametrize("paths, steps", [(1, 1), (10, 6), (10, 400), (3000, 20),
                                           (3000, 400), (20_000, 9)])
 def test_every_width_fits_the_callers_buffer(paths, steps):
-    # a range's buffer holds the words of any call on ids inside the range with
-    # at most ``steps`` steps left, dense or sparse, so each result fits in
-    # the idle second array
+    # a range's buffer holds the words of any call on ids inside the range
+    # that ends its draws by ``steps``, dense or sparse, so each result fits
+    # in the idle second array; a call looks no further ahead than the steps
+    # before it, so that is at most half the blocks ``steps`` reaches into
     out = refill_buffer(paths, steps)
-    assert out[0].size == out[1].size == min(max(4 * paths, 2**16),
-                                             4 * paths * -(-steps // 4))
+    half = max(1, -(-steps // 4) // 2)
+    assert out[0].size == out[1].size == min(max(4 * paths, 2**16), 4 * paths * half)
     whole = np.arange(paths, dtype=np.uint64)
     for ids in (whole, whole[::10], whole[-1:], np.unique(whole[[0, -1]])):
-        for steps_left in {1, 4, 5, steps}:
-            if steps_left > steps:
-                continue
-            u = path_uniform_block(31, ids, 0, steps_left, out=out)
-            span = int(ids[-1]) - int(ids[0]) + 1
-            rows = span if ids.size >= rng._DENSE_SHARE * span else ids.size
-            assert u.shape == (ids.size, expected_width(ids, steps_left))
-            assert u.size <= out[1].size and rows * u.shape[1] <= out[1].size
-    # no larger than needed: a call on the whole range fills it when the steps
-    # or one block of the range cap it, and a span of 2^10 fills 2^16 words
-    u = path_uniform_block(31, whole, 0, steps, out=out)
+        for step in sorted({0, 4, 4 * (half - 1), 4 * half, 4 * ((steps - 1) // 4)}):
+            for steps_left in {1, 4, 5, steps - step}:
+                if step + steps_left > steps:
+                    continue
+                u = path_uniform_block(31, ids, step, steps_left, out=out)
+                span = int(ids[-1]) - int(ids[0]) + 1
+                rows = span if ids.size >= rng._DENSE_SHARE * span else ids.size
+                assert u.shape == (ids.size, expected_width(ids, step, steps_left))
+                assert u.size <= out[1].size and rows * u.shape[1] <= out[1].size
+    # no larger than needed: halfway, a call on the whole range fills it when
+    # the steps or one block of the range cap it, and a span of 2^10 fills
+    # 2^16 words
+    step = 4 * (-(-steps // 4) // 2)
+    u = path_uniform_block(31, whole, step, steps - step, out=out)
     if out[1].size < 2**16 or 4 * paths >= 2**16:
         assert u.size == out[1].size
     else:
         ids = np.arange(2**10, dtype=np.uint64)
-        assert path_uniform_block(31, ids, 0, steps, out=out).size == out[1].size
+        assert path_uniform_block(31, ids, step, steps - step, out=out).size == out[1].size
 
 
 def test_both_routes_take_one_look_ahead_rule():
-    # _lookahead is the rule: the dense route counts the span, the sparse the ids
-    for rows, steps_left, k in [(1, 10**6, 2**14), (400, 1000, 40), (2**14, 10**6, 1),
-                                (2**14 + 1, 10**6, 1), (10, 6, 2), (3, 1, 1)]:
-        assert _lookahead(rows, steps_left) == k
+    # _lookahead is the rule: the dense route counts the span, the sparse the
+    # ids, and no call looks further ahead than the blocks before it
+    for rows, steps_left, step, k in [
+            (1, 10**6, 4 * 2**20, 2**14), (400, 1000, 4000, 40), (2**14, 10**6, 4000, 1),
+            (2**14 + 1, 10**6, 4000, 1), (10, 6, 8, 2), (3, 1, 8, 1),
+            (1, 10**6, 0, 1), (1, 10**6, 4, 1), (1, 10**6, 8, 2), (1, 10**6, 28, 7),
+            (400, 1000, 64, 16)]:
+        assert _lookahead(rows, steps_left, step) == k
     dense = np.arange(100, 500, 2, dtype=np.uint64)         # 200 of a 399-id span
     sparse = np.arange(0, 4000, 20, dtype=np.uint64)        # 200 of a 3981-id span
     out = refill_buffer(4000, 1000)
-    assert path_uniform_block(5, dense, 0, 1000, out).shape[1] == 4 * _lookahead(399, 1000)
-    assert path_uniform_block(5, sparse, 0, 1000, out).shape[1] == 4 * _lookahead(200, 1000)
+    for step in (0, 8, 400):
+        assert (path_uniform_block(5, dense, step, 1000 - step, out).shape[1]
+                == 4 * _lookahead(399, 1000 - step, step))
+        assert (path_uniform_block(5, sparse, step, 1000 - step, out).shape[1]
+                == 4 * _lookahead(200, 1000 - step, step))
