@@ -335,7 +335,8 @@ def _int64_array(values, name: str) -> np.ndarray:
 
 def _check_grid(grid) -> np.ndarray:
     """The grid as int64; ValueError unless 1-d, non-empty and increasing from 1
-    to below 2^63 - 1 (a crossing time stores grid[-1] + 1 in int64)."""
+    to below 2^63 - 1, so that each block's step numbers, ``np.arange(n0 + 1,
+    n0 + 1 + steps)`` with a stop of at most grid[-1] + 1, stay int64."""
     grid = _int64_array(grid, "grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-d sequence")

@@ -41,23 +41,16 @@ RNG_PROVENANCE = ("philox4x64-10 counter mode; key = (seed, 0); "
                   "uniform = min(((word >> 11) + 0.5) * 2^-53, 1 - 2^-53); "
                   "inverse-cdf transform")
 
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-# key increments per round, as Python ints so the schedule wraps without warnings
+# the two round multipliers and the key increments per round, as Python ints
+# so that the products and the key schedule wrap without warnings
+_M0 = 0xD2E7470EE14C6C93
+_M1 = 0xCA5A826395121157
 _W0 = 0x9E3779B97F4A7C15
 _W1 = 0xBB67AE8584CAA73B
-_M64 = 1 << 64
-_MASK64 = _M64 - 1
+_MASK64 = (1 << 64) - 1
 _MASK256 = (1 << 256) - 1
-_MASK32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
+_MASK32 = 0xFFFFFFFF
 _S11 = np.uint64(11)
-
-# low/high 32-bit halves of the two round multipliers
-_M0L = np.uint64(_M0 & _MASK32)
-_M0H = np.uint64(_M0 >> _S32)
-_M1L = np.uint64(_M1 & _MASK32)
-_M1H = np.uint64(_M1 >> _S32)
 
 ROUNDS = 10
 
@@ -81,67 +74,55 @@ _DENSE_SHARE = 1 / 6
 _LOOKAHEAD_WORDS = 1 << 16
 
 
-def _mulhilo(ml, mh, c, t1, t2, t3, hi):
-    """hi/lo words of the 128-bit product (ml + 2^32*mh) * c.
+def _mulhilo(m, c):
+    """(hi, lo): the high and low words of the 128-bit products m * c.
 
-    ml/mh are uint64 scalars (halves of a multiplier constant), c a uint64
-    array.  Scratch arrays t1/t2/t3/hi must have c's shape.  Returns
-    (hi, lo); lo is freshly allocated, hi is the passed buffer.
+    ``m`` is a Python int in [0, 2^64) and ``c`` a 1-d uint64 array, which is
+    only read.  The high word adds the four 32-bit partial products of
+    m = mh 2^32 + ml and c = ch 2^32 + cl with their carries; the low word is
+    the wrapping product.  The in-place steps write only arrays made here.
     """
-    np.bitwise_and(c, _MASK32, out=t1)      # cl
-    np.right_shift(c, _S32, out=t2)         # ch
-    np.multiply(ml, t1, out=t3)             # ml*cl
-    np.right_shift(t3, _S32, out=t3)
-    np.multiply(ml, t2, out=hi)             # ml*ch
-    np.bitwise_and(hi, _MASK32, out=t2)
-    np.add(t3, t2, out=t3)
-    np.multiply(mh, t1, out=t2)             # mh*cl
-    np.add(t3, t2, out=t3)                  # mid = mh*cl + (ml*cl >> 32) + (ml*ch & mask)
-    np.right_shift(t3, _S32, out=t3)
-    np.right_shift(hi, _S32, out=hi)        # (ml*ch) >> 32
-    np.add(hi, t3, out=hi)
-    np.right_shift(c, _S32, out=t1)         # ch again (t1 was clobbered)
-    np.multiply(mh, t1, out=t2)             # mh*ch
-    np.add(hi, t2, out=hi)
-    lo = c * (ml + (mh << _S32))            # wrapping low word
-    return hi, lo
+    ml, mh = m & _MASK32, m >> 32
+    cl = c & _MASK32
+    ch = c >> 32
+    mid = cl * ml
+    mid >>= 32
+    cl *= mh
+    mid += cl                   # mh cl + (ml cl >> 32) < 2^64 - 2^32
+    hi = ch * ml
+    mid += hi & _MASK32         # + (ml ch mod 2^32) < 2^64
+    mid >>= 32
+    hi >>= 32
+    hi += mid
+    ch *= mh
+    hi += ch
+    return hi, c * m
 
 
 def philox_block(c0, c1, seed):
     """Evaluate Philox4x64-10 at counter (c0, c1, 0, 0) under key (seed, 0).
 
-    ``c0`` and ``c1`` broadcast against each other; ``seed`` is one scalar in
-    [0, 2^64), so round r uses the scalar key (seed + r W0, r W1) mod 2^64.
-    The result is a uint64 array of the broadcast shape plus a last axis
-    holding the four output lanes.
+    ``c0`` and ``c1`` broadcast against each other and are only read;
+    ``seed`` is one scalar in [0, 2^64), so round r uses the scalar key
+    (seed + r W0, r W1) mod 2^64.  The result is a uint64 array of the
+    broadcast shape plus a last axis holding the four output lanes.  The
+    rounds run on flat arrays, even for 0-d counters, since numpy warns
+    when a product of scalars wraps but not when one of arrays does.
     """
     seed = int(np.uint64(seed))
     c0, c1 = (np.asarray(v, np.uint64) for v in (c0, c1))
     shape = np.broadcast_shapes(c0.shape, c1.shape)
-    c0 = np.broadcast_to(c0, shape).astype(np.uint64)
-    c1 = np.broadcast_to(c1, shape).astype(np.uint64)
-    c2 = np.zeros(shape, np.uint64)
-    c3 = np.zeros(shape, np.uint64)
-    t1 = np.empty(shape, np.uint64)
-    t2 = np.empty(shape, np.uint64)
-    t3 = np.empty(shape, np.uint64)
-    h0 = np.empty(shape, np.uint64)
-    h1 = np.empty(shape, np.uint64)
+    c0, c1 = (np.broadcast_to(v, shape).ravel() for v in (c0, c1))
+    c2 = c3 = np.zeros(c0.size, np.uint64)
     for r in range(ROUNDS):
-        k0 = np.uint64((seed + r * _W0) % _M64)
-        k1 = np.uint64(r * _W1 % _M64)
-        hi0, lo0 = _mulhilo(_M0L, _M0H, c0, t1, t2, t3, h0)
-        hi1, lo1 = _mulhilo(_M1L, _M1H, c2, t1, t2, t3, h1)
-        np.bitwise_xor(hi1, c1, out=hi1)
-        np.bitwise_xor(hi1, k0, out=hi1)
-        np.bitwise_xor(hi0, c3, out=hi0)
-        np.bitwise_xor(hi0, k1, out=hi0)
-        # old counter buffers become next round's scratch
-        c0, c1, c2, c3, h0, h1 = hi1, lo1, hi0, lo0, c0, c2
-    out = np.empty(shape + (4,), np.uint64)
-    for lane, word in enumerate((c0, c1, c2, c3)):
-        out[..., lane] = word
-    return out
+        hi0, lo0 = _mulhilo(_M0, c0)
+        hi1, lo1 = _mulhilo(_M1, c2)
+        hi1 ^= c1
+        hi1 ^= (seed + r * _W0) & _MASK64
+        hi0 ^= c3
+        hi0 ^= r * _W1 & _MASK64
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(shape + (4,))
 
 
 def _open_interval(u):
@@ -214,9 +195,7 @@ def _dense_uniforms(seed: int, ids: np.ndarray, block: int, k: int,
     for t in range(1, k):
         bits.advance((starts[t] - starts[t - 1] - span) & _MASK256)
         gen.random(out=runs[t])
-    rows = (ids - np.uint64(lo)).astype(np.intp)
-    if k > 1:
-        rows = rows[:, None] + span * np.arange(k)
+    rows = (ids - np.uint64(lo)).astype(np.intp)[:, None] + span * np.arange(k)
     # mode "clip" writes straight into u; "raise" would buffer a copy
     np.take(runs.reshape(k * span, 4), rows, axis=0, out=u.reshape(rows.shape + (4,)),
             mode="clip")

@@ -190,6 +190,37 @@ def test_dense_route_fills_the_callers_buffer(ids):
                 assert draw(seed, ids, step, steps_left).tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("m", [rng._M0, rng._M1], ids=["M0", "M1"])
+def test_mulhilo_is_the_128_bit_product(m):
+    words = [0, 1, 2**32 - 1, 2**32, 2**63, M64 - 1]
+    words += np.random.default_rng(29).integers(0, M64, 1000, dtype=np.uint64).tolist()
+    c = np.array(words, np.uint64)
+    hi, lo = rng._mulhilo(m, c)
+    assert hi.tolist() == [(m * w) >> 64 for w in words]
+    assert lo.tolist() == [(m * w) & (M64 - 1) for w in words]
+    assert c.tolist() == words
+
+
+@pytest.mark.filterwarnings("error")
+def test_philox_block_leaves_its_inputs_untouched():
+    ids = np.arange(5, 12, dtype=np.uint64)     # writable, as the walker's ids are
+    blocks = np.arange(3, dtype=np.uint64)
+    cases = [(ids[:, None], blocks[None, :]),   # as the sparse route passes them
+             (np.broadcast_to(np.uint64(9), (4, 3)), blocks),    # read-only
+             (np.uint64(6), np.uint64(2)),
+             (np.array(6, np.uint64), np.array(2, np.uint64)),
+             (ids, np.uint64(4)),               # one array the size of the result
+             (np.uint64(6), blocks)]
+    for c0, c1 in cases:
+        before = (np.array(c0), np.array(c1))
+        words = philox_block(c0, c1, 17)
+        assert np.array_equal(c0, before[0]) and np.array_equal(c1, before[1])
+        b0, b1 = np.broadcast_arrays(c0, c1)
+        assert words.shape == b0.shape + (4,)
+        for i in np.ndindex(b0.shape):
+            assert (words[i] == numpy_words(17, int(b0[i]), int(b1[i]))).all()
+
+
 def test_philox_vectorized_consistent_with_scalar():
     blocks = np.arange(1, 200, dtype=np.uint64)
     words = philox_block(np.uint64(6), blocks, 5)
