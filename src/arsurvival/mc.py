@@ -30,13 +30,14 @@ c forever, since rounding is monotone: it never crosses and never turns NaN.
 The engine takes the first of c* = -B/(a_1 + ... + a_p - 1) and 2c*, each
 capped at x, that passes the check when the sum exceeds 1 (c* itself is the
 fixed point, where rounding decides), and c = x otherwise.  The engine
-counts and compacts once per block: each path that crossed inside it goes
-into the grid bin of its first crossing's step, each that went NaN first
-into the non-finite bin, and it drops both, along with the live paths whose
-lags are all <= c at the block's end.  Those stay among the survivors of
-every horizon, which is what walking them would give, and the next refill
-draws no words for them.  Words are counter-based, so no other path's
-draws change.
+counts and compacts once per block: a running AND down the block's rows
+counts the paths that leave at each step, each path that crossed inside it
+goes into the grid bin of its first crossing's step, each that went NaN
+first into the non-finite bin (NaN persists, so the last row shows them
+all), and it drops both, along with the live paths whose lags are all <= c
+at the block's end.  Those stay among the survivors of every horizon, which
+is what walking them would give, and the next refill draws no words for
+them.  Words are counter-based, so no other path's draws change.
 """
 
 from __future__ import annotations
@@ -204,26 +205,41 @@ def _tile_counts(walk: _Walk, x: float, level: float | None, grid: np.ndarray,
 
     A path that crosses at step n goes into the grid bin of n, one that goes
     non-finite (NaN) into bin 0, and one that is still live or held at the
-    tile's end into the last bin.  Each block's end also drops the paths
-    held below the survival ``level``, since they can never cross, so no
-    refill draws for them.
+    tile's end into the last bin.  A block is counted row by row: a running
+    AND of its rows' X <= x holds the paths still in after each step, and the
+    differences of its counts are the paths that leave at each step.  NaN
+    persists, so a path that went NaN in the block is NaN in its last row:
+    only when that row holds a NaN are those columns searched, and a path
+    whose first exit is the NaN moves from its step to bin 0, while one that
+    crossed before it went NaN keeps its step.  Each block's end also drops
+    the paths held below the survival ``level``, since they can never cross,
+    so no refill draws for them.
     """
     hist[-1] += walk.ids.size
     while walk.ids.size and walk.j < walk.n_max:
-        n0 = walk.j
+        n0, paths = walk.j, walk.ids.size
         xs, _ = walk.block()
         # NaN fails <= x, so a path leaves at its first crossing or NaN
         below = xs <= x
-        live = below.all(axis=0)
-        gone = np.flatnonzero(~live)
-        if gone.size:
-            first = np.argmin(below[:, gone], axis=0)
-            crossed = first[xs[first, gone] > x]
+        live = below[0].copy()
+        alive = [np.count_nonzero(live)]
+        for row in below[1:]:
+            live &= row
+            alive.append(np.count_nonzero(live))
+        if alive[-1] < paths:
+            left = -np.diff(alive, prepend=paths)
+            # every path that went NaN here is NaN in the last row
+            nan = np.isnan(xs[-1])
+            if nan.any():
+                cols = np.flatnonzero(nan)
+                first = np.argmin(below[:, cols], axis=0)
+                nan_first = first[np.isnan(xs[first, cols])]
+                left -= np.bincount(nan_first, minlength=len(xs))
+                hist[0] += nan_first.size
             # the bin of each of the block's steps; the steps are few, the paths many
             bins = np.searchsorted(grid, np.arange(n0 + 1, n0 + 1 + len(xs))) + 1
-            np.add.at(hist, bins, np.bincount(crossed, minlength=len(xs)))
-            hist[0] += gone.size - crossed.size
-            hist[-1] -= gone.size
+            np.add.at(hist, bins, left)
+            hist[-1] -= paths - alive[-1]
         if level is not None:
             # held: every lag at or below the level; it stays in the last bin
             live &= np.maximum.reduce(walk.lags) > level

@@ -10,12 +10,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arsurvival.coeffs import ar_params, ar_step
 from arsurvival.innovations import (exponential_centered, gaussian, rademacher,
                                     two_point, uniform)
 from arsurvival.mc import (ConstraintError, ReductionKind, SurvivalCurve,
-                           _innovation_bound, _range_counts, _survival_level, _Walk,
+                           _innovation_bound, _range_counts, _survival_level,
+                           _tile_counts, _Walk,
                            estimate_survival, pair_survival_frequency,
                            pathwise_reduction_check)
 from arsurvival.oracle import enumerate_survival
@@ -279,6 +281,139 @@ def test_nan_inside_a_refill_after_or_before_a_crossing():
     assert counts.tolist() == reference_counts(tau, 10)
     assert set(tau.tolist()) == {0, 1}
     assert np.isnan(path_values(params, y[tau == 1])[:, 3]).all()
+
+
+class BlockWalk:
+    """Hand-built X in place of a ``_Walk``, with no rng: the blocks are the
+    rows of the time-major (steps, paths) array ``xs`` cut into runs of the
+    given lengths, of the columns still walked.  ``kept`` lists the ids each
+    compaction keeps; lags before step 1 are 0, as from the zero start."""
+
+    def __init__(self, xs, lengths, p):
+        self.xs = np.asarray(xs, dtype=float)
+        self.ends = np.cumsum(lengths).tolist()
+        self.p = p
+        self.ids = np.arange(self.xs.shape[1])
+        self.n_max = len(self.xs)
+        self.j = 0
+        self.lags = [np.zeros(self.ids.size)] * p
+        self.kept = []
+
+    def block(self):
+        start, self.j = self.j, next(end for end in self.ends if end > self.j)
+        cols = self.xs[:, self.ids]
+        self.lags = [cols[self.j - 1 - k] if self.j > k else np.zeros(self.ids.size)
+                     for k in range(self.p)]
+        return cols[start:self.j], None
+
+    def compact(self, live):
+        self.ids = self.ids[live]
+        self.lags = [lag[live] for lag in self.lags]
+        self.kept.append(self.ids.tolist())
+
+
+def hand_counts(xs, x, lengths=None, level=None, p=1):
+    """``_tile_counts`` on hand-built blocks and the grid 1..steps: its
+    histogram (bin n holds the paths leaving at step n, bin 0 the NaN paths,
+    the last bin the survivors) and the ids kept at each block's end."""
+    walk = BlockWalk(xs, lengths or [len(xs)], p)
+    hist = np.zeros(len(xs) + 2, dtype=np.int64)
+    _tile_counts(walk, x, level, np.arange(1, len(xs) + 1), hist)
+    return hist.tolist(), walk.kept
+
+
+def scanned_counts(xs, x, lengths=None, level=None, p=1):
+    """The same by a scan of each path: its first step with X > x or NaN, or
+    the first block end at which it is live with every lag <= level."""
+    xs = np.asarray(xs, dtype=float)
+    steps, paths = xs.shape
+    ends = np.cumsum(lengths or [steps]).tolist()
+    hist = [0] * (steps + 2)
+    out = [math.inf] * paths    # the block end at which each path is dropped
+    for i in range(paths):
+        col = [0.0] * (p - 1) + xs[:, i].tolist()
+        for n in range(1, steps + 1):
+            v = col[n + p - 2]
+            if math.isnan(v) or v > x:
+                hist[0 if math.isnan(v) else n] += 1
+                out[i] = next(end for end in ends if end >= n)
+                break
+            if n in ends and level is not None and max(col[n - 1:n + p - 1]) <= level:
+                hist[-1] += 1
+                out[i] = n
+                break
+        else:
+            hist[-1] += 1
+    # a block is walked while some path is left; each walked block keeps the
+    # paths not dropped at or before its end
+    walked = [end for k, end in enumerate(ends) if k == 0 or max(out) > ends[k - 1]]
+    kept = [[i for i in range(paths) if out[i] > end] for end in walked]
+    return hist, kept
+
+
+nan, inf = math.nan, math.inf
+
+
+@pytest.mark.parametrize("xs, x, lengths, level, p, hist, kept", [
+    # X = x survives; crossings in the first row and in the last
+    ([[0.0, 1.0, -1.0, -1.0],
+      [0.0, -5.0, 0.5, -1.0]], 0.0, None, None, 1, [0, 1, 1, 2], [[0, 3]]),
+    # +inf crosses, -inf does not
+    ([[inf, -inf, 0.0],
+      [-1.0, -1.0, inf]], 0.0, None, None, 1, [0, 1, 1, 1], [[1]]),
+    # NaN in row 0, NaN before any crossing, NaN after a crossing in the first
+    # row and in a later one, and a path that stays in
+    ([[nan, -1.0, 2.0, -1.0, -1.0],
+      [nan, nan, nan, 3.0, -1.0],
+      [nan, nan, nan, nan, -1.0]], 0.0, None, None, 1, [2, 1, 1, 0, 1], [[4]]),
+    # x = +inf: only the NaN paths leave, +inf itself stays in
+    ([[1e308, inf, nan],
+      [inf, nan, nan]], inf, None, None, 1, [2, 0, 0, 1], [[0]]),
+    # x = -inf: every finite path leaves at row 0
+    ([[-1e308, 0.0, 5.0],
+      [-1.0, -1.0, -1.0]], -inf, None, None, 1, [0, 3, 0, 0], [[]]),
+    # a one-row block
+    ([[1.0, -1.0, nan]], 0.0, None, None, 1, [1, 1, 1], [[1]]),
+    # a one-path block
+    ([[-1.0], [-2.0], [3.0], [nan]], 0.0, None, None, 1, [0, 0, 0, 1, 0, 0], [[]]),
+    # every path leaves in row 0
+    ([[1.0, 2.0, 3.0],
+      [-1.0, -1.0, -1.0]], 0.0, None, None, 1, [0, 3, 0, 0], [[]]),
+    # order 2, level -10, blocks of two steps: paths 0 and 3 are held at the
+    # first block's end and stay survivors whatever their rows say after it;
+    # path 1's newer lag is above the level, so it is walked on and crosses
+    ([[-20.0, -20.0, -1.0, -20.0],
+      [-30.0, -5.0, -1.0, -20.0],
+      [5.0, 5.0, 5.0, nan],
+      [-1.0, -1.0, -1.0, -1.0]], 0.0, [2, 2], -10.0, 2, [0, 0, 0, 2, 0, 2], [[1, 2], []]),
+], ids=["equal-first-last", "infinities", "nan", "x-plus-inf", "x-minus-inf",
+        "one-row", "one-path", "all-leave-row-0", "held"])
+def test_block_counts_on_hand_built_blocks(xs, x, lengths, level, p, hist, kept):
+    assert hand_counts(xs, x, lengths, level, p) == (hist, kept)
+    assert scanned_counts(xs, x, lengths, level, p) == (hist, kept)
+
+
+@st.composite
+def hand_built_walks(draw):
+    steps, paths, p = (draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+                       draw(st.integers(1, 3)))
+    values = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, -inf, inf, nan])
+    xs = np.array(draw(st.lists(st.lists(values, min_size=paths, max_size=paths),
+                                min_size=steps, max_size=steps)))
+    # NaN persists down a column, as ar_step makes it
+    xs[np.maximum.accumulate(np.isnan(xs), axis=0)] = nan
+    lengths = []
+    while sum(lengths) < steps:
+        lengths.append(draw(st.integers(1, steps - sum(lengths))))
+    x = draw(st.sampled_from([-1.0, 0.0, 1.0, -inf, inf]))
+    level = draw(st.sampled_from([None, -2.0, -1.0, 0.0]))
+    return xs, x, lengths, level, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk=hand_built_walks())
+def test_block_counts_match_a_scan_of_each_path(walk):
+    assert hand_counts(*walk) == scanned_counts(*walk)
 
 
 def test_a_held_path_leaves_at_its_refills_end(monkeypatch):
