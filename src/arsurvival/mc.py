@@ -6,42 +6,19 @@ p_N(x) = P(tau_x > N).  The engine walks every path to its crossing or to
 the largest grid entry and counts the crossings of each grid interval, so
 one pass serves every horizon.
 
-Reproducibility: innovation j of path i in a run with seed s is the
-transform of draw j of rng stream (s, i), whose layout ``rng`` states.
-Innovations are therefore a pure function of (seed, path, step), which
-makes estimates bit-identical for any worker count and any tiling, and
-makes runs at different barriers share their noise (common random
-numbers).  With more than one worker the calling process walks the first
-range of paths and a forked child each other range; a child sends its
-histogram back through a pipe and exits at once.  Every simulation here,
-the engine, the pair frequency and the reduction checks, steps tiles of at
-most ``_TILE_PATHS`` paths with one walker, ``_Walk``, so memory is bounded
-whatever the path count, and all tiles of a range reuse one refill buffer.
-It makes one rng call per refill, which gives a small or thinned-out live
-set many steps at once, but never more than the tile has walked, and steps
-the recursion through the whole refill as one time-major block: no
-innovation changes, only when it is made.
-
-Survival certificate: innovations are bounded above by B, the largest value
-the transform takes on the rng's uniform range [2^-54, 1 - 2^-53].  When
-every a_k > 0, a level c <= x with B + a_1 c + ... + a_p c <= c in float64,
-summed as ``ar_step`` sums, keeps a path whose lags are all <= c at or below
-c forever, since rounding is monotone: it never crosses and never turns NaN.
-The engine takes the first of c* = -B/(a_1 + ... + a_p - 1) and 2c*, each
-capped at x, that passes the check when the sum exceeds 1 (c* itself is the
-fixed point, where rounding decides), and c = x otherwise.  The engine
-counts and compacts once per block: a running AND down the block's rows
-counts the paths that leave at each step, each path that crossed inside it
-goes into the grid bin of its first crossing's step, each that went NaN
-first into the non-finite bin (NaN persists, so the last row shows them
-all), and it drops both, along with the live paths whose lags are all <= c
-at the block's end.  Those stay among the survivors of every horizon, which
-is what walking them would give, and the next refill draws no words for
-them.  Words are counter-based, so no other path's draws change.
+Innovation j of path i in a run with seed s is the transform of draw j of
+rng stream (s, i), whose layout ``rng`` states, so an estimate is a pure
+function of (seed, path, step): bit-identical for any worker count and any
+tiling, and runs at different barriers share their noise (common random
+numbers).  Each rule is stated where it is enforced: the worker processes
+in ``_fork_ranges``, the tiles and their one refill buffer in ``_walks``,
+a tile's blocks in ``_Walk``, the counting and dropping of paths in
+``_tile_counts``, and the survival certificate in ``_survival_level``.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -96,18 +73,12 @@ class _Walk:
     ``block()`` makes one rng call and steps the recursion through every
     column it returned that the horizon reaches: it returns X and Y as
     time-major (steps, live) blocks, row t holding step j + t + 1, and
-    leaves lags[k] = X_{j-k} for the new j, the steps taken.  The call looks
-    ahead no further than the walk has come, so the blocks end at steps 4,
-    8, 16, 32, ... until 2^16 words cap them.  ``out`` is a
-    ``refill_buffer`` of a range that holds lo..hi-1, made for ``n_max``
-    steps, which walks of its tiles share one after another.  X is written
-    into its second array, which the refill no longer needs; the next refill
-    overwrites both blocks, so ``compact(live)``, called once after each
-    block, copies the lags out and keeps only the rows where the boolean
-    ``live`` is True (every row when None), gathering each array by one
-    index of the kept rows.  The dense route's refills draw and transform in
-    place in ``out`` too: no refill allocates an array of its size, whose
-    memory the allocator would hand back to the system.
+    leaves lags[k] = X_{j-k} for the new j, the steps taken.  ``out`` is the
+    ``refill_buffer`` of a range that holds lo..hi-1.  X is written into its
+    second array, which the refill no longer needs, so the next refill
+    overwrites both blocks: ``compact(live)``, called once after each block,
+    keeps the rows where the boolean ``live`` is True, gathering each array
+    by one index of the kept rows, or, with no mask, copies the lags out.
     """
 
     def __init__(self, params: ARParams, spec: InnovationSpec, seed: int,
@@ -124,7 +95,8 @@ class _Walk:
     def block(self) -> tuple[np.ndarray, np.ndarray]:
         u = path_uniform_block(self.seed, self.ids, self.j, self.n_max - self.j,
                                out=self.out)
-        # columns past the horizon are drawn, not transformed
+        # columns past the horizon are drawn, not transformed: G1's walk to
+        # N = 6 transforms 1.2M samples for its 1.2M steps, not 1.6M
         u = u[:, :self.n_max - self.j]
         ys = self.spec.transform(u, out=u).T
         xs = self.out[1][:ys.size].reshape(ys.shape)
@@ -139,6 +111,7 @@ class _Walk:
 
     def compact(self, live=None) -> None:
         if live is None:
+            # a dense refill draws its span over the array that holds X
             self.lags = [lag.copy() for lag in self.lags]
         else:
             keep = np.flatnonzero(live)
@@ -150,13 +123,14 @@ def _walks(params: ARParams, spec: InnovationSpec, seed: int, lo: int, hi: int,
            n_max: int):
     """A walk of each tile of paths lo..hi-1 in turn, all on one refill buffer.
 
-    The tiles are the fewest equal ranges of at most ``_TILE_PATHS`` paths.
-    They differ in size by at most one, so the buffer is made for
-    ceil((hi - lo) / tiles) paths: not every tile, and not always the first,
-    is the largest.
+    The tiles are the fewest equal ranges of at most ``_TILE_PATHS`` paths,
+    which bounds the memory of any path count.  They differ in size by at
+    most one, so the buffer is made for ceil((hi - lo) / tiles) paths: not
+    every tile, and not always the first, is the largest.  The walks share
+    it one after another, so no refill allocates an array of its size.
     """
     tiles = -(-(hi - lo) // _TILE_PATHS)
-    out = refill_buffer(-(-(hi - lo) // tiles), n_max)
+    out = refill_buffer(-(-(hi - lo) // tiles))
     for a, b in _split(lo, hi, tiles):
         yield _Walk(params, spec, seed, a, b, n_max, out)
 
@@ -171,10 +145,12 @@ def _survival_level(params: ARParams, spec: InnovationSpec, x: float) -> float |
     """A level c <= x that a path whose lags are all <= c never leaves, or None.
 
     Needs every a_k > 0 (0 times a -inf lag is NaN) and the float64 check
-    ar_step(a, B, [c]*p) <= c, with B = ``_innovation_bound(spec)``.  When
-    sum(a) > 1 the candidates are c* = -B/(sum(a) - 1) and then 2c*, each
-    capped at x: c* is the fixed point itself, where rounding can fail the
-    check, and any level below it holds too.
+    ar_step(a, B, [c]*p) <= c, with B = ``_innovation_bound(spec)``: rounding
+    is then monotone in the lags, so such a path stays at or below c forever,
+    never crossing and never turning NaN.  When sum(a) > 1 the candidates
+    are c* = -B/(sum(a) - 1) and then 2c*, each capped at x: c* is the fixed
+    point itself, where rounding can fail the check, and any level below it
+    holds too.  Otherwise the candidate is x.
     """
     a = params.a
     if min(a) <= 0.0:
@@ -212,8 +188,9 @@ def _tile_counts(walk: _Walk, x: float, level: float | None, grid: np.ndarray,
     only when that row holds a NaN are those columns searched, and a path
     whose first exit is the NaN moves from its step to bin 0, while one that
     crossed before it went NaN keeps its step.  Each block's end also drops
-    the paths held below the survival ``level``, since they can never cross,
-    so no refill draws for them.
+    the paths held below the survival ``level``: they stay in the last bin,
+    which is what walking them would give, and the next refill draws no
+    words for them, which changes no other path's words.
     """
     hist[-1] += walk.ids.size
     while walk.ids.size and walk.j < walk.n_max:
@@ -226,20 +203,19 @@ def _tile_counts(walk: _Walk, x: float, level: float | None, grid: np.ndarray,
         for row in below[1:]:
             live &= row
             alive.append(np.count_nonzero(live))
-        if alive[-1] < paths:
-            left = -np.diff(alive, prepend=paths)
-            # every path that went NaN here is NaN in the last row
-            nan = np.isnan(xs[-1])
-            if nan.any():
-                cols = np.flatnonzero(nan)
-                first = np.argmin(below[:, cols], axis=0)
-                nan_first = first[np.isnan(xs[first, cols])]
-                left -= np.bincount(nan_first, minlength=len(xs))
-                hist[0] += nan_first.size
-            # the bin of each of the block's steps; the steps are few, the paths many
-            bins = np.searchsorted(grid, np.arange(n0 + 1, n0 + 1 + len(xs))) + 1
-            np.add.at(hist, bins, left)
-            hist[-1] -= paths - alive[-1]
+        left = -np.diff(alive, prepend=paths)
+        # every path that went NaN here is NaN in the last row
+        nan = np.isnan(xs[-1])
+        if nan.any():
+            cols = np.flatnonzero(nan)
+            first = np.argmin(below[:, cols], axis=0)
+            nan_first = first[np.isnan(xs[first, cols])]
+            left -= np.bincount(nan_first, minlength=len(xs))
+            hist[0] += nan_first.size
+        # the bin of each of the block's steps; the steps are few, the paths many
+        bins = np.searchsorted(grid, np.arange(n0 + 1, n0 + 1 + len(xs))) + 1
+        np.add.at(hist, bins, left)
+        hist[-1] -= paths - alive[-1]
         if level is not None:
             # held: every lag at or below the level; it stays in the last bin
             live &= np.maximum.reduce(walk.lags) > level
@@ -252,9 +228,8 @@ def _range_counts(params: ARParams, spec: InnovationSpec, x: float, grid: np.nda
 
     Bin 0 holds the non-finite paths, bin k + 1 those that cross at a step
     n with grid[k-1] < n <= grid[k], which survive exactly k horizons, and
-    the last bin those that survive every horizon.  The range is walked in
-    equal tiles of at most ``_TILE_PATHS`` paths, which bounds the engine's
-    memory, and every tile reuses one refill buffer.
+    the last bin those that survive every horizon.  The range is walked
+    tile by tile (``_walks``).
     """
     # the level first: its transform may import scipy, whose module objects,
     # allocated above the range's arrays, would keep their memory in the heap
@@ -268,19 +243,17 @@ def _range_counts(params: ARParams, spec: InnovationSpec, x: float, grid: np.nda
 def _fork_ranges(jobs):
     """The histogram of each range: the first here, each other in a forked child.
 
-    Running one range here saves a fork and its cold heap.  Each child writes
-    one pickled (ok, value) message to its pipe and exits at once; each pipe
-    is read to EOF before its child is reaped, since a histogram may outgrow
-    the pipe's buffer.  A child's exception is raised here with the child's
-    traceback in a note, or as a RuntimeError that names it when it does not
-    pickle.  A child that exits non-zero or sends a message that does not
-    unpickle raises RuntimeError.  However this call ends, by an exception of
-    the first range or an interrupt too, every child not yet reaped is killed
-    and reaped at once, so none outlives it.
+    Running the first range here saves a fork and its cold heap, and one
+    range forks nothing.  Each child writes one pickled (ok, value) message
+    to its pipe and exits at once; each pipe is read to EOF before its child
+    is reaped, since a histogram may outgrow the pipe's buffer.  A child's
+    exception is raised here with the child's traceback in a note, or as a
+    RuntimeError that names it when it does not pickle.  A child that exits
+    non-zero or sends a message that does not unpickle raises RuntimeError.
+    However this call ends, by an exception of the first range or an
+    interrupt too, every child not yet reaped is killed and reaped at once,
+    so none outlives it.
     """
-    import signal
-    import traceback
-
     children = {}       # pid -> read end of its pipe, for each child not yet reaped
     try:
         for job in jobs[1:]:
@@ -298,6 +271,7 @@ def _fork_ranges(jobs):
                     try:
                         message = pickle.dumps((True, _range_counts(*job)))
                     except Exception as exc:
+                        import traceback
                         note = (f"raised in worker process {os.getpid()}:\n"
                                 + "".join(traceback.format_exception(exc)).rstrip())
                         exc.add_note(note)
@@ -334,6 +308,7 @@ def _fork_ranges(jobs):
         return results
     finally:
         for pid, pipe in children.items():
+            import signal
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
@@ -342,7 +317,32 @@ def _fork_ranges(jobs):
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _check_int(value, name: str) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is an
+    integer, Python or numpy, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_x(x) -> float:
+    """The barrier as a float; ValueError unless a real number, not a bool
+    and not NaN.  +-inf is allowed."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"barrier x must be a real number, got {x!r}")
+    if np.isnan(x):
+        raise ValueError("barrier x must not be NaN")
+    return float(x)
+
+
 def _int64_array(values, name: str) -> np.ndarray:
+    """``values`` as int64; ValueError naming ``name`` unless every entry is
+    an integer (``_check_int``) that fits."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        values = np.array(values, dtype=object)
+        # one entry of each type: the check reads the type alone
+        for v in {type(v): v for v in values.flat}.values():
+            _check_int(v, f"each of {name}")
     try:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
@@ -350,9 +350,10 @@ def _int64_array(values, name: str) -> np.ndarray:
 
 
 def _check_grid(grid) -> np.ndarray:
-    """The grid as int64; ValueError unless 1-d, non-empty and increasing from 1
-    to below 2^63 - 1, so that each block's step numbers, ``np.arange(n0 + 1,
-    n0 + 1 + steps)`` with a stop of at most grid[-1] + 1, stay int64."""
+    """The grid as int64; ValueError unless 1-d, non-empty, of integers and
+    increasing from 1 to below 2^63 - 1, so that each block's step numbers,
+    ``np.arange(n0 + 1, n0 + 1 + steps)`` with a stop of at most grid[-1] + 1,
+    stay int64."""
     grid = _int64_array(grid, "grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-d sequence")
@@ -363,16 +364,20 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
-def _check_paths(paths: int) -> None:
+def _check_paths(paths) -> int:
+    paths = _check_int(paths, "paths")
     if not 1 <= paths <= _INT64_MAX:
         raise ValueError(f"paths must be in [1, {_INT64_MAX}]")
+    return paths
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed) -> int:
+    seed = _check_int(seed, "seed")
     # the rng keys on the seed mod 2^64, so two seeds outside the range could
     # give one stream while their files record different seeds
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be in [0, 2^64)")
+    return seed
 
 
 def json_run_fields(obj: dict, a) -> tuple[tuple[float, ...], dict]:
@@ -422,14 +427,14 @@ class SurvivalCurve:
     zero_flag: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if np.isnan(self.x):
-            raise ValueError("barrier x must not be NaN")
+        self.x = _check_x(self.x)
         self.grid = _check_grid(self.grid)
         self.survivors = _int64_array(self.survivors, "survivors")
         if self.grid.shape != self.survivors.shape:
             raise ValueError("grid and survivors must have equal length")
-        _check_paths(self.paths)
-        _check_seed(self.seed)
+        self.paths = _check_paths(self.paths)
+        self.seed = _check_seed(self.seed)
+        self.nonfinite_paths = _check_int(self.nonfinite_paths, "nonfinite_paths")
         if self.survivors[0] > self.paths or self.survivors[-1] < 0 or (
                 np.diff(self.survivors) > 0).any():
             raise ValueError("survivors must be non-increasing counts in [0, paths]")
@@ -500,34 +505,27 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
                       paths: int, seed: int, workers: int = 1) -> SurvivalCurve:
     """Estimate p_N(x) on a grid of horizons from ``paths`` simulated paths.
 
-    One walk per path serves the whole grid.  Paths are cut into one
-    contiguous range per process, and each process walks its range in equal
-    tiles of at most 65,536 paths on one refill buffer.  There are
-    min(workers, paths, CPU count) processes: the calling one and a child
-    forked per further range, which sends its result through a pipe and
-    exits (``_fork_ranges``).  Each range returns one histogram of its
-    crossing times (``_range_counts``); their sum gives the survivors and,
-    in bin 0, the non-finite count.
-    Innovation j of path i is built from draw j of rng stream (seed, i), so
-    the result does not depend on the ranges, the tiles or the worker count.
-    A NaN barrier, a seed outside [0, 2^64) or workers < 1 raises ValueError;
-    +-inf is allowed.  A child's exception is raised here with its traceback,
-    a child that dies raises a RuntimeError, and no child outlives the call:
-    an exception or interrupt in the calling process kills the children at
-    once instead of waiting for them.
+    One walk per path serves the whole grid.  Paths are cut into
+    min(workers, paths, CPU count) contiguous ranges, one per process
+    (``_fork_ranges``).  Each range returns one histogram of its crossing
+    times (``_range_counts``); their sum gives the survivors and, in bin 0,
+    the non-finite count.  Innovations are a pure function of (seed, path,
+    step), so the result does not depend on the ranges, the tiles or the
+    worker count.  A grid, path count or seed that is not made of integers
+    or out of range, a barrier that is not a real number or is NaN, and
+    workers < 1 raise ValueError; x = +-inf is allowed.
     """
     grid = _check_grid(grid)
-    _check_paths(paths)
-    _check_seed(seed)
-    if np.isnan(x):
-        raise ValueError("barrier x must not be NaN")
+    paths = _check_paths(paths)
+    seed = _check_seed(seed)
+    x = _check_x(x)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     procs = min(workers, paths, os.cpu_count() or 1)
     jobs = [(params, spec, x, grid, seed, lo, hi) for lo, hi in _split(0, paths, procs)]
-    hist = sum([_range_counts(*jobs[0])] if procs == 1 else _fork_ranges(jobs))
+    hist = sum(_fork_ranges(jobs))
     # survivors of horizon grid[k] are the paths in bins k + 2 and above
-    return SurvivalCurve(params=params, spec=spec, x=float(x), grid=grid,
+    return SurvivalCurve(params=params, spec=spec, x=x, grid=grid,
                          survivors=np.cumsum(hist[:1:-1])[::-1], paths=paths,
                          seed=seed, nonfinite_paths=int(hist[0]))
 
@@ -539,10 +537,11 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
 def pair_survival_frequency(params: ARParams, spec: InnovationSpec, n: int,
                             paths: int, seed: int) -> tuple[float, float]:
     """MC frequency of {X_{n-1} <= 0 and X_n <= 0} with its standard error."""
+    n = _check_int(n, "n")
     if n < 2:
         raise ValueError("n must be >= 2")
-    _check_paths(paths)
-    _check_seed(seed)
+    paths = _check_paths(paths)
+    seed = _check_seed(seed)
     hits = 0
     for walk in _walks(params, spec, seed, 0, paths, n):
         while walk.j < n:
@@ -587,12 +586,12 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
     inf.  Raises ConstraintError when the coefficients do not meet the transform's
     requirements.
     """
-    if not isinstance(kind, ReductionKind):
-        kind = ReductionKind(kind)
-    _check_paths(paths)
+    kind = ReductionKind(kind)
+    paths = _check_paths(paths)
+    n_max = _check_int(n_max, "n_max")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    _check_seed(seed)
+    seed = _check_seed(seed)
     a = params.a
     rho = None
     if kind is not ReductionKind.INTEGRATED:

@@ -13,20 +13,12 @@ is chunked or spread over workers, and independent streams are derived by
 index rather than by splitting state.  ``RNG_PROVENANCE`` records this
 layout in every curve file.
 
-Block j//4 of consecutive streams sits at consecutive counters, so
-``path_uniform_block`` draws the blocks ahead of a dense set from numpy's C
-Philox, one counter run per block, and those of a sparse set from the
-vectorized ``philox_block``; one rule, ``_lookahead``, says how many, and the
-width of the result tells the caller.  A call looks no further ahead than
-the blocks before it, so a walk that drops a path at the end of the call it
-crossed in steps it no further than max(4, 2 tau), tau its crossing step.
-Both routes give the same words, so the choice never changes a draw.  The
-dense route makes its uniforms in C as well: ``Generator.random`` gives
-(w >> 11) * 2^-53 of the same words w, and ``_open_interval``, the one map
-from there to u_j, adds 2^-54, which rounds as ((w >> 11) + 0.5) * 2^-53
-does: scaling by a power of two is exact.  The module keeps no state: the
-dense route works in the ``refill_buffer`` its caller owns, so a refill
-allocates no array of its size.
+``path_uniform_block`` draws many streams at once by two routes that give
+the same words: numpy's C Philox over a dense span of streams
+(``_dense_uniforms``) and the vectorized ``philox_block`` over a sparse
+set.  ``_lookahead`` says how many blocks a call draws, and
+``refill_buffer`` makes the buffer that the caller owns for them, so the
+module keeps no state.
 """
 
 from __future__ import annotations
@@ -66,7 +58,8 @@ U_MAX = 1.0 - 2.0 ** -53
 # the look-ahead, measured at live shares 1/8 to 1/4 of 50k- and 64k-path
 # spans) but also draws the dead streams inside the span, so it pays while
 # at least this share of the span is live; simulations ran no faster with
-# 1/5, 1/4 or 1/3 in its place
+# 1/5, 1/4 or 1/3 in its place, and the dense route everywhere took the
+# three mc_long_horizon configs from 0.73-0.84 s to 2.0-3.0 s
 _DENSE_SHARE = 1 / 6
 
 # words a call may draw ahead: per-call overhead dominates small live sets,
@@ -126,7 +119,12 @@ def philox_block(c0, c1, seed):
 
 
 def _open_interval(u):
-    """Turn (w >> 11) * 2^-53 into ((w >> 11) + 0.5) * 2^-53, clamped to U_MAX, in place."""
+    """Turn (w >> 11) * 2^-53 into ((w >> 11) + 0.5) * 2^-53, clamped to U_MAX, in place.
+
+    ``Generator.random`` gives (w >> 11) * 2^-53 of its words w, and adding
+    2^-54 rounds as the layout's map does, since scaling by a power of two
+    is exact.
+    """
     u += U_MIN
     # (2^53 - 1) + 0.5 rounds to 2^53, which would give exactly 1.0
     return np.minimum(u, U_MAX, out=u)
@@ -145,23 +143,23 @@ def _lookahead(rows: int, steps_left: int, step: int) -> int:
     into, no more than the ``step // 4`` blocks before it, and at least one.
     The dense route counts the span's counters, the sparse route the live ids.
     A walk's refills thus start at steps 0, 4, 8, 16, 32, ... until 2^16
-    words cap them."""
+    words cap them, and a path dropped at the end of the refill it crossed
+    in is stepped no further than max(4, 2 tau), tau its crossing step.  The
+    ``step // 4`` cap cut ``mc_wide_short``'s ``wall_ref_s`` by 7%."""
     return max(1, min(_LOOKAHEAD_WORDS // (4 * rows), -(-steps_left // 4), step // 4))
 
 
-def refill_buffer(paths: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The buffer for calls on ids inside a range of ``paths`` that end their
-    draws by step ``steps``: two arrays, each of the most words such a call
-    draws by ``_lookahead``.  That is one block of the range, or 2^16 words
-    once a thinned span looks further ahead, but never more than half the
-    blocks that ``steps`` reaches into, since a call looks no further ahead
-    than the blocks before it.  The second array is idle once a call
-    returns, and no result of a call given this buffer is larger, so a
-    caller may write a block of that size there.  Two arrays, not one twice
-    the size: glibc raises its mmap threshold to the largest block freed,
-    which would change how fast the rest of the process allocates large
-    arrays."""
-    words = min(max(4 * paths, _LOOKAHEAD_WORDS), 4 * paths * max(1, -(-steps // 4) // 2))
+def refill_buffer(paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """The buffer for calls on ids inside a range of ``paths``: two arrays,
+    each of the most words ``_lookahead`` lets such a call draw, one block of
+    the range or 2^16 words.  The second array is idle once a call returns,
+    and no result of a call given this buffer is larger, so a caller may
+    write a block of that size there.  Two arrays, not one twice the size:
+    glibc raises its mmap threshold to the largest block freed, which would
+    change how fast the rest of the process allocates large arrays (one
+    array read +23.5% ``wall_ref_s`` and +31.5% ``setup_s`` on
+    ``mc_long_horizon`` at an equal raw time)."""
+    words = max(4 * paths, _LOOKAHEAD_WORDS)
     return np.empty(words), np.empty(words)
 
 
@@ -178,8 +176,7 @@ def _dense_uniforms(seed: int, ids: np.ndarray, block: int, k: int,
     plain advance would carry into the third word.  (result, draws) is a
     ``refill_buffer`` that holds k blocks of the span; the (len(ids), 4k)
     result is a view of the front of ``result``, and the runs are drawn into
-    ``draws`` before the rows of ``ids`` are gathered, unless one block of a
-    span without gaps can be drawn in place.
+    ``draws`` before the rows of ``ids`` are gathered.
     """
     lo = int(ids[0])
     span = int(ids[-1]) - lo + 1
@@ -188,10 +185,13 @@ def _dense_uniforms(seed: int, ids: np.ndarray, block: int, k: int,
     gen = Generator(bits)
     u = result[:4 * k * ids.size].reshape(ids.size, 4 * k)
     if k == 1 and span == ids.size:
+        # in place: 1.50 ms against 2.15 ms by the gather for 62,500 ids, and
+        # every tile's first refill is such a span
         gen.random(out=u)
         return _open_interval(u)
     runs = draws[:4 * k * span].reshape(k, span, 4)
     gen.random(out=runs[0])
+    # k > 1 serves R1's 400-path tiles, 137 of the 271 ms of an exact_analysis pass
     for t in range(1, k):
         bits.advance((starts[t] - starts[t - 1] - span) & _MASK256)
         gen.random(out=runs[t])
@@ -209,13 +209,11 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
     ``step`` is a multiple of 4, the first draw of block step//4.  Row i of
     the ``(len(path_ids), 4 * k)`` result holds draws step .. step + 4k - 1
     of stream (seed, path_ids[i]); ``path_ids`` must be non-empty and
-    ascend.  k is ``_lookahead`` of the counters drawn per block, the span
-    ids[0]..ids[-1] on the dense route and the ids on the sparse one, and of
-    ``step``: a call looks no further ahead than the steps before it.
-    ``out`` is a ``refill_buffer`` of a range that holds the ids, made for
-    ``step + steps_left`` steps or more; the dense route works in it and
-    returns a view of its first array, and the sparse route returns a new
-    array.
+    ascend.  k is ``_lookahead`` of ``step`` and of the counters drawn per
+    block: the span ids[0]..ids[-1] on the dense route and the ids on the
+    sparse one.  ``out`` is a ``refill_buffer`` of a range that holds the
+    ids; the dense route works in it and returns a view of its first array,
+    and the sparse route returns a new array.
     """
     ids = np.asarray(path_ids, dtype=np.uint64)
     seed = int(seed) & _MASK64

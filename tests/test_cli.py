@@ -348,6 +348,8 @@ for kind, params in [("rademacher", {}), ("gaussian", {"mu": 0, "sigma": 1})]:
     assert cli.main(["simulate", kind + ".cfg.json"]) == 0
     loaded["simulate " + kind] = "scipy" in sys.modules
     if kind == "rademacher":
+        # one worker forks nothing, so it needs neither module of the fork path
+        loaded["fork path"] = sorted({"signal", "traceback"} & set(sys.modules))
         assert cli.main(["fit", "rademacher.json"]) == 0
         loaded["fit"] = "scipy" in sys.modules
 print(json.dumps(loaded))
@@ -361,7 +363,7 @@ def test_scipy_loaded_only_for_gaussian_laws(tmp_path):
                          check=True, capture_output=True, text=True, timeout=120)
     loaded = json.loads(out.stdout.strip().splitlines()[-1])
     assert loaded == {"import": False, "build_parser": False, "classify": False,
-                      "simulate rademacher": False, "fit": False,
+                      "simulate rademacher": False, "fork path": [], "fit": False,
                       "simulate gaussian": True}
 
 

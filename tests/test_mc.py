@@ -135,7 +135,7 @@ def test_engine_matches_scalar_reference(a, spec, x):
     tau_scalar = np.array([crossing_time_from_innovations(params, x, row) for row in y])
     assert counts.tolist() == reference_counts(tau_scalar, 64)
     # a walk that keeps every row crosses first at the same step on every row
-    walk = _Walk(params, spec, 99, 0, 300, 64, refill_buffer(300, 64))
+    walk = _Walk(params, spec, 99, 0, 300, 64, refill_buffer(300))
     crossed = []
     while walk.j < 64:
         xs, _ = walk.block()
@@ -181,7 +181,7 @@ def test_compact_keeps_each_live_paths_own_draws():
     # refills span many steps; after each compaction the next block's rows
     # are the kept paths' own draws, and X lies in the idle refill array
     params, spec, seed, n, x = RW, gaussian(), 99, 400, 0.0
-    walk = _Walk(params, spec, seed, 0, 3000, n, refill_buffer(3000, n))
+    walk = _Walk(params, spec, seed, 0, 3000, n, refill_buffer(3000))
     walk.compact(np.arange(3000) % 10 == 0)
     ids0 = walk.ids
     tau = np.full(ids0.size, n + 1)
@@ -203,7 +203,7 @@ def test_compact_keeps_each_live_paths_own_draws():
 
 def test_compact_by_one_index_keeps_ascending_ids_and_their_lags():
     params = ar_params([0.5, 0.25, 0.1])
-    walk = _Walk(params, gaussian(), 3, 100, 1_100, 40, refill_buffer(1_000, 40))
+    walk = _Walk(params, gaussian(), 3, 100, 1_100, 40, refill_buffer(1_000))
     walk.block()
     ids, lags = walk.ids.copy(), [lag.copy() for lag in walk.lags]
     live = np.random.default_rng(1).random(1_000) < 0.6
@@ -567,9 +567,9 @@ def test_a_range_draws_every_tile_into_one_buffer(monkeypatch):
 
     made, tiles, used = [], [], set()
 
-    def buffer(paths, steps):
-        made.append((paths, steps))
-        return refill_buffer(paths, steps)
+    def buffer(paths):
+        made.append(paths)
+        return refill_buffer(paths)
 
     real = mc._tile_counts
 
@@ -583,35 +583,11 @@ def test_a_range_draws_every_tile_into_one_buffer(monkeypatch):
     grid = np.array([1, 4])
     counts = _range_counts(RW, rademacher(), 0.0, grid, 3, 0, 131_074)
     assert tiles == [43_691, 43_691, 43_692]
-    assert made == [(43_692, 4)] and len(used) == 1
+    assert made == [43_692] and len(used) == 1
     # a tile's counts do not depend on what the tile before it left in the buffer
     parts = [_range_counts(RW, rademacher(), 0.0, grid, 3, lo, hi)
              for lo, hi in [(0, 43_691), (43_691, 131_074)]]
     assert counts.sum() == 131_074 and (counts == sum(parts)).all()
-
-
-@pytest.mark.parametrize("paths, grid", [(10, [6]), (7, [1, 3]), (400, [2, 50])])
-def test_a_tiny_runs_buffer_is_no_larger_than_its_refills_fill(monkeypatch, paths, grid):
-    from arsurvival import mc
-
-    sizes, filled = [], []
-
-    def recorded(seed, ids, step, steps_left, out):
-        u = path_uniform_block(seed, ids, step, steps_left, out)
-        sizes.append((out[0].size, out[1].size))
-        filled.append(u.size)
-        return u
-
-    monkeypatch.setattr(mc, "path_uniform_block", recorded)
-    estimate_survival(RW, gaussian(), 0.0, grid, paths, 5)
-    # the buffer is the largest call the rule makes on the whole tile, at
-    # any step of the run; the first refill draws one block of it
-    n = grid[-1]
-    largest = max(4 * paths * _lookahead(paths, n - j, j) for j in range(0, n, 4))
-    assert set(sizes) == {(largest, largest)} and max(filled) <= largest
-    assert filled[0] == 4 * paths
-    if n <= 8:
-        assert max(filled) == largest
 
 
 def test_processes_capped_at_cpu_count(monkeypatch):
@@ -626,7 +602,7 @@ def test_processes_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(mc, "_fork_ranges", fork_ranges)
     base = estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=1)
-    for cpus, expect in [(3, [3]), (1, []), (None, [])]:
+    for cpus, expect in [(3, [3]), (1, [1]), (None, [1])]:
         started.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         curve = estimate_survival(RW, rademacher(), 0.0, [4], 20_000, 3, workers=5000)
@@ -946,14 +922,31 @@ def test_grid_validation():
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
             estimate_survival(RW, gaussian(), 0.0, [4], 100, 1, workers=workers)
+    # horizons are integers, and the barrier a real number that is not a bool
+    for grid in ([1.5, 2.5], [True, 2], np.array([1.0, 2.0]), ["4"]):
+        with pytest.raises(ValueError, match="grid"):
+            estimate_survival(RW, gaussian(), 0.0, grid, 100, 1)
+    for x in (True, np.bool_(False), "0", None):
+        with pytest.raises(ValueError, match="barrier x"):
+            estimate_survival(RW, gaussian(), x, [4], 100, 1)
+    # the curve reader builds the curve, so its constructor keeps the same rule
+    for field, value in [("survivors", [1.5]), ("survivors", [True]),
+                         ("nonfinite_paths", True), ("nonfinite_paths", 1.0),
+                         ("x", True)]:
+        fields = dict(params=RW, spec=gaussian(), x=0.0, grid=[4], survivors=[1],
+                      paths=10, seed=1)
+        with pytest.raises(ValueError, match=field):
+            SurvivalCurve(**{**fields, field: value})
 
 
 @pytest.mark.parametrize("run", [
-    lambda paths, seed: estimate_survival(RW, rademacher(), 0.0, [4], paths, seed),
-    lambda paths, seed: pair_survival_frequency(RW, rademacher(), 2, paths, seed),
-    lambda paths, seed: pathwise_reduction_check(ar_params([0.5, 0.5]), rademacher(),
-                                                 "walk_sum", paths, 4, seed),
-], ids=["estimate_survival", "pair_survival_frequency", "pathwise_reduction_check"])
+    lambda paths, seed, n=4: estimate_survival(RW, rademacher(), 0.0, [n], paths, seed),
+    lambda paths, seed, n=4: SurvivalCurve(RW, rademacher(), 0.0, [n], [0], paths, seed),
+    lambda paths, seed, n=4: pair_survival_frequency(RW, rademacher(), n, paths, seed),
+    lambda paths, seed, n=4: pathwise_reduction_check(ar_params([0.5, 0.5]), rademacher(),
+                                                      "walk_sum", paths, n, seed),
+], ids=["estimate_survival", "SurvivalCurve", "pair_survival_frequency",
+        "pathwise_reduction_check"])
 def test_seed_and_path_ranges_refused_by_every_entry_point(run):
     # the rng keys on the seed mod 2^64: -1 would repeat the stream of
     # 2^64 - 1 and 2^64 + 5 that of 5 under another recorded seed
@@ -963,8 +956,21 @@ def test_seed_and_path_ranges_refused_by_every_entry_point(run):
     for paths in (0, 2 ** 63):
         with pytest.raises(ValueError, match="paths must be in"):
             run(paths, 1)
+    # seed 1.5 would draw seed 1's stream and record 1.5
+    for seed in (1.5, True, np.float64(2.0), "1"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run(10, seed)
+    for paths in (100.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="paths must be an integer"):
+            run(paths, 1)
+    for n in (3.5, 5.0, True):
+        with pytest.raises(ValueError, match=r"\b(grid|n|n_max) must be an integer"):
+            run(10, 1, n)
     run(10, 0)
     run(10, 2 ** 64 - 1)
+    # numpy integers are integers, and give what Python ints give
+    assert repr(run(np.int64(10), np.uint64(2 ** 64 - 1), np.int32(4))) == \
+        repr(run(10, 2 ** 64 - 1, 4))
 
 
 def test_nonfinite_paths_marked_invalid():

@@ -13,11 +13,9 @@ M64 = 2**64
 
 
 def draw(seed, ids, step, steps_left=1):
-    """path_uniform_block in a buffer of its own, made for the span of ``ids``
-    and ``step + steps_left`` steps."""
+    """path_uniform_block in a buffer of its own, made for the span of ``ids``."""
     span = int(ids[-1]) - int(ids[0]) + 1
-    return path_uniform_block(seed, ids, step, steps_left,
-                              refill_buffer(span, step + steps_left))
+    return path_uniform_block(seed, ids, step, steps_left, refill_buffer(span))
 
 
 def expected_width(ids, step, steps_left):
@@ -82,7 +80,7 @@ def test_counter_carry_edges_match_numpy(seed, path, block):
     ids = np.array([path], dtype=np.uint64)
     assert (draw(seed, ids, 4 * block) == ref).all()
     expect = numpy_words(seed, path, block)
-    assert (_dense_uniforms(seed % M64, ids, block, 1, *refill_buffer(1, 4))
+    assert (_dense_uniforms(seed % M64, ids, block, 1, *refill_buffer(1))
             == words_to_uniform(expect)).all()
     assert (philox_block(ids, np.uint64(block), seed % M64) == expect).all()
 
@@ -98,9 +96,8 @@ def test_dense_and_sparse_evaluators_agree(ids):
     # the block index's wrap from 2^64 - 1 to 0
     ids = ids.astype(np.uint64)
     span = int(ids[-1] - ids[0]) + 1
+    out = refill_buffer(span)
     for k in (1, 2, 5):
-        # a call of k blocks ends its draws by step 8k at the earliest
-        out = refill_buffer(span, 8 * k)
         for seed, block in [(0, 0), (99, 3), (2**64 - 1, 2**40), (7, 2**64 - 2)]:
             dense = _dense_uniforms(seed, ids, block, k, *out)
             assert dense.shape == (ids.size, 4 * k)
@@ -117,7 +114,7 @@ def test_dense_look_ahead_wraps_the_block_index_like_numpy(ids, k):
     # numpy's own words at the wrapped counter (id, block mod 2^64, 0, 0)
     ids = ids.astype(np.uint64)
     block, seed = 2**64 - 2, 2**64 - 1
-    u = _dense_uniforms(seed, ids, block, k, *refill_buffer(int(ids[-1] - ids[0]) + 1, 8 * k))
+    u = _dense_uniforms(seed, ids, block, k, *refill_buffer(int(ids[-1] - ids[0]) + 1))
     for row, i in zip(u, ids):
         expect = [words_to_uniform(numpy_words(seed, int(i), (block + t) % M64))
                   for t in range(k)]
@@ -161,7 +158,7 @@ def test_open_interval_matches_words_to_uniform_at_edges():
     shifted = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
     assert _open_interval(shifted).tobytes() == expect
     ids = np.arange(40, 2540, dtype=np.uint64)
-    dense = _dense_uniforms(3, ids, 7, 1, *refill_buffer(ids.size, 4))
+    dense = _dense_uniforms(3, ids, 7, 1, *refill_buffer(ids.size))
     expect = exact_uniforms(philox_block(ids, np.uint64(7), 3).ravel()).tobytes()
     assert dense.tobytes() == expect
 
@@ -178,8 +175,7 @@ def test_dense_route_fills_the_callers_buffer(ids):
     # route may be given and in a tile's larger one
     for steps_left in (4, 1000):
         for seed, step in [(0, 0), (2**64 - 1, 4 * (2**64 - 1)), (77, 4 * 2**40), (5, 500)]:
-            for out in (refill_buffer(span, step + steps_left),
-                        refill_buffer(1400, step + steps_left)):
+            for out in (refill_buffer(span), refill_buffer(1400)):
                 u = path_uniform_block(seed, ids, step, steps_left, out=out)
                 width = expected_width(ids, step, steps_left)
                 assert u.shape == (ids.size, width) and u.size <= out[1].size
@@ -288,7 +284,7 @@ def test_sparse_width_fits_the_callers_buffer():
     # given a small tile's buffer, a sparse call draws no more words than an
     # array of it holds, so its result fits in the idle second array
     ids = np.arange(0, 3000, 10, dtype=np.uint64)
-    out = refill_buffer(3000, 400)
+    out = refill_buffer(3000)
     u = path_uniform_block(31, ids, 200, 200, out=out)
     assert u.size <= out[1].size and u.shape[1] > 4
     assert u.tobytes() == draw(31, ids, 200, 200)[:, :u.shape[1]].tobytes()
@@ -297,13 +293,11 @@ def test_sparse_width_fits_the_callers_buffer():
 @pytest.mark.parametrize("paths, steps", [(1, 1), (10, 6), (10, 400), (3000, 20),
                                           (3000, 400), (20_000, 9)])
 def test_every_width_fits_the_callers_buffer(paths, steps):
-    # a range's buffer holds the words of any call on ids inside the range
-    # that ends its draws by ``steps``, dense or sparse, so each result fits
-    # in the idle second array; a call looks no further ahead than the steps
-    # before it, so that is at most half the blocks ``steps`` reaches into
-    out = refill_buffer(paths, steps)
+    # a range's buffer holds the words of any call on ids inside the range,
+    # dense or sparse, so each result fits in the idle second array
+    out = refill_buffer(paths)
+    assert out[0].size == out[1].size == max(4 * paths, 2**16)
     half = max(1, -(-steps // 4) // 2)
-    assert out[0].size == out[1].size == min(max(4 * paths, 2**16), 4 * paths * half)
     whole = np.arange(paths, dtype=np.uint64)
     for ids in (whole, whole[::10], whole[-1:], np.unique(whole[[0, -1]])):
         for step in sorted({0, 4, 4 * (half - 1), 4 * half, 4 * ((steps - 1) // 4)}):
@@ -315,16 +309,13 @@ def test_every_width_fits_the_callers_buffer(paths, steps):
                 rows = span if ids.size >= rng._DENSE_SHARE * span else ids.size
                 assert u.shape == (ids.size, expected_width(ids, step, steps_left))
                 assert u.size <= out[1].size and rows * u.shape[1] <= out[1].size
-    # no larger than needed: halfway, a call on the whole range fills it when
-    # the steps or one block of the range cap it, and a span of 2^10 fills
-    # 2^16 words
-    step = 4 * (-(-steps // 4) // 2)
-    u = path_uniform_block(31, whole, step, steps - step, out=out)
-    if out[1].size < 2**16 or 4 * paths >= 2**16:
-        assert u.size == out[1].size
+    # no larger than needed: one block of the whole range fills it, or, when
+    # that is less than 2^16 words, a span of 2^10 ids 16 blocks ahead does
+    if 4 * paths >= 2**16:
+        assert path_uniform_block(31, whole, 0, 4, out=out).size == out[1].size
     else:
         ids = np.arange(2**10, dtype=np.uint64)
-        assert path_uniform_block(31, ids, step, steps - step, out=out).size == out[1].size
+        assert path_uniform_block(31, ids, 64, 64, out=out).size == out[1].size
 
 
 def test_both_routes_take_one_look_ahead_rule():
@@ -338,7 +329,7 @@ def test_both_routes_take_one_look_ahead_rule():
         assert _lookahead(rows, steps_left, step) == k
     dense = np.arange(100, 500, 2, dtype=np.uint64)         # 200 of a 399-id span
     sparse = np.arange(0, 4000, 20, dtype=np.uint64)        # 200 of a 3981-id span
-    out = refill_buffer(4000, 1000)
+    out = refill_buffer(4000)
     for step in (0, 8, 400):
         assert (path_uniform_block(5, dense, step, 1000 - step, out).shape[1]
                 == 4 * _lookahead(399, 1000 - step, step))
