@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .bounds import e1_rate_bound, exp_lower_bound, PreconditionError, DegenerateBoundError
-from .coeffs import ar_params
+from .coeffs import ar_params, check_barrier
 from .innovations import InnovationSpec, Kind
 from .mc import SurvivalCurve
 from .regions import Region, classify_ar2
@@ -313,10 +313,10 @@ def predict(a1: float, a2: float, spec: InnovationSpec, x: float) -> Prediction:
     A pure function of the region and the innovation's analytic flags.
     When the region's rule does not hold for the innovation the prediction
     is INCONCLUSIVE and carries the hypothesis report.  The comparison with
-    fitted curves is only claimed for x >= 0; a NaN barrier raises ValueError.
+    fitted curves is only claimed for x >= 0; a barrier that is not a real
+    number, or is NaN, raises ValueError.
     """
-    if math.isnan(x):
-        raise ValueError("barrier x must not be NaN")
+    x = check_barrier(x)
     region = classify_ar2(a1, a2)
     notes = ("predictions are stated for barriers x >= 0",) if x < 0.0 else ()
     theorem, decay_class, needs, fail_notes = _REGIONS[region]

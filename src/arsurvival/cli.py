@@ -25,7 +25,7 @@ from . import acceptance
 from .asymptotics import fit_decay, predict
 from .bounds import (DegenerateBoundError, PreconditionError, e1_rate_bound,
                      e3_sign_change_index, exp_lower_bound)
-from .coeffs import ar_params, coeff_limit_class
+from .coeffs import ar_params, check_int, coeff_limit_class
 from .innovations import (InnovationSpec, exponential_centered, gaussian, rademacher,
                           spec_from_json, two_point, uniform)
 from .mc import SurvivalCurve, estimate_survival, json_run_fields
@@ -131,8 +131,8 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.workers < 1:      # malformed input (exit 2), not a bad config
-        raise ValueError("workers must be >= 1")
+    # malformed input (exit 2), not a bad config
+    check_int(args.workers, "workers", lo=1)
     try:
         curve = estimate_survival(params, **run, workers=args.workers)
     except ValueError as exc:
@@ -163,7 +163,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    params = ar_params(args.a.split(","))
+    params = ar_params([float(v) for v in args.a.split(",")])
     spec = _parse_spec(args.innovation, args.innovation_params)
     out: dict = {"a": list(params.a), "innovation": spec.to_json_dict()}
     try:
@@ -188,8 +188,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     only = None if args.only is None else args.only.split(",")
-    if args.workers < 1:
-        raise ValueError("workers must be >= 1")
+    check_int(args.workers, "workers", lo=1)
     results = acceptance.run_suite(only, args.workers)
     for res in results:
         print(res.summary())

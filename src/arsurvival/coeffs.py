@@ -12,11 +12,19 @@ closed forms for p = 2 in terms of the characteristic roots
     s_1 = (a_1 + h)/2,   s_2 = (a_1 - h)/2,   h = sqrt(a_1^2 + 4 a_2),
 
 and classifies the limiting behaviour of (c_n).
+
+It also owns the package's rule for input numbers, since every other
+module imports it: ``check_int`` for counts, seeds and horizons,
+``check_real`` for coefficients and law parameters, and ``check_barrier``
+for the barrier x.  Each entry point passes its numbers through them, so
+a bool, a string or a fraction where an integer belongs raises the same
+ValueError, naming the field, wherever it is given.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -43,6 +51,38 @@ __all__ = [
 _DOUBLE_ROOT_RTOL = 1e-12
 
 
+def check_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is an
+    integer, Python or numpy, that is not a bool and lies in [lo, hi] where given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        span = (f">= {lo}" if hi is None else f"<= {hi}" if lo is None
+                else f"in [{lo}, {hi}]")
+        raise ValueError(f"{name} must be {span}")
+    return value
+
+
+def check_real(value, name: str) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a real
+    number, Python or numpy, that is not a bool and fits in float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within float range") from None
+
+
+def check_barrier(x) -> float:
+    """The barrier as a float: ``check_real``, and not NaN; +-inf is allowed."""
+    x = check_real(x, "barrier x")
+    if math.isnan(x):
+        raise ValueError("barrier x must not be NaN")
+    return x
+
+
 class CoeffOverflowError(ArithmeticError):
     """A coefficient value exceeds the double-precision range."""
 
@@ -54,7 +94,7 @@ class ARParams:
     a: tuple[float, ...]
 
     def __post_init__(self):
-        a = tuple(float(v) for v in self.a)
+        a = tuple(check_real(v, "a") for v in self.a)
         object.__setattr__(self, "a", a)
         if len(a) < 1:
             raise ValueError("need at least one coefficient")
@@ -72,9 +112,10 @@ def ar_params(coeffs) -> ARParams:
     """Build ARParams, dropping trailing zero coefficients.
 
     Lets callers write a random walk as (1, 0): trailing zero lags do not
-    change the process, so (1, 0) and (1,) are the same model.
+    change the process, so (1, 0) and (1,) are the same model.  Each entry is
+    checked before any is dropped.
     """
-    a = [float(v) for v in coeffs]
+    a = [check_real(v, "a") for v in coeffs]
     while len(a) > 1 and a[-1] == 0.0:
         a.pop()
     return ARParams(tuple(a))
@@ -128,8 +169,7 @@ def coeff_recursion(params: ARParams, n_max: int) -> np.ndarray:
     The impulse response of ar_step: y = 0 and the state starts at
     (c_0, c_{-1}, ...) = (1, 0, ...).
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = check_int(n_max, "n_max", lo=0)
     p = params.p
     # p - 1 zero lags ahead of c_0; c[:-p - 1:-1] lists the last p values, newest first
     c = [0.0] * (p - 1) + [1.0]
@@ -150,8 +190,8 @@ def ar2_closed_form(a1: float, a2: float) -> CoeffSolution:
     exactly, and below 2^500 k = 0.  Where a1 +- h cancels more than 26 bits
     (a2 tiny against a1^2), the smaller real root is -a2 over the larger.
     """
-    a1 = float(a1)
-    a2 = float(a2)
+    a1 = check_real(a1, "a1")
+    a2 = check_real(a2, "a2")
     k = max(0, math.frexp(max(abs(a1), math.sqrt(abs(a2))))[1] - 500)
     b1, b2 = math.ldexp(a1, -k), math.ldexp(a2, -2 * k)
     disc = b1 * b1 + 4.0 * b2
@@ -221,8 +261,7 @@ def ar2_coeffs(sol: CoeffSolution, n_max: int) -> np.ndarray:
     precision trig cannot reproduce the resonance zeros (angle a rational
     multiple of pi) that the recursion keeps exactly.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = check_int(n_max, "n_max", lo=0)
     try:
         if sol.branch is Branch.DOUBLE_ROOT:
             s = sol.a1 / 2.0
@@ -266,8 +305,8 @@ def coeff_limit_class(a1: float, a2: float) -> CoeffLimit:
     Comparisons are exact: the convergent-to-nonzero case lives on a line,
     and fuzzing would misclassify it everywhere.
     """
-    a1 = float(a1)
-    a2 = float(a2)
+    a1 = check_real(a1, "a1")
+    a2 = check_real(a2, "a2")
     if a1 + a2 < 1.0 and a2 < 1.0 + a1 and a2 > -1.0:
         return CoeffLimit(LimitKind.TO_ZERO)
     if a1 + a2 == 1.0 and abs(a2) < 1.0:

@@ -28,6 +28,8 @@ from enum import Enum
 
 import numpy as np
 
+from .coeffs import check_real
+
 __all__ = [
     "Kind",
     "InnovationSpec",
@@ -36,8 +38,6 @@ __all__ = [
     "two_point",
     "uniform",
     "exponential_centered",
-    "json_int",
-    "json_number",
     "spec_from_json",
 ]
 
@@ -58,29 +58,21 @@ class InnovationSpec:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "params", tuple(float(v) for v in self.params))
-        except (TypeError, ValueError):
-            raise ValueError(f"{self.kind.value} parameters must be numbers, "
-                             f"got {self.params!r}") from None
-        k, q = self.kind, self.params
+        k, names = self.kind, _PARAM_NAMES[self.kind]
+        if len(self.params) != len(names):
+            raise ValueError(f"{k.value} needs params {list(names)}, got {self.params!r}")
+        q = tuple(check_real(v, f"{k.value} {n}") for v, n in zip(self.params, names))
+        object.__setattr__(self, "params", q)
         if not all(math.isfinite(v) for v in q):
             raise ValueError(f"{k.value} parameters must be finite, got {q}")
-        if k is Kind.GAUSSIAN:
-            if len(q) != 2 or q[1] <= 0:
-                raise ValueError("gaussian needs (mu, sigma) with sigma > 0")
-        elif k is Kind.RADEMACHER:
-            if q:
-                raise ValueError("rademacher takes no parameters")
-        elif k is Kind.TWO_POINT:
-            if len(q) != 1 or q[0] <= 0:
-                raise ValueError("two_point needs y > 0")
-        elif k is Kind.UNIFORM:
-            if len(q) != 2 or not 0.0 < q[1] - q[0] < math.inf:
-                raise ValueError(f"uniform needs lo < hi and a finite hi - lo, got {q}")
-        elif k is Kind.EXPONENTIAL_CENTERED:
-            if len(q) != 1 or q[0] <= 0:
-                raise ValueError("exponential_centered needs rate > 0")
+        if k is Kind.GAUSSIAN and q[1] <= 0:
+            raise ValueError("gaussian needs (mu, sigma) with sigma > 0")
+        if k is Kind.TWO_POINT and q[0] <= 0:
+            raise ValueError("two_point needs y > 0")
+        if k is Kind.UNIFORM and not 0.0 < q[1] - q[0] < math.inf:
+            raise ValueError(f"uniform needs lo < hi and a finite hi - lo, got {q}")
+        if k is Kind.EXPONENTIAL_CENTERED and q[0] <= 0:
+            raise ValueError("exponential_centered needs rate > 0")
 
     # ---- mean, scale and capability flags -------------------------------------
 
@@ -141,7 +133,14 @@ class InnovationSpec:
         k, q = self.kind, self.params
         if k is Kind.GAUSSIAN:
             from scipy.special import ndtr
-            return ndtr((y - q[0]) / q[1])
+            mu, sigma = q
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = y - mu
+                # y - mu overflows only where y and mu have opposite signs, and
+                # then y / sigma and mu / sigma do too: their difference cannot cancel
+                far = np.isinf(d) & np.isfinite(y)
+                z = np.where(far, y / sigma - mu / sigma, d / sigma)
+            return ndtr(z)
         if k is Kind.UNIFORM:
             return np.clip((y - q[0]) / (q[1] - q[0]), 0.0, 1.0)
         if k is Kind.EXPONENTIAL_CENTERED:
@@ -237,30 +236,10 @@ def exponential_centered(rate: float = 1.0) -> InnovationSpec:
     return InnovationSpec(Kind.EXPONENTIAL_CENTERED, (rate,))
 
 
-def json_number(value, name: str) -> float:
-    """A JSON number as a float; ValueError for a bool, a string, an integer
-    beyond float range or anything else, so no reader converts a field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be within float range") from None
-
-
-def json_int(value, name: str) -> int:
-    """An integral JSON number as an int; ValueError for a bool, a non-integral
-    float or anything else, so no reader truncates a field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def spec_from_json(obj: dict) -> InnovationSpec:
     """Parse {"kind": ..., "params": {...}}, where a missing params means {};
-    unknown kinds or params, params that are not an object and values that
-    are not JSON numbers fail."""
+    unknown kinds or params and params that are not an object fail, and
+    InnovationSpec refuses the values."""
     if not isinstance(obj, dict) or set(obj) - {"kind", "params"}:
         raise ValueError(f"bad innovation object: {obj!r}")
     try:
@@ -273,5 +252,4 @@ def spec_from_json(obj: dict) -> InnovationSpec:
         raise ValueError(f"{kind.value} params must be an object, got {given!r}")
     if set(given) != set(names):
         raise ValueError(f"{kind.value} needs params {list(names)}, got {sorted(given)}")
-    return InnovationSpec(kind, tuple(json_number(given[n], f"{kind.value} {n}")
-                                      for n in names))
+    return InnovationSpec(kind, tuple(given[n] for n in names))

@@ -18,7 +18,6 @@ a tile's blocks in ``_Walk``, the counting and dropping of paths in
 
 from __future__ import annotations
 
-import numbers
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -27,8 +26,9 @@ from enum import Enum
 import numpy as np
 
 from .bounds import integrate_params
-from .coeffs import ARParams, ar2_closed_form, ar_step, Branch
-from .innovations import InnovationSpec, json_int, json_number, spec_from_json
+from .coeffs import (ARParams, ar2_closed_form, ar_step, Branch, check_barrier, check_int,
+                     check_real)
+from .innovations import InnovationSpec, spec_from_json
 from .rng import RNG_PROVENANCE, U_MAX, U_MIN, path_uniform_block, refill_buffer
 
 __all__ = [
@@ -52,7 +52,8 @@ _READABLE_SCHEMA_VERSIONS = (1, 2, 3)
 _TILE_PATHS = 65_536
 
 # the benchmark's tracer (perfbench/spans.py) lists mc.uniform_block among the
-# rng entry points; nothing here calls it, the name stays until that list drops it
+# rng entry points, and its self-test requires every listed target to exist;
+# nothing here calls it, the name stays until that list drops it
 uniform_block = path_uniform_block
 
 # estimates with more than this fraction of non-finite paths are invalid
@@ -317,32 +318,14 @@ def _fork_ranges(jobs):
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _check_int(value, name: str) -> int:
-    """``value`` as a Python int; ValueError naming ``name`` unless it is an
-    integer, Python or numpy, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _check_x(x) -> float:
-    """The barrier as a float; ValueError unless a real number, not a bool
-    and not NaN.  +-inf is allowed."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ValueError(f"barrier x must be a real number, got {x!r}")
-    if np.isnan(x):
-        raise ValueError("barrier x must not be NaN")
-    return float(x)
-
-
 def _int64_array(values, name: str) -> np.ndarray:
     """``values`` as int64; ValueError naming ``name`` unless every entry is
-    an integer (``_check_int``) that fits."""
+    an integer (``check_int``) that fits."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
         values = np.array(values, dtype=object)
         # one entry of each type: the check reads the type alone
         for v in {type(v): v for v in values.flat}.values():
-            _check_int(v, f"each of {name}")
+            check_int(v, f"each of {name}")
     try:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
@@ -365,33 +348,34 @@ def _check_grid(grid) -> np.ndarray:
 
 
 def _check_paths(paths) -> int:
-    paths = _check_int(paths, "paths")
-    if not 1 <= paths <= _INT64_MAX:
-        raise ValueError(f"paths must be in [1, {_INT64_MAX}]")
-    return paths
+    return check_int(paths, "paths", 1, _INT64_MAX)
 
 
 def _check_seed(seed) -> int:
-    seed = _check_int(seed, "seed")
     # the rng keys on the seed mod 2^64, so two seeds outside the range could
     # give one stream while their files record different seeds
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError("seed must be in [0, 2^64)")
-    return seed
+    return check_int(seed, "seed", 0, 2 ** 64 - 1)
 
 
-def json_run_fields(obj: dict, a) -> tuple[tuple[float, ...], dict]:
+def json_int(value, name: str) -> int:
+    """``check_int`` of a JSON integer, where an integral float such as 1e5 is its int."""
+    integral = isinstance(value, float) and value.is_integer()
+    return check_int(int(value) if integral else value, name)
+
+
+def json_run_fields(obj: dict, a) -> tuple[tuple, dict]:
     """The fields a simulation config and a curve file share, read from JSON.
 
-    Returns the coefficients ``a``, which must be a list of numbers, and the
-    keyword arguments spec, x, grid, paths and seed.  Numbers follow
-    ``json_number`` and integers ``json_int``; anything else raises.
+    Returns the coefficients ``a``, which must be a list, for ``ARParams`` to
+    check, and the keyword arguments spec, x, grid, paths and seed.  Their
+    types are checked here, by the rule of ``coeffs``, and their ranges by the
+    entry point that takes them.
     """
     if not isinstance(a, list):
         raise ValueError(f"a must be a list of numbers, got {a!r}")
-    return tuple(json_number(v, "a") for v in a), {
+    return tuple(a), {
         "spec": spec_from_json(obj["innovation"]),
-        "x": json_number(obj["x"], "x"),
+        "x": check_real(obj["x"], "x"),
         "grid": [json_int(n, "grid") for n in obj["grid"]],
         "paths": json_int(obj["paths"], "paths"),
         "seed": json_int(obj["seed"], "seed"),
@@ -427,14 +411,14 @@ class SurvivalCurve:
     zero_flag: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.x = _check_x(self.x)
+        self.x = check_barrier(self.x)
         self.grid = _check_grid(self.grid)
         self.survivors = _int64_array(self.survivors, "survivors")
         if self.grid.shape != self.survivors.shape:
             raise ValueError("grid and survivors must have equal length")
         self.paths = _check_paths(self.paths)
         self.seed = _check_seed(self.seed)
-        self.nonfinite_paths = _check_int(self.nonfinite_paths, "nonfinite_paths")
+        self.nonfinite_paths = check_int(self.nonfinite_paths, "nonfinite_paths")
         if self.survivors[0] > self.paths or self.survivors[-1] < 0 or (
                 np.diff(self.survivors) > 0).any():
             raise ValueError("survivors must be non-increasing counts in [0, paths]")
@@ -511,16 +495,15 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
     times (``_range_counts``); their sum gives the survivors and, in bin 0,
     the non-finite count.  Innovations are a pure function of (seed, path,
     step), so the result does not depend on the ranges, the tiles or the
-    worker count.  A grid, path count or seed that is not made of integers
-    or out of range, a barrier that is not a real number or is NaN, and
-    workers < 1 raise ValueError; x = +-inf is allowed.
+    worker count.  A grid, path count, seed or worker count that is not
+    made of integers or is out of range, and a barrier that is not a real
+    number or is NaN, raise ValueError; x = +-inf is allowed.
     """
     grid = _check_grid(grid)
     paths = _check_paths(paths)
     seed = _check_seed(seed)
-    x = _check_x(x)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    x = check_barrier(x)
+    workers = check_int(workers, "workers", lo=1)
     procs = min(workers, paths, os.cpu_count() or 1)
     jobs = [(params, spec, x, grid, seed, lo, hi) for lo, hi in _split(0, paths, procs)]
     hist = sum(_fork_ranges(jobs))
@@ -537,9 +520,7 @@ def estimate_survival(params: ARParams, spec: InnovationSpec, x: float, grid,
 def pair_survival_frequency(params: ARParams, spec: InnovationSpec, n: int,
                             paths: int, seed: int) -> tuple[float, float]:
     """MC frequency of {X_{n-1} <= 0 and X_n <= 0} with its standard error."""
-    n = _check_int(n, "n")
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = check_int(n, "n", lo=2)
     paths = _check_paths(paths)
     seed = _check_seed(seed)
     hits = 0
@@ -588,9 +569,7 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
     """
     kind = ReductionKind(kind)
     paths = _check_paths(paths)
-    n_max = _check_int(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = check_int(n_max, "n_max", lo=1)
     seed = _check_seed(seed)
     a = params.a
     rho = None

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .coeffs import ARParams, ar_step, coeff_recursion
+from .coeffs import ARParams, ar_step, check_barrier, check_int, check_real, coeff_recursion
 
 __all__ = [
     "BudgetExceededError",
@@ -56,17 +56,14 @@ def enumerate_survival(params: ARParams, support, x: float, n: int) -> float:
     |support|) would exceed 2^22, which bounds memory; every input with
     |support|^n <= 2^22 stays inside the budget.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    values = np.array([float(v) for v, _ in support])
-    probs = np.array([float(q) for _, q in support])
+    n = check_int(n, "n", lo=0)
+    values = np.array([check_real(v, "support value") for v, _ in support])
+    probs = np.array([check_real(q, "support probability") for _, q in support])
     if not np.isfinite(values).all():
         raise ValueError(f"support values must be finite, got {values.tolist()}")
     if not (probs >= 0.0).all() or not abs(math.fsum(probs) - 1.0) <= 1e-12:
         raise ValueError("support probabilities must be >= 0 and sum to 1")
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("barrier x must not be NaN")
+    x = check_barrier(x)
     a, p = params.a, params.p
     row = np.dtype((np.void, 8 * p))
     states = np.zeros((1, p))
@@ -111,8 +108,7 @@ def gaussian_pair_probability(params: ARParams, n: int) -> float:
     range, or a correlation outside [-1, 1] by more than 1e-10, signal
     numerical failure and raise ArithmeticError.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = check_int(n, "n", lo=2)
     c = coeff_recursion(params, n - 1)
     if not np.isfinite(c).all():
         raise ArithmeticError(f"weights c_i for i < {n} overflow double precision")

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+from .coeffs import check_real
+
 __all__ = [
     "Region",
     "classify_ar2",
@@ -59,8 +61,8 @@ def classify_ar2(a1: float, a2: float) -> Region:
     Sub-regions are checked in the fixed order E1, E2, E3; they are disjoint
     in exact arithmetic, the order just pins the outcome under floats.
     """
-    a1 = float(a1)
-    a2 = float(a2)
+    a1 = check_real(a1, "a1")
+    a2 = check_real(a2, "a2")
     if not (math.isfinite(a1) and math.isfinite(a2)):
         raise ValueError("coefficients must be finite")
     if a1 + a2 == 1.0 and -1.0 <= a2 <= 1.0:

@@ -147,6 +147,16 @@ def test_closed_form_of_huge_scale_stays_in_float_range():
     assert res.c == exp_lower_bound(ar_params([-0.3, 0.2]), gaussian()).c
 
 
+def test_scan_of_a_law_near_the_float_limit_keeps_its_certificate():
+    # y - mu overflows where y and mu are far apart: the cdf must not read that
+    # as z = -inf, or c exceeds the supremum of the unit law (0.07662)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = exp_lower_bound(ar_params([0.3, -0.2]), gaussian(1e308, 1e308))
+    assert res.c == pytest.approx(exp_lower_bound(ar_params([0.3, -0.2]),
+                                                  gaussian(1.0, 1.0)).c, rel=1e-9)
+
+
 def test_bound_certifies_simulation():
     # p_hat_N >= c^N - 3 se on an all-negative point (uniform innovations)
     spec = uniform(-1, 1)

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arsurvival.asymptotics import predict
 from arsurvival.coeffs import (ARParams, Branch, CoeffOverflowError, LimitKind,
                                ar2_closed_form, ar2_coeffs, ar_params, ar_step,
+                               check_barrier, check_int, check_real,
                                coeff_limit_class, coeff_recursion)
+from arsurvival.innovations import gaussian, rademacher, two_point, uniform
+from arsurvival.mc import estimate_survival
+from arsurvival.oracle import enumerate_survival, gaussian_pair_probability
 
 
 def test_recursion_hand_unrolled_cases():
@@ -189,3 +194,58 @@ def test_closed_form_matches_recursion_random(a1, a2, n):
     c = coeff_recursion(ar_params([a1, a2]), n)
     val = ar2_coeffs(ar2_closed_form(a1, a2), n)[n]
     assert abs(val - c[n]) <= 1e-9 * max(1.0, abs(c[n]))
+
+
+def test_number_rule():
+    # Python and numpy numbers pass, as Python ints and floats
+    assert check_int(np.int64(5), "n", 0, 5) == 5 and type(check_int(np.uint8(3), "n")) is int
+    assert check_real(np.float32(0.5), "a") == 0.5 and check_real(Fraction(1, 4), "a") == 0.25
+    assert check_barrier(-math.inf) == -math.inf
+    for value in (True, np.bool_(False), 2.0, "2"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            check_int(value, "n")
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        check_int(-1, "n", lo=0)
+    with pytest.raises(ValueError, match="n must be <= 5"):
+        check_int(6, "n", hi=5)
+    with pytest.raises(ValueError, match=r"n must be in \[0, 5\]"):
+        check_int(6, "n", 0, 5)
+    for value in (True, np.bool_(True), "0.5", None, 1j):
+        with pytest.raises(ValueError, match="a must be a number"):
+            check_real(value, "a")
+    with pytest.raises(ValueError, match="a must be within float range"):
+        check_real(10 ** 400, "a")
+    with pytest.raises(ValueError, match="barrier x must not be NaN"):
+        check_barrier(math.nan)
+
+
+_RW, _SIGNS = ar_params([1.0]), rademacher().atoms()
+
+
+@pytest.mark.parametrize("field,call,values", [
+    ("workers", lambda v: estimate_survival(_RW, rademacher(), 0.0, [4], 10, 1, workers=v),
+     (1.5, True, "2")),
+    ("n", lambda v: enumerate_survival(_RW, _SIGNS, 0.0, v), (2.5, True)),
+    ("n", lambda v: gaussian_pair_probability(_RW, v), (2.5, True)),
+    ("n_max", lambda v: coeff_recursion(_RW, v), (2.5, True)),
+    ("n_max", lambda v: ar2_coeffs(ar2_closed_form(0.5, 0.25), v), (2.5, True)),
+    ("a", lambda v: ar_params([0.5, v]), ("0.5", True, np.False_)),
+    ("a", lambda v: ARParams((v, 0.5)), ("0.5", True)),
+    ("gaussian mu", lambda v: gaussian(v, 1.0), ("0", True)),
+    ("gaussian sigma", lambda v: gaussian(0.0, v), ("1", True)),
+    ("two_point y", two_point, ("1", True)),
+    ("uniform hi", lambda v: uniform(-1.0, v), ("1", True)),
+    ("barrier x", lambda v: enumerate_survival(_RW, _SIGNS, v, 3), ("0", True)),
+    ("barrier x", lambda v: predict(0.5, 0.5, gaussian(), v), ("0", True)),
+    ("a1", lambda v: predict(v, 0.5, gaussian(), 0.0), ("0.5", True)),
+    ("a2", lambda v: coeff_limit_class(0.5, v), ("0.5", True)),
+    ("a1", lambda v: ar2_closed_form(v, 0.5), ("0.5", True)),
+], ids=["estimate_survival", "enumerate_survival", "gaussian_pair_probability",
+        "coeff_recursion", "ar2_coeffs", "ar_params", "ARParams", "gaussian-mu",
+        "gaussian-sigma", "two_point", "uniform", "enumerate_survival-x", "predict-x",
+        "predict-a1", "coeff_limit_class", "ar2_closed_form"])
+def test_every_entry_point_refuses_numbers_of_the_wrong_type(field, call, values):
+    # a bool, a string or a fraction is refused, never converted, truncated or dropped
+    for value in values:
+        with pytest.raises(ValueError, match=rf"^{field} must be an? (integer|number)"):
+            call(value)

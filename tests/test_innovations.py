@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,22 @@ def test_cdf_and_interval_probabilities():
     assert two_point(2.0).interval_prob(-3.0, 2.0) == pytest.approx(1.0)
     assert gaussian().interval_prob(0.5, -0.5) == 0.0
     assert uniform(-1, 1).interval_prob(-0.5, 0.5) == pytest.approx(0.5)
+
+
+def test_gaussian_cdf_where_y_minus_mu_overflows():
+    # z = y / sigma - mu / sigma where y - mu leaves float range; bits elsewhere
+    # are those of (y - mu) / sigma
+    from scipy.special import ndtr
+
+    spec = gaussian(1e308, 1e308)
+    ys = np.array([-1e308, -7e307, 0.0, 1e308, -np.inf, np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spec.cdf(ys)
+    assert got[:2] == pytest.approx(gaussian(1.0, 1.0).cdf([-1.0, -0.7]), rel=1e-12)
+    assert got[2:5].tolist() == ndtr([-1.0, 0.0, -np.inf]).tolist()
+    assert got[5] == 1.0 and math.isnan(got[6])
+    assert spec.interval_prob(-1e308, -7e307) == pytest.approx(0.0218153308, rel=1e-9)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
