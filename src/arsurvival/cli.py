@@ -123,6 +123,8 @@ plot '{csv}' using 1:4 skip 1 with linespoints title 'p_N (log-log)'
 
 
 def cmd_simulate(args) -> int:
+    # malformed input (exit 2) whatever the config holds
+    check_int(args.workers, "workers", lo=1)
     try:
         cfg = _load_config(args.config)
         a, run = json_run_fields(cfg, cfg["a"])
@@ -131,8 +133,6 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # malformed input (exit 2), not a bad config
-    check_int(args.workers, "workers", lo=1)
     try:
         curve = estimate_survival(params, **run, workers=args.workers)
     except ValueError as exc:

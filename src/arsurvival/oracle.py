@@ -48,13 +48,18 @@ def enumerate_survival(params: ARParams, support, x: float, n: int) -> float:
     identical rows, summing their masses.  The new value y + a_1 s_1 + ... +
     a_p s_p comes from ``coeffs.ar_step``, the left-to-right float order the
     Monte Carlo engine shares, so every survive/cross decision is the one a
-    path-by-path recursion on that path's own state makes.  The result is
-    the correctly rounded ``math.fsum`` of the final masses; with dyadic
-    probabilities they are exact while path counts fit in 53 bits.
+    path-by-path recursion on that path's own state makes.  A value that
+    overflows keeps its decision: -inf survives, and +inf crosses unless x
+    is +inf.  The result is the correctly rounded ``math.fsum`` of the final
+    masses; with dyadic probabilities they are exact while path counts fit
+    in 53 bits.
 
     Raises BudgetExceededError before a step whose candidates (states x
     |support|) would exceed 2^22, which bounds memory; every input with
-    |support|^n <= 2^22 stays inside the budget.
+    |support|^n <= 2^22 stays inside the budget.  Raises ArithmeticError,
+    naming the step, when a candidate is NaN (inf - inf once two lags have
+    overflowed): the engine counts such a path as non-finite, neither a
+    survivor nor a crossing, so p_n has no exact value to give.
     """
     n = check_int(n, "n", lo=0)
     values = np.array([check_real(v, "support value") for v, _ in support])
@@ -73,9 +78,13 @@ def enumerate_survival(params: ARParams, support, x: float, n: int) -> float:
             raise BudgetExceededError(
                 f"{mass.size} states x {values.size} support values at step "
                 f"{step + 1} exceed the {_BUDGET} budget")
-        xval = ar_step(a, values, states.T[:, :, None])
-        # not (X > x), the recursion's own test: a NaN from overflow survives
-        rows, cols = np.nonzero(~(xval > x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            xval = ar_step(a, values, states.T[:, :, None])
+        if np.isnan(xval).any():
+            raise ArithmeticError(
+                f"a candidate state is NaN at step {step + 1}: the process "
+                "leaves double precision, and p_n has no exact value")
+        rows, cols = np.nonzero(xval <= x)
         nxt = np.empty((rows.size, p))
         nxt[:, 0] = xval[rows, cols]
         nxt[:, 1:] = states[rows, :-1]

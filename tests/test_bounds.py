@@ -1,9 +1,11 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import norm
 
 from arsurvival.asymptotics import DecayClass, fit_decay
@@ -75,6 +77,38 @@ def test_uniform_scan_vs_dense_grid():
     res = exp_lower_bound(ar_params([0.3, -0.2]), spec)
     assert res.method is BoundMethod.NUMERIC_SCAN
     assert res.c == pytest.approx(_dense_scan(spec, 0.3, -0.2), abs=1e-4)
+
+
+@pytest.mark.parametrize("a, lo, hi", [
+    ((0.3, -0.2), -1.0, 1.0), ((-0.4, -0.4), -1.0, 1.0),
+    ((0.25, -0.35, 0.1), -2.0, 3.0), ((0.3, -0.2), -1e15, 1e15),
+], ids=["ar2", "both-negative", "ar3", "wide"])
+def test_uniform_scan_reaches_the_exact_supremum(a, lo, hi):
+    # the mass grows with |alpha| until alpha (1 - a_+) meets lo, then falls:
+    # the supremum is -lo (1 - A) / (hi - lo), with A = |a_-| / (1 - a_+)
+    res = exp_lower_bound(ar_params(a), uniform(lo, hi))
+    big_a = Fraction(abs(res.a_minus)) / (1 - Fraction(res.a_plus))
+    sup = -Fraction(lo) * (1 - big_a) / (Fraction(hi) - Fraction(lo))
+    assert sup - Fraction(1e-12) <= Fraction(res.c) <= sup
+
+
+_SCANNED_LAWS = [gaussian(0.5, 2.0), gaussian(-1.0, 1.0), uniform(-1.0, 1.0),
+                 uniform(-2.0, 3.0), uniform(-1e303, 1e303), exponential_centered(),
+                 exponential_centered(1e-305), rademacher(), two_point(2.5),
+                 two_point(1e-320)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.sampled_from(_SCANNED_LAWS), a1=st.floats(-0.95, 0.95),
+       a2=st.floats(-0.95, 0.95))
+def test_scan_certificate_is_the_objective_at_alpha_star(spec, a1, a2):
+    # c is a value the scan evaluated, at alpha*, so it certifies itself
+    assume(abs(a1) + abs(a2) < 0.95)
+    res = exp_lower_bound(ar_params([a1, a2]), spec)
+    assert res.method is BoundMethod.NUMERIC_SCAN
+    assert res.c == spec.interval_prob(res.alpha_star * (1.0 - res.a_plus),
+                                       res.alpha_star * abs(res.a_minus))
+    assert 0.0 < res.c <= spec.prob_nonpositive()
 
 
 def test_positive_coefficients_hit_nonpositive_mass():

@@ -191,6 +191,14 @@ def test_simulate_bad_workers_is_malformed_input(tmp_path, capsys):
     assert not list(tmp_path.glob("curve.*"))
 
 
+@pytest.mark.parametrize("seed", [1.5, -1], ids=["type-fault", "range-fault"])
+def test_simulate_bad_workers_comes_before_the_config(tmp_path, capsys, seed):
+    # a bad --workers is malformed input whatever fault the config also has
+    cfg = _write_config(tmp_path, seed=seed)
+    code, _, err = run_cli(capsys, "simulate", str(cfg), "--workers", "0")
+    assert code == 2 and "workers" in err
+
+
 def _synthetic_curve(schema_version):
     """Curve file of exact 2^-N survival, as the given schema version."""
     paths = 10 ** 9
@@ -315,8 +323,8 @@ def test_tiny_negative_coefficient_gives_finite_bound(capsys):
      "--innovation-params", '{"y": 1e-320}'],
 ], ids=["bounds-two_point", "bounds-uniform", "classify-two_point"])
 def test_law_of_subnormal_scale_returns(command):
-    # the scan's stopping width underflows to 0 at this scale; run in a child
-    # with a timeout, so a scan that never stops fails instead of hanging
+    # the scan's grid spacing underflows to 0 at this scale; run in a child
+    # with a timeout, so a scan that never ends fails instead of hanging
     src = str(Path(arsurvival.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-W", "error", "-m", "arsurvival.cli", *command],

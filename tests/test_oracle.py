@@ -118,6 +118,17 @@ def test_rejects_nonfinite_input():
     assert enumerate_survival(RW, SIGNS, -math.inf, 5) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflow_keeps_decisions_and_nan_is_refused():
+    # after -1, -1e200 the next state overflows to -inf and survives, as in the
+    # engine; with a_2 = 0.5 every later step stays -inf, so p_n = 1/2 exactly
+    assert enumerate_survival(ar_params([1e200, 0.5]), SIGNS, 0.0, 8) == 0.5
+    # with a_2 = -1e200 step 4 adds -inf and +inf: the engine counts that path
+    # as non-finite, so there is no exact p_4 to give
+    with pytest.raises(ArithmeticError, match="step 4"):
+        enumerate_survival(ar_params([1e200, -1e200]), SIGNS, 0.0, 4)
+
+
 def test_probability_validation():
     with pytest.raises(ValueError):
         enumerate_survival(RW, ((-1.0, 0.6), (1.0, 0.6)), 0.0, 2)
