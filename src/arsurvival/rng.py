@@ -17,8 +17,9 @@ layout in every curve file.
 the same words: numpy's C Philox over a dense span of streams
 (``_dense_uniforms``) and the vectorized ``philox_block`` over a sparse
 set.  ``_lookahead`` says how many blocks a call draws, and
-``refill_buffer`` makes the buffer that the caller owns for them, so the
-module keeps no state.
+``refill_buffer`` makes the buffer that the caller owns for them: both
+routes return their uniforms in its first array, so the module keeps no
+state.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ _W1 = 0xBB67AE8584CAA73B
 _MASK64 = (1 << 64) - 1
 _MASK256 = (1 << 256) - 1
 _MASK32 = 0xFFFFFFFF
-_S11 = np.uint64(11)
 
 ROUNDS = 10
 
@@ -54,12 +54,12 @@ _U53 = np.float64(1.0 / 9007199254740992.0)
 U_MIN = 2.0 ** -54
 U_MAX = 1.0 - 2.0 ** -53
 
-# C Philox makes words about 5x faster than the vectorized one (4-6x with
-# the look-ahead, measured at live shares 1/8 to 1/4 of 50k- and 64k-path
-# spans) but also draws the dead streams inside the span, so it pays while
-# at least this share of the span is live; simulations ran no faster with
-# 1/5, 1/4 or 1/3 in its place, and the dense route everywhere took the
-# three mc_long_horizon configs from 0.73-0.84 s to 2.0-3.0 s
+# C Philox makes words about 5x faster than the vectorized one but also draws
+# the dead streams inside the span, so it pays while at least this share of
+# the span is live.  Re-measured once the sparse rounds broadcast, in 20 s
+# perfbench pairs: mc_long_horizon wall_ref_s 1.413 -> 1.396 at 1/4 (lower in
+# 2 of 4 pairs) and 1.392 -> 1.409 at 1/3 (1 of 4), mc_wide_short 0.815 ->
+# 0.776 and 0.779 -> 0.777 (3 and 1 of 3): no value wins on mc_long_horizon
 _DENSE_SHARE = 1 / 6
 
 # words a call may draw ahead: per-call overhead dominates small live sets,
@@ -70,10 +70,11 @@ _LOOKAHEAD_WORDS = 1 << 16
 def _mulhilo(m, c):
     """(hi, lo): the high and low words of the 128-bit products m * c.
 
-    ``m`` is a Python int in [0, 2^64) and ``c`` a 1-d uint64 array, which is
-    only read.  The high word adds the four 32-bit partial products of
-    m = mh 2^32 + ml and c = ch 2^32 + cl with their carries; the low word is
-    the wrapping product.  The in-place steps write only arrays made here.
+    ``m`` is a Python int in [0, 2^64) and ``c`` a uint64 array of at least
+    one dimension, which is only read.  The high word adds the four 32-bit
+    partial products of m = mh 2^32 + ml and c = ch 2^32 + cl with their
+    carries; the low word is the wrapping product.  The in-place steps write
+    only arrays made here.
     """
     ml, mh = m & _MASK32, m >> 32
     cl = c & _MASK32
@@ -99,22 +100,24 @@ def philox_block(c0, c1, seed):
     ``seed`` is one scalar in [0, 2^64), so round r uses the scalar key
     (seed + r W0, r W1) mod 2^64.  The result is a uint64 array of the
     broadcast shape plus a last axis holding the four output lanes.  The
-    rounds run on flat arrays, even for 0-d counters, since numpy warns
-    when a product of scalars wraps but not when one of arrays does.
+    rounds broadcast from c2 = c3 = 0 as one-word arrays, so only from round
+    2 on are products of the broadcast shape, and run on counters made at
+    least 1-d: numpy warns when a product of scalars wraps, not of arrays.
     """
     seed = int(np.uint64(seed))
     c0, c1 = (np.asarray(v, np.uint64) for v in (c0, c1))
     shape = np.broadcast_shapes(c0.shape, c1.shape)
-    c0, c1 = (np.broadcast_to(v, shape).ravel() for v in (c0, c1))
-    c2 = c3 = np.zeros(c0.size, np.uint64)
+    c0, c1 = np.atleast_1d(c0, c1)
+    c2 = c3 = np.zeros(1, np.uint64)
     for r in range(ROUNDS):
         hi0, lo0 = _mulhilo(_M0, c0)
         hi1, lo1 = _mulhilo(_M1, c2)
-        hi1 ^= c1
-        hi1 ^= (seed + r * _W0) & _MASK64
-        hi0 ^= c3
-        hi0 ^= r * _W1 & _MASK64
-        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+        # hi1 has the broadcast shape from round 2 on, hi0 from round 3 on
+        c0 = np.bitwise_xor(hi1, c1, out=hi1 if r > 1 else None)
+        c0 ^= (seed + r * _W0) & _MASK64
+        c2 = np.bitwise_xor(hi0, c3, out=hi0 if r > 2 else None)
+        c2 ^= r * _W1 & _MASK64
+        c1, c3 = lo1, lo0
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(shape + (4,))
 
 
@@ -130,11 +133,10 @@ def _open_interval(u):
     return np.minimum(u, U_MAX, out=u)
 
 
-def words_to_uniform(words):
-    """Map uint64 words to float64 uniforms in [U_MIN, U_MAX], strictly inside (0, 1)."""
-    u = (words >> _S11).astype(np.float64)
-    u *= _U53
-    return _open_interval(u)
+def words_to_uniform(words, out=None):
+    """Map uint64 words to float64 uniforms in [U_MIN, U_MAX], strictly inside
+    (0, 1), in a new array or in ``out``, a float64 array of their shape."""
+    return _open_interval(np.multiply(words >> 11, _U53, out=out))
 
 
 def _lookahead(rows: int, steps_left: int, step: int) -> int:
@@ -152,12 +154,13 @@ def _lookahead(rows: int, steps_left: int, step: int) -> int:
 def refill_buffer(paths: int) -> tuple[np.ndarray, np.ndarray]:
     """The buffer for calls on ids inside a range of ``paths``: two arrays,
     each of the most words ``_lookahead`` lets such a call draw, one block of
-    the range or 2^16 words.  The second array is idle once a call returns,
-    and no result of a call given this buffer is larger, so a caller may
-    write a block of that size there.  Two arrays, not one twice the size:
-    glibc raises its mmap threshold to the largest block freed, which would
-    change how fast the rest of the process allocates large arrays (one
-    array read +23.5% ``wall_ref_s`` and +31.5% ``setup_s`` on
+    the range or 2^16 words.  Both routes return a view of the first array,
+    and only the dense route works in the second, which is idle once a call
+    returns; no result of a call given this buffer is larger, so a caller
+    may write a block of that size there.  Two arrays, not one twice the
+    size: glibc raises its mmap threshold to the largest block freed, which
+    would change how fast the rest of the process allocates large arrays
+    (one array read +23.5% ``wall_ref_s`` and +31.5% ``setup_s`` on
     ``mc_long_horizon`` at an equal raw time)."""
     words = max(4 * paths, _LOOKAHEAD_WORDS)
     return np.empty(words), np.empty(words)
@@ -212,8 +215,8 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
     ascend.  k is ``_lookahead`` of ``step`` and of the counters drawn per
     block: the span ids[0]..ids[-1] on the dense route and the ids on the
     sparse one.  ``out`` is a ``refill_buffer`` of a range that holds the
-    ids; the dense route works in it and returns a view of its first array,
-    and the sparse route returns a new array.
+    ids; both routes return a view of its first array, and only the dense
+    route writes the second.
     """
     ids = np.asarray(path_ids, dtype=np.uint64)
     seed = int(seed) & _MASK64
@@ -223,5 +226,6 @@ def path_uniform_block(seed: int, path_ids: np.ndarray, step: int,
         return _dense_uniforms(seed, ids, block, _lookahead(span, steps_left, step), *out)
     k = _lookahead(ids.size, steps_left, step)
     blocks = np.uint64(block) + np.arange(k, dtype=np.uint64)
-    u = words_to_uniform(philox_block(ids[:, None], blocks[None, :], np.uint64(seed)))
+    u = out[0][:4 * k * ids.size].reshape(ids.size, k, 4)
+    words_to_uniform(philox_block(ids[:, None], blocks[None, :], seed), out=u)
     return u.reshape(ids.size, 4 * k)

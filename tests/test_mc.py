@@ -1013,6 +1013,28 @@ def test_csv_text_layout():
     assert first[0] == "1" and first[2] == "1000"
 
 
+def csv_rows(curve):
+    """The CSV by per-element conversion of each row's numpy values, the reference layout."""
+    lines = [",".join(curve.CSV_COLUMNS)]
+    for i, n in enumerate(curve.grid):
+        lines.append(",".join([
+            str(int(n)), str(int(curve.survivors[i])), str(curve.paths),
+            repr(float(curve.p_hat[i])), repr(float(curve.stderr[i])),
+            str(int(curve.zero_flag[i]))]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("survivors", [[700, 300, 0, 0], [1000, 1000, 999, 1], [0, 0, 0, 0]],
+                         ids=["to-zero", "p-hat-one", "all-zero"])
+def test_csv_text_equals_per_row_conversion(survivors):
+    curve = SurvivalCurve(params=RW, spec=rademacher(), x=0.0, grid=[1, 2, 5, 2**40],
+                          survivors=survivors, paths=1000, seed=2**64 - 1)
+    assert curve.to_csv_text() == csv_rows(curve)
+    assert curve.to_json_dict()["zero_flag"] == [s == 0 for s in survivors]
+    walked = estimate_survival(ar_params([-0.4, -0.4]), gaussian(), 0.0, [1, 2, 30, 31], 2_000, 29)
+    assert walked.survivors[-1] == 0 and walked.to_csv_text() == csv_rows(walked)
+
+
 def test_zero_flag_and_rule_of_three():
     curve = estimate_survival(ar_params([-0.4, -0.4]), gaussian(), 0.0,
                               [1, 30], 2_000, 29)

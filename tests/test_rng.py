@@ -59,6 +59,25 @@ def test_philox_matches_numpy(key):
         assert (philox_block(np.uint64(path), np.uint64(b), seed) == ref).all()
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_philox_broadcast_shapes_match_numpy(seed):
+    # the rounds broadcast from the counters' own shapes: (n, 1) x (1, k) as the
+    # sparse route passes them, the transpose, and a 0-d counter against a 1-d one,
+    # on ids up to 2^64 - 1 and blocks that wrap from 2^64 - 1 to 0
+    ids = np.array([0, 1, 7, 2**63, 2**64 - 2, 2**64 - 1], np.uint64)
+    blocks = np.uint64(2**64 - 2) + np.arange(4, dtype=np.uint64)
+    assert blocks.tolist() == [2**64 - 2, 2**64 - 1, 0, 1]
+    expect = np.array([[numpy_words(seed, int(i), int(b)) for b in blocks] for i in ids])
+    assert philox_block(ids[:, None], blocks[None, :], seed).tobytes() == expect.tobytes()
+    assert (philox_block(blocks[None, :], ids[:, None], seed).tobytes()
+            == np.array([[numpy_words(seed, int(b), int(i)) for b in blocks]
+                         for i in ids]).tobytes())
+    for i, row in zip(ids, expect):
+        assert philox_block(i, blocks, seed).tobytes() == row.tobytes()
+    for b, col in zip(blocks, expect.transpose(1, 0, 2)):
+        assert philox_block(ids, b, seed).tobytes() == col.tobytes()
+
+
 def test_philox_block_zero_matches_numpy():
     # path 0 at block 0: numpy starts from the all-ones counter and wraps to 0
     full = Philox(counter=[2**64 - 1] * 4, key=[7, 0]).random_raw(4)
@@ -278,6 +297,21 @@ def test_block_count_equals_single_blocks(ids, block, blocks_left):
     singles = [draw(31, ids, 4 * (block + i)) for i in range(k)]
     assert all(s.shape == (ids.size, 4) for s in singles)
     assert u.tobytes() == np.concatenate(singles, axis=1).tobytes()
+
+
+def test_sparse_route_draws_into_the_first_array_only():
+    # the walker keeps X and the lags in the buffer's second array, so a sparse
+    # refill must return a view of the first and leave the second as it was
+    ids = np.arange(0, 3000, 10, dtype=np.uint64)
+    assert ids.size < rng._DENSE_SHARE * (int(ids[-1]) - int(ids[0]) + 1)
+    out = refill_buffer(3000)
+    out[1][:] = np.arange(out[1].size)
+    kept = out[1].tobytes()
+    for seed, step, steps_left in [(31, 0, 4), (31, 200, 200), (2**64 - 1, 4 * (2**64 - 2), 9)]:
+        u = path_uniform_block(seed, ids, step, steps_left, out=out)
+        assert u.ctypes.data == out[0].ctypes.data and u.flags.c_contiguous
+        assert out[1].tobytes() == kept
+        assert u.tobytes() == stream_words(seed, ids, step // 4, u.shape[1] // 4).tobytes()
 
 
 def test_sparse_width_fits_the_callers_buffer():
