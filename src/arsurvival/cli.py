@@ -45,17 +45,7 @@ _CONFIG_REQUIRED = {"a", "innovation", "x", "grid", "paths", "seed", "out"}
 
 
 def _dump(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` of a non-empty dict of
-    str keys.  json indents in pure Python, so each top-level number list goes
-    through its C encoder, which writes numbers alike, onto indent=2's lines."""
-    fields = []
-    for key, value in sorted(obj.items()):
-        if isinstance(value, list) and value and {type(v) for v in value} <= {int, float, bool}:
-            text = "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
-        else:
-            text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-        fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _write_atomic(path: str, text: str) -> None:

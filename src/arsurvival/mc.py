@@ -56,9 +56,6 @@ _TILE_PATHS = 65_536
 # nothing here calls it, the name stays until that list drops it
 uniform_block = path_uniform_block
 
-# blocks of more paths a row than this are counted by a running AND
-_WIDE_BLOCK = 64
-
 # estimates with more than this fraction of non-finite paths are invalid
 _NONFINITE_LIMIT = 1e-3
 
@@ -185,19 +182,16 @@ def _tile_counts(walk: _Walk, x: float, level: float | None, grid: np.ndarray,
 
     A path that crosses at step n goes into the grid bin of n, one that goes
     non-finite (NaN) into bin 0, and one that is still live or held at the
-    tile's end into the last bin.  A block of more than ``_WIDE_BLOCK`` paths
-    a row is counted by a running AND of its rows' X <= x, which holds the
-    paths still in after each step, so the differences of its counts are the
-    paths that leave at each step; a taller one, where two numpy calls a row
-    cost more (the forms cross at 60 to 125 paths a row, measured), by the
-    first exit (argmin) of each path not in at its end.
-    NaN persists, so a path that went NaN in the block is NaN in its last
-    row: only when that row holds a NaN are those columns searched, and a
-    path whose first exit is the NaN moves from its step to bin 0, while one
-    that crossed before it went NaN keeps its step.  Each block's end also
-    drops the paths held below the survival ``level``: they stay in the last
-    bin, which is what walking them would give, and the next refill draws
-    no words for them, which changes no other path's words.
+    tile's end into the last bin.  A block is counted row by row: a running
+    AND of its rows' X <= x holds the paths still in after each step, and the
+    differences of its counts are the paths that leave at each step.  NaN
+    persists, so a path that went NaN in the block is NaN in its last row:
+    only when that row holds a NaN are those columns searched, and a path
+    whose first exit is the NaN moves from its step to bin 0, while one that
+    crossed before it went NaN keeps its step.  Each block's end also drops
+    the paths held below the survival ``level``: they stay in the last bin,
+    which is what walking them would give, and the next refill draws no
+    words for them, which changes no other path's words.
     """
     hist[-1] += walk.ids.size
     while walk.ids.size and walk.j < walk.n_max:
@@ -205,17 +199,12 @@ def _tile_counts(walk: _Walk, x: float, level: float | None, grid: np.ndarray,
         xs, _ = walk.block()
         # NaN fails <= x, so a path leaves at its first crossing or NaN
         below = xs <= x
-        if paths > _WIDE_BLOCK * len(xs):
-            live = below[0].copy()
-            alive = [np.count_nonzero(live)]
-            for row in below[1:]:
-                live &= row
-                alive.append(np.count_nonzero(live))
-            left = -np.diff(alive, prepend=paths)
-        else:
-            live = np.logical_and.reduce(below, axis=0)
-            left = np.bincount(np.argmin(below[:, ~live], axis=0), minlength=len(xs))
-        hist[-1] -= left.sum()
+        live = below[0].copy()
+        alive = [np.count_nonzero(live)]
+        for row in below[1:]:
+            live &= row
+            alive.append(np.count_nonzero(live))
+        left = -np.diff(alive, prepend=paths)
         # every path that went NaN here is NaN in the last row
         nan = np.isnan(xs[-1])
         if nan.any():
@@ -227,6 +216,7 @@ def _tile_counts(walk: _Walk, x: float, level: float | None, grid: np.ndarray,
         # the bin of each of the block's steps; the steps are few, the paths many
         bins = np.searchsorted(grid, np.arange(n0 + 1, n0 + 1 + len(xs))) + 1
         np.add.at(hist, bins, left)
+        hist[-1] -= paths - alive[-1]
         if level is not None:
             # held: every lag at or below the level; it stays in the last bin
             live &= np.maximum.reduce(walk.lags) > level

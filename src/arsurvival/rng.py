@@ -56,10 +56,12 @@ U_MAX = 1.0 - 2.0 ** -53
 
 # C Philox makes words about 5x faster than the vectorized one but also draws
 # the dead streams inside the span, so it pays while at least this share of
-# the span is live.  Re-measured once the sparse rounds broadcast, in 20 s
-# perfbench pairs: mc_long_horizon wall_ref_s 1.413 -> 1.396 at 1/4 (lower in
-# 2 of 4 pairs) and 1.392 -> 1.409 at 1/3 (1 of 4), mc_wide_short 0.815 ->
-# 0.776 and 0.779 -> 0.777 (3 and 1 of 3): no value wins on mc_long_horizon
+# the span is live.  The dense route everywhere took the three mc_long_horizon
+# configs from 0.73-0.84 s to 2.0-3.0 s.  Re-measured once the sparse rounds
+# broadcast, in 20 s perfbench pairs: mc_long_horizon wall_ref_s 1.413 ->
+# 1.396 at 1/4 (lower in 2 of 4 pairs) and 1.392 -> 1.409 at 1/3 (1 of 4),
+# mc_wide_short 0.815 -> 0.776 and 0.779 -> 0.777 (3 and 1 of 3): no value
+# wins on mc_long_horizon
 _DENSE_SHARE = 1 / 6
 
 # words a call may draw ahead: per-call overhead dominates small live sets,

@@ -6,10 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import arsurvival
-from arsurvival import cli
 from arsurvival.cli import main
 
 
@@ -99,51 +97,6 @@ def test_simulate_workers_flag_does_not_change_files(tmp_path, capsys):
     base = (tmp_path / "curve.json").read_text()
     run_cli(capsys, "simulate", str(cfg), "--workers", "3")
     assert (tmp_path / "curve.json").read_text() == base
-
-
-def indent_dump(obj):
-    """The layout every JSON output keeps: json's own indented encoding."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def test_dump_of_every_output_is_json_indented(tmp_path, capsys, monkeypatch):
-    # the dicts the subcommands write: a curve, fits with None fields and the short
-    # window list, and the classify and bounds reports
-    dumped, dump = [], cli._dump
-    monkeypatch.setattr(cli, "_dump", lambda obj: dumped.append(obj) or dump(obj))
-    synthetic = tmp_path / "synthetic.json"
-    synthetic.write_text(json.dumps(_synthetic_curve(3)))
-    cfg = _write_config(tmp_path, grid=list(range(1, 65)), x=float("inf"))
-    runs = [("simulate", str(cfg)), ("fit", str(tmp_path / "curve.json")),
-            ("fit", str(synthetic)), ("classify", "--a1", "2", "--a2", "-1"),
-            ("classify", "--a1=-0.4", "--a2=-0.4", "--innovation", "uniform"),
-            ("bounds", "--a=0.3,-0.2"), ("bounds", "--a=0.5,0.5,0.2")]
-    for argv in runs:
-        assert run_cli(capsys, *argv)[0] == 0
-    assert len(dumped) == len(runs)
-    assert any(v is None for obj in dumped for v in obj.values())
-    assert any(isinstance(obj.get("window"), list) for obj in dumped)
-    for obj in dumped:
-        assert dump(obj) == indent_dump(obj)
-    assert (tmp_path / "curve.json").read_text() == indent_dump(dumped[0])
-
-
-_NUMBERS = st.one_of(
-    st.integers(), st.booleans(), st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]))
-_VALUES = st.one_of(
-    st.lists(_NUMBERS, max_size=5), _NUMBERS, st.none(), st.text(max_size=4),
-    st.lists(st.one_of(_NUMBERS, st.text(max_size=3), st.lists(_NUMBERS, max_size=2)),
-             max_size=3),
-    st.dictionaries(st.text(max_size=3), st.one_of(_NUMBERS, st.lists(_NUMBERS, max_size=3)),
-                    max_size=3))
-
-
-@settings(max_examples=300, deadline=None)
-@given(obj=st.dictionaries(st.text(max_size=5), _VALUES, min_size=1, max_size=6))
-def test_dump_equals_json_indent(obj):
-    # number lists empty, of one entry and of many, beside every other JSON value
-    assert cli._dump(obj) == indent_dump(obj)
 
 
 def test_simulate_gnuplot_script(tmp_path, capsys):
