@@ -10,8 +10,8 @@ from .coeffs import (ARParams, Branch, CoeffLimit, CoeffOverflowError,
 from .regions import Region, classify_ar2
 from .innovations import (InnovationSpec, Kind, exponential_centered, gaussian,
                           rademacher, spec_from_json, two_point, uniform)
-from .mc import (ConstraintError, ReductionKind, ReductionReport, SurvivalCurve,
-                 estimate_survival, pair_survival_frequency, pathwise_reduction_check)
+from .mc import (ReductionKind, ReductionReport, SurvivalCurve, estimate_survival,
+                 pair_survival_frequency, pathwise_reduction_check)
 from .oracle import (BudgetExceededError, enumerate_survival,
                      gaussian_pair_probability, pair_orthant_probability)
 from .asymptotics import (DecayClass, DecayFit, HypothesisReport, Prediction,

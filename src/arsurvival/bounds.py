@@ -4,9 +4,10 @@ Covers the constructive results that come with computable constants:
 
 * an exponential lower bound p_N >= c^N valid whenever sum |a_k| < 1, with
   c = sup_{alpha < 0} P(Y in [alpha (1 - a_+), alpha |a_-|]) where a_+ / a_-
-  sum the positive / negative coefficients (empty sums are 0); for centered
-  Gaussian innovations the maximizer has a closed form, and every other law
-  takes a fixed grid search whose best evaluated point certifies c,
+  sum the positive / negative coefficients (empty sums are 0); centered
+  Gaussian innovations take the maximizer alpha* in closed form and every
+  other law a fixed grid search, and for every law c is that probability
+  evaluated at the alpha* reported with it, so c certifies itself,
 
 * a lower bound on the exponential decay rate on the oscillating-divergence
   region E1, from the characteristic roots,
@@ -58,7 +59,11 @@ class BoundMethod(Enum):
 
 @dataclass(frozen=True)
 class LowerBoundResult:
-    """Certified constant c in (0, 1] with p_N >= c^N, and its maximizer."""
+    """Certified constant c in (0, 1] with p_N >= c^N, and the alpha* it certifies.
+
+    c is exactly P(Y in [alpha* (1 - a_+), alpha* |a_-|]); ``method`` names how
+    alpha* was chosen.
+    """
 
     c: float
     alpha_star: float
@@ -80,18 +85,14 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
     Maximizes P(Y in [alpha (1 - a_+), alpha |a_-|]) over alpha < 0.  Centered
     Gaussian innovations with a_- != 0 use the closed-form maximizer
 
-        alpha* = -sigma * sqrt((log(1-a_+)^2 - log|a_-|^2) / ((1-a_+)^2 - |a_-|^2));
+        alpha* = -sigma * sqrt((log(1-a_+)^2 - log|a_-|^2) / ((1-a_+)^2 - |a_-|^2)),
 
-    everything else is a grid search: 1000 log-spaced seed points on |alpha|
-    in [1e-6, 1e6] times the law's scale (sigma, the bound on |Y| or 1/rate),
-    then four passes of 1000 evenly spaced points, each between the two
-    neighbours of the previous pass's best point.  For purely discrete
-    innovations the interval endpoints generated by each negative atom are
-    added as extra seeds.  The reported c is the best value actually
-    evaluated and alpha* the point where it was, so c = P(Y in [alpha* (1 -
-    a_+), alpha* |a_-|]) is always a certified lower bound, even when the
-    supremum is only attained in a limit (flat tails are reported at the
-    bracket edge).
+    clipped to -1.8e308 when sigma is near the float limit; everything else
+    takes the grid search of ``_scan_alpha``.  Either way c = P(Y in [alpha*
+    (1 - a_+), alpha* |a_-|]) is evaluated once, at the alpha* reported, so
+    it is a certified lower bound even when the supremum is only attained in
+    a limit (flat tails are reported at the bracket edge).  Raises
+    DegenerateBoundError when that probability is 0.
     """
     # a Python sum: numpy warns when the sum overflows, fsum raises
     total = sum(abs(v) for v in params.a)
@@ -100,32 +101,41 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
     a = np.asarray(params.a)
     a_plus, a_minus = float(a[a > 0].sum()), float(a[a < 0].sum())
     abs_minus = abs(a_minus)        # -a_minus is -0.0 when no coefficient is negative
-    if not (spec.kind is Kind.GAUSSIAN and spec.params[0] == 0.0 and abs_minus > 0.0):
-        return _scan_lower_bound(spec, a_plus, a_minus)
-    sigma = spec.params[1]
     width = 1.0 - a_plus
-    # 2 log|a_-|, not log(|a_-|^2): the square underflows below ~1e-162
-    t_star = -math.sqrt((2 * math.log(width) - 2 * math.log(abs_minus))
-                        / (width ** 2 - abs_minus ** 2))
-    from scipy.special import ndtr
-    c = float(ndtr(t_star * abs_minus) - ndtr(t_star * width))
-    # a sigma near the float limit takes alpha* past -1.8e308: clip it, as the scan does
-    alpha_star = max(sigma * t_star, -sys.float_info.max)
+    if spec.kind is Kind.GAUSSIAN and spec.params[0] == 0.0 and abs_minus > 0.0:
+        method = BoundMethod.GAUSSIAN_CLOSED_FORM
+        # 2 log|a_-|, not log(|a_-|^2): the square underflows below ~1e-162
+        t_star = -math.sqrt((2 * math.log(width) - 2 * math.log(abs_minus))
+                            / (width ** 2 - abs_minus ** 2))
+        # a sigma near the float limit takes alpha* past -1.8e308: clip it, as the scan does
+        alpha_star = max(spec.params[1] * t_star, -sys.float_info.max)
+    else:
+        method = BoundMethod.NUMERIC_SCAN
+        alpha_star = _scan_alpha(spec, width, abs_minus)
+    c = spec.interval_prob(alpha_star * width, alpha_star * abs_minus)
+    if c <= 0.0:
+        raise DegenerateBoundError(
+            "no negative interval carries innovation mass; the certified "
+            "constant would be 0")
     return LowerBoundResult(c=c, alpha_star=alpha_star, a_plus=a_plus,
-                            a_minus=a_minus, A=abs_minus / width,
-                            method=BoundMethod.GAUSSIAN_CLOSED_FORM)
+                            a_minus=a_minus, A=abs_minus / width, method=method)
 
 
-def _scan_lower_bound(spec, a_plus: float, a_minus: float) -> LowerBoundResult:
-    """exp_lower_bound's grid search, for any innovation law.
+def _scan_alpha(spec, width: float, abs_minus: float) -> float:
+    """exp_lower_bound's grid search for alpha*, for any innovation law.
 
-    Evaluates P(Y in [alpha (1 - a_+), alpha |a_-|]) on the sorted seeds,
-    then on _REFINE_PASSES grids of _SCAN_POINTS evenly spaced points, each
-    spanning the two neighbours of the previous grid's best point.  Each pass
-    narrows the bracket about 500-fold, so four take the 6% gap between log
-    seeds below 1e-12 of |alpha|, a fixed cost that needs no stopping rule.
+    Evaluates P(Y in [alpha width, alpha |a_-|]), width = 1 - a_+, on 1000
+    log-spaced seed points on |alpha| in [1e-6, 1e6] times the law's scale
+    (sigma, the bound on |Y| or 1/rate); for purely discrete innovations the
+    interval endpoints generated by each negative atom are added as extra
+    seeds.  Then come _REFINE_PASSES grids of _SCAN_POINTS evenly spaced
+    points, each spanning the two neighbours of the previous grid's best
+    point.  Each pass narrows the bracket about 500-fold, so four take the 6%
+    gap between log seeds below 1e-12 of |alpha|, a fixed cost that needs no
+    stopping rule.  Returns the point of the best value evaluated (a later
+    pass replaces it only when strictly higher), or 0.0, where the
+    probability is 0, when no point carries mass.
     """
-    abs_minus = abs(a_minus)
     # a seed past -1.8e308 (the far end of the grid when the scale exceeds about
     # 1.8e302, or an atom's seed) is -inf: clip it into float range
     with np.errstate(over="ignore"):
@@ -136,27 +146,23 @@ def _scan_lower_bound(spec, a_plus: float, a_minus: float) -> LowerBoundResult:
     if atoms is not None and abs_minus > 0.0:
         for v, _ in atoms:
             if v < 0.0:
-                lo_a, hi_a = v / abs_minus, v / (1.0 - a_plus)
+                lo_a, hi_a = v / abs_minus, v / width
                 seeds += [max(alpha, -sys.float_info.max)
                           for alpha in (lo_a, hi_a, -math.sqrt(lo_a * hi_a))]
     seeds.sort()
     alphas = np.array(seeds)
     best_alpha, best_c = 0.0, 0.0
     for _ in range(1 + _REFINE_PASSES):
-        values = spec.interval_prob(alphas * (1.0 - a_plus), alphas * abs_minus)
+        values = spec.interval_prob(alphas * width, alphas * abs_minus)
         i = int(np.argmax(values))
         if values[i] > best_c:
-            best_alpha, best_c = float(alphas[i]), float(values[i])
-        alphas = np.linspace(alphas[max(0, i - 1)],
-                             alphas[min(alphas.size - 1, i + 1)], _SCAN_POINTS)
-    if best_c <= 0.0:
-        raise DegenerateBoundError(
-            "no negative interval carries innovation mass; the certified "
-            "constant would be 0")
-    return LowerBoundResult(c=best_c, alpha_star=best_alpha,
-                            a_plus=a_plus, a_minus=a_minus,
-                            A=abs_minus / (1.0 - a_plus),
-                            method=BoundMethod.NUMERIC_SCAN)
+            best_alpha, best_c = float(alphas[i]), values[i]
+        # a span from -1.8e308 overflows in its last point, which linspace then
+        # sets to the span's end
+        with np.errstate(over="ignore"):
+            alphas = np.linspace(alphas[max(0, i - 1)],
+                                 alphas[min(alphas.size - 1, i + 1)], _SCAN_POINTS)
+    return best_alpha
 
 
 def e1_rate_bound(a1: float, a2: float) -> float:

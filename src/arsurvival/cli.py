@@ -209,6 +209,12 @@ _WORKERS = dict(type=int, default=1,
                      "most the CPU count); does not change the numbers")
 
 
+def _add_law_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--innovation", default="gaussian", choices=sorted(_DEFAULT_SPECS))
+    parser.add_argument("--innovation-params", default=None,
+                        help="JSON object of distribution parameters")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arsurvival",
@@ -219,10 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--a1", type=float, required=True)
     c.add_argument("--a2", type=float, required=True)
     c.add_argument("--x", type=float, default=0.0)
-    c.add_argument("--innovation", default="gaussian",
-                   choices=sorted(_DEFAULT_SPECS))
-    c.add_argument("--innovation-params", default=None,
-                   help="JSON object of distribution parameters")
+    _add_law_options(c)
     c.set_defaults(func=cmd_classify)
 
     s = sub.add_parser("simulate", help="estimate a survival curve from a config")
@@ -237,9 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="theoretical bounds for coefficients")
     b.add_argument("--a", required=True, help="comma-separated coefficients")
-    b.add_argument("--innovation", default="gaussian",
-                   choices=sorted(_DEFAULT_SPECS))
-    b.add_argument("--innovation-params", default=None)
+    _add_law_options(b)
     b.set_defaults(func=cmd_bounds)
 
     v = sub.add_parser("verify", help="run every acceptance gate")

@@ -89,36 +89,33 @@ class CoeffOverflowError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ARParams:
-    """Order and coefficient vector (a_1, ..., a_p) of an AR(p) process."""
+    """Order and coefficient vector (a_1, ..., a_p) of an AR(p) process.
+
+    Takes any sequence of real numbers and checks every entry, then drops
+    trailing zero coefficients: zero lags do not change the process, so a
+    random walk written (1, 0) is the model (1,).  At least one coefficient
+    stays, and every coefficient must be finite.
+    """
 
     a: tuple[float, ...]
 
     def __post_init__(self):
-        a = tuple(check_real(v, "a") for v in self.a)
-        object.__setattr__(self, "a", a)
+        a = [check_real(v, "a") for v in self.a]
+        while len(a) > 1 and a[-1] == 0.0:
+            a.pop()
+        object.__setattr__(self, "a", tuple(a))
         if len(a) < 1:
             raise ValueError("need at least one coefficient")
         if not all(math.isfinite(v) for v in a):
-            raise ValueError(f"coefficients must be finite, got {a}")
-        if len(a) > 1 and a[-1] == 0.0:
-            raise ValueError("a_p must be nonzero for p > 1 (drop trailing zeros)")
+            raise ValueError(f"coefficients must be finite, got {tuple(a)}")
 
     @property
     def p(self) -> int:
         return len(self.a)
 
 
-def ar_params(coeffs) -> ARParams:
-    """Build ARParams, dropping trailing zero coefficients.
-
-    Lets callers write a random walk as (1, 0): trailing zero lags do not
-    change the process, so (1, 0) and (1,) are the same model.  Each entry is
-    checked before any is dropped.
-    """
-    a = [check_real(v, "a") for v in coeffs]
-    while len(a) > 1 and a[-1] == 0.0:
-        a.pop()
-    return ARParams(tuple(a))
+# the constructor's older name, kept for the callers that build models with it
+ar_params = ARParams
 
 
 class Branch(Enum):

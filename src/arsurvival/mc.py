@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import integrate_params
+from .bounds import PreconditionError, integrate_params
 from .coeffs import (ARParams, ar2_closed_form, ar_step, Branch, check_barrier, check_int,
                      check_real)
 from .innovations import InnovationSpec, spec_from_json
@@ -33,7 +33,6 @@ from .rng import RNG_PROVENANCE, U_MAX, U_MIN, path_uniform_block, refill_buffer
 
 __all__ = [
     "SurvivalCurve",
-    "ConstraintError",
     "estimate_survival",
     "pair_survival_frequency",
     "ReductionKind",
@@ -58,10 +57,6 @@ uniform_block = path_uniform_block
 
 # estimates with more than this fraction of non-finite paths are invalid
 _NONFINITE_LIMIT = 1e-3
-
-
-class ConstraintError(ValueError):
-    """Coefficients do not satisfy the requested transform's constraints."""
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +555,8 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
     Simulates X and the transformed process from the same innovations and
     asserts the transformed recursion entrywise to 1e-8 relative tolerance.
     A non-finite entry on either side is a violation, and makes max_rel_err
-    inf.  Raises ConstraintError when the coefficients do not meet the transform's
-    requirements.
+    inf.  Raises bounds.PreconditionError when the coefficients are outside the
+    transform's region of validity.
     """
     kind = ReductionKind(kind)
     paths = _check_paths(paths)
@@ -571,23 +566,23 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
     rho = None
     if kind is not ReductionKind.INTEGRATED:
         if params.p != 2:
-            raise ConstraintError(f"{kind.value} applies to order-2 processes")
+            raise PreconditionError(f"{kind.value} applies to order-2 processes")
         a1, a2 = a
     # the AR(1) kinds check Z_n = X_n - s X_{n-1} = r Z_{n-1} + Y_n
     if kind is ReductionKind.PAIR_SUM:
         if a2 != a1 + 1.0:
-            raise ConstraintError(f"pair_sum needs a2 = a1 + 1, got {a}")
+            raise PreconditionError(f"pair_sum needs a2 = a1 + 1, got {a}")
         s, r = -1.0, a2
     elif kind is ReductionKind.WALK_SUM:
         if a1 + a2 != 1.0:
-            raise ConstraintError(f"walk_sum needs a1 + a2 = 1, got {a}")
+            raise PreconditionError(f"walk_sum needs a1 + a2 = 1, got {a}")
         s, r = -a2, 1.0
     elif kind is ReductionKind.ROOT_SHIFT:
         sol = ar2_closed_form(a1, a2)
         ok = sol.branch is Branch.DISTINCT_REAL and (
             (a1 < 0.0 and a2 < 0.0) or (a2 > 0.0 and a1 + a2 < 1.0))
         if not ok:
-            raise ConstraintError(
+            raise PreconditionError(
                 f"root_shift needs a1^2 + 4a2 > 0 and (a1, a2 < 0 or "
                 f"a2 > 0 with a1 + a2 < 1), got {a}")
         s = sol.s2.real

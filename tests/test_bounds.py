@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from arsurvival.asymptotics import DecayClass, fit_decay
 from arsurvival.bounds import (BoundMethod, DegenerateBoundError,
-                               PreconditionError, _scan_lower_bound,
+                               PreconditionError, _scan_alpha,
                                e1_rate_bound, e3_sign_change_index,
                                exp_lower_bound, integrate_params)
 from arsurvival.coeffs import ar_params, coeff_recursion
@@ -51,9 +51,10 @@ def test_scan_agrees_with_closed_form():
     for a in [[0.3, -0.2], [-0.4, -0.4], [0.25, -0.35, 0.1]]:
         closed = exp_lower_bound(ar_params(a), spec)
         assert closed.method is BoundMethod.GAUSSIAN_CLOSED_FORM
-        scanned = _scan_lower_bound(spec, closed.a_plus, closed.a_minus)
-        assert scanned.method is BoundMethod.NUMERIC_SCAN
-        assert abs(closed.c - scanned.c) <= 1e-6
+        width, abs_minus = 1.0 - closed.a_plus, abs(closed.a_minus)
+        alpha = _scan_alpha(spec, width, abs_minus)
+        assert abs(alpha - closed.alpha_star) <= 1e-6 * abs(closed.alpha_star)
+        assert abs(closed.c - spec.interval_prob(alpha * width, alpha * abs_minus)) <= 1e-6
 
 
 def test_gaussian_scaled_sigma_same_c():
@@ -96,16 +97,20 @@ _SCANNED_LAWS = [gaussian(0.5, 2.0), gaussian(-1.0, 1.0), uniform(-1.0, 1.0),
                  uniform(-2.0, 3.0), uniform(-1e303, 1e303), exponential_centered(),
                  exponential_centered(1e-305), rademacher(), two_point(2.5),
                  two_point(1e-320)]
+_CENTERED_GAUSSIANS = [gaussian(), gaussian(0.0, 3.0), gaussian(0.0, 1e308)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(spec=st.sampled_from(_SCANNED_LAWS), a1=st.floats(-0.95, 0.95),
-       a2=st.floats(-0.95, 0.95))
+@settings(max_examples=300, deadline=None)
+@given(spec=st.sampled_from(_SCANNED_LAWS + _CENTERED_GAUSSIANS),
+       a1=st.floats(-0.95, 0.95), a2=st.floats(-0.95, 0.95))
 def test_scan_certificate_is_the_objective_at_alpha_star(spec, a1, a2):
-    # c is a value the scan evaluated, at alpha*, so it certifies itself
+    # c is the objective evaluated at the alpha* reported, for the scan and the
+    # closed form alike, so it certifies itself
     assume(abs(a1) + abs(a2) < 0.95)
     res = exp_lower_bound(ar_params([a1, a2]), spec)
-    assert res.method is BoundMethod.NUMERIC_SCAN
+    closed = spec in _CENTERED_GAUSSIANS and res.a_minus < 0.0
+    assert res.method is (BoundMethod.GAUSSIAN_CLOSED_FORM if closed
+                          else BoundMethod.NUMERIC_SCAN)
     assert res.c == spec.interval_prob(res.alpha_star * (1.0 - res.a_plus),
                                        res.alpha_star * abs(res.a_minus))
     assert 0.0 < res.c <= spec.prob_nonpositive()
@@ -160,7 +165,11 @@ def test_huge_coefficient_sum_refused_without_warning():
     ((-0.3, 0.2), two_point(1e305)),
     # the atom's seed -1e300 / |a_-| overflows, not the grid
     ((1e-300, -1e-300), two_point(1e300)),
-], ids=["gaussian", "uniform", "exponential", "two_point", "two_point-atom"])
+    # the atom's seeds reach -1.1e308 and, clipped, -1.8e308: a refining grid spans
+    # nearly the whole float range
+    ((0.5, -2.2e-308), two_point(2.5)),
+], ids=["gaussian", "uniform", "exponential", "two_point", "two_point-atom",
+        "two_point-tiny-a-minus"])
 def test_scan_of_huge_scale_stays_in_float_range(a, spec):
     # 1e6 times a scale above about 1.8e302 overflows: the scan clips its far
     # seeds to the largest float instead of evaluating -inf and NaN
@@ -173,12 +182,17 @@ def test_scan_of_huge_scale_stays_in_float_range(a, spec):
 
 
 def test_closed_form_of_huge_scale_stays_in_float_range():
-    # sigma * t* overflows past -1.8e308: alpha* is clipped, c keeps its bits
-    res = exp_lower_bound(ar_params([-0.3, 0.2]), gaussian(0.0, 1e308))
+    # sigma * t* overflows past -1.8e308: alpha* is clipped, and c is the
+    # objective there, below the unit law's c, which the clip no longer reaches
+    spec = gaussian(0.0, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = exp_lower_bound(ar_params([-0.3, 0.2]), spec)
     assert res.method is BoundMethod.GAUSSIAN_CLOSED_FORM
     assert res.alpha_star == -sys.float_info.max
-    assert res.c == 0.2200902695550157
-    assert res.c == exp_lower_bound(ar_params([-0.3, 0.2]), gaussian()).c
+    assert res.c == spec.interval_prob(res.alpha_star * 0.8, res.alpha_star * 0.3)
+    assert res.c == 0.21964208554845432
+    assert res.c < exp_lower_bound(ar_params([-0.3, 0.2]), gaussian()).c
 
 
 def test_scan_of_a_law_near_the_float_limit_keeps_its_certificate():

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import arsurvival
-from arsurvival.cli import main
+from arsurvival.cli import _write_atomic, main
+from arsurvival.mc import SurvivalCurve
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +227,31 @@ def test_fit_roundtrip_on_synthetic_curve(tmp_path, capsys):
     fit = json.loads(out)
     assert fit["class"] == "exponential"
     assert abs(fit["lambda"] - math.log(2.0)) < 0.05 * math.log(2.0)
+
+
+def test_fit_reads_trailing_zero_coefficients_as_the_shorter_model(tmp_path, capsys):
+    # the curve reader and the config reader build the same ARParams: (1, 0) is the walk
+    path = tmp_path / "walk.json"
+    fits = []
+    for a in ([1.0], [1.0, 0.0]):
+        curve = _synthetic_curve(3)
+        curve["params"]["a"] = a
+        path.write_text(json.dumps(curve))
+        assert SurvivalCurve.from_json_dict(curve).params.a == (1.0,)
+        code, out, _ = run_cli(capsys, "fit", str(path))
+        assert code == 0
+        fits.append(out)
+    assert fits[0] == fits[1]
+
+
+def test_write_atomic_leaves_no_temporary_file_when_it_fails(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        _write_atomic(str(tmp_path / "out.json"), "{}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fit_of_an_invalid_curve_is_inconclusive(tmp_path, capsys):

@@ -46,8 +46,10 @@ def test_recursion_matches_manual_order3():
 
 
 def test_ar_params_validation():
-    with pytest.raises(ValueError):
-        ARParams((1.0, 0.0))        # trailing zero not allowed directly
+    # one constructor: trailing zeros are dropped, so (1, 0) is the walk (1,)
+    assert ar_params is ARParams
+    assert ARParams((1.0, 0.0)) == ARParams((1.0,))
+    assert ARParams([0.5, 0.0, 0.0]).a == (0.5,)
     with pytest.raises(ValueError):
         ARParams(())
     with pytest.raises(ValueError):
@@ -106,6 +108,11 @@ def test_coeff_at_overflow_reported():
     with pytest.raises(CoeffOverflowError):
         ar2_coeffs(ar2_closed_form(0.0, -3.0), 1300)[1300]   # 3^650 on the complex branch
     assert ar2_coeffs(ar2_closed_form(0.0, -3.0), 1200)[1200] == float(3 ** 600)
+    # the double root's s^2 is finite but 3 s^2 is not: no OverflowError comes
+    # first, and the final check on the values reports it
+    with pytest.raises(CoeffOverflowError) as info:
+        ar2_coeffs(ar2_closed_form(2e154, -1e308), 2)
+    assert info.value.__cause__ is None
     with pytest.raises(ValueError):
         ar2_coeffs(ar2_closed_form(1.0, 0.0), -1)[-1]
 

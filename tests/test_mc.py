@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arsurvival.bounds import PreconditionError
 from arsurvival.coeffs import ar_params, ar_step
 from arsurvival.innovations import (exponential_centered, gaussian, rademacher,
                                     two_point, uniform)
-from arsurvival.mc import (ConstraintError, ReductionKind, SurvivalCurve,
+from arsurvival.mc import (ReductionKind, SurvivalCurve,
                            _innovation_bound, _range_counts, _survival_level,
                            _tile_counts, _Walk,
                            estimate_survival, pair_survival_frequency,
@@ -1124,17 +1125,22 @@ def test_reductions_span_tiles(monkeypatch):
 
 
 def test_reduction_constraints_enforced():
-    with pytest.raises(ConstraintError):
+    # the AR(1) kinds apply to order 2 only
+    for a in ([0.5], [0.5, -0.25, 0.1]):
+        with pytest.raises(PreconditionError, match="applies to order-2"):
+            pathwise_reduction_check(ar_params(a), gaussian(), ReductionKind.PAIR_SUM,
+                                     10, 10, 1)
+    with pytest.raises(PreconditionError):
         pathwise_reduction_check(ar_params([0.5, 0.25]), gaussian(),
                                  ReductionKind.PAIR_SUM, 10, 10, 1)
-    with pytest.raises(ConstraintError):
+    with pytest.raises(PreconditionError):
         pathwise_reduction_check(ar_params([0.5, 0.25]), gaussian(),
                                  ReductionKind.WALK_SUM, 10, 10, 1)
-    with pytest.raises(ConstraintError):
+    with pytest.raises(PreconditionError):
         # complex roots: no real AR(1) reduction
         pathwise_reduction_check(ar_params([0.5, -0.5]), gaussian(),
                                  ReductionKind.ROOT_SHIFT, 10, 10, 1)
-    with pytest.raises(ConstraintError):
+    with pytest.raises(PreconditionError):
         # a2 > 0 but a1 + a2 >= 1
         pathwise_reduction_check(ar_params([0.6, 0.4]), gaussian(),
                                  ReductionKind.ROOT_SHIFT, 10, 10, 1)
