@@ -6,8 +6,9 @@ Covers the constructive results that come with computable constants:
   c = sup_{alpha < 0} P(Y in [alpha (1 - a_+), alpha |a_-|]) where a_+ / a_-
   sum the positive / negative coefficients (empty sums are 0); centered
   Gaussian innovations take the maximizer alpha* in closed form and every
-  other law a fixed grid search, and for every law c is that probability
-  evaluated at the alpha* reported with it, so c certifies itself,
+  other law a fixed grid search, and c is that probability evaluated at the
+  alpha* reported with it, so c certifies itself (in sigma units for a
+  centered Gaussian of subnormal sigma),
 
 * a lower bound on the exponential decay rate on the oscillating-divergence
   region E1, from the characteristic roots,
@@ -29,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffs import ARParams, ar2_closed_form, ar_params, ar_step
-from .innovations import Kind
+from .innovations import Kind, gaussian
 from .regions import Region, classify_ar2
 
 __all__ = [
@@ -61,8 +62,9 @@ class BoundMethod(Enum):
 class LowerBoundResult:
     """Certified constant c in (0, 1] with p_N >= c^N, and the alpha* it certifies.
 
-    c is exactly P(Y in [alpha* (1 - a_+), alpha* |a_-|]); ``method`` names how
-    alpha* was chosen.
+    c is exactly P(Y in [alpha* (1 - a_+), alpha* |a_-|]), save for a centered
+    Gaussian of subnormal sigma, where it is taken in sigma units (see
+    ``exp_lower_bound``); ``method`` names how alpha* was chosen.
     """
 
     c: float
@@ -91,8 +93,11 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
     takes the grid search of ``_scan_alpha``.  Either way c = P(Y in [alpha*
     (1 - a_+), alpha* |a_-|]) is evaluated once, at the alpha* reported, so
     it is a certified lower bound even when the supremum is only attained in
-    a limit (flat tails are reported at the bracket edge).  Raises
-    DegenerateBoundError when that probability is 0.
+    a limit (flat tails are reported at the bracket edge).  The one
+    exception is a centered Gaussian of subnormal sigma: its ends would
+    round on the subnormal grid, so c is P(Z in [t* (1 - a_+), t* |a_-|])
+    for a unit Gaussian Z and the t* whose product sigma t* rounds to alpha*.
+    Raises DegenerateBoundError when c is 0.
     """
     # a Python sum: numpy warns when the sum overflows, fsum raises
     total = sum(abs(v) for v in params.a)
@@ -112,11 +117,16 @@ def exp_lower_bound(params: ARParams, spec) -> LowerBoundResult:
     else:
         method = BoundMethod.NUMERIC_SCAN
         alpha_star = _scan_alpha(spec, width, abs_minus)
-    c = spec.interval_prob(alpha_star * width, alpha_star * abs_minus)
+    law, at = spec, alpha_star
+    if method is BoundMethod.GAUSSIAN_CLOSED_FORM and spec.params[1] < sys.float_info.min:
+        # below the normal range alpha* (1 - a_+) and alpha* |a_-| round on the fixed
+        # subnormal grid, coarse against sigma, where the law's mass can exceed the
+        # supremum: take the ends in sigma units, where they keep their bits
+        law, at = gaussian(), t_star
+    c = law.interval_prob(at * width, at * abs_minus)
     if c <= 0.0:
-        raise DegenerateBoundError(
-            "no negative interval carries innovation mass; the certified "
-            "constant would be 0")
+        raise DegenerateBoundError("no negative interval carries innovation mass; "
+                                   "the certified constant would be 0")
     return LowerBoundResult(c=c, alpha_star=alpha_star, a_plus=a_plus,
                             a_minus=a_minus, A=abs_minus / width, method=method)
 

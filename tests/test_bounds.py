@@ -64,6 +64,29 @@ def test_gaussian_scaled_sigma_same_c():
     assert scaled.alpha_star == pytest.approx(3.0 * base.alpha_star, rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [5e-324, 1e-320, 1e-310, 2e-308])
+def test_closed_form_of_subnormal_sigma_keeps_the_unit_c(sigma):
+    # alpha* (1 - a_+) and alpha* |a_-| would round on the subnormal grid, where
+    # gaussian(0, 5e-324) gave c = 0.34134, above the supremum 0.26920: the ends
+    # are taken in sigma units, so c is the unit law's, bit for bit
+    base = exp_lower_bound(ar_params([0.3, -0.2]), gaussian())
+    res = exp_lower_bound(ar_params([0.3, -0.2]), gaussian(0.0, sigma))
+    assert res.method is BoundMethod.GAUSSIAN_CLOSED_FORM
+    assert res.c == base.c
+    assert res.alpha_star == sigma * base.alpha_star
+
+
+def test_closed_form_of_the_least_normal_sigma_is_the_objective():
+    # from the least normal sigma on, a subnormal end is rounded within 2^-53
+    # sigma, as fine as a normal end, and c is the objective at alpha*
+    spec = gaussian(0.0, sys.float_info.min)
+    res = exp_lower_bound(ar_params([0.3, -0.2]), spec)
+    assert 0.0 < abs(res.alpha_star * 0.2) < sys.float_info.min
+    assert res.c == spec.interval_prob(res.alpha_star * 0.7, res.alpha_star * 0.2)
+    assert res.c == pytest.approx(
+        exp_lower_bound(ar_params([0.3, -0.2]), gaussian()).c, rel=1e-12)
+
+
 def test_scan_follows_the_law_scale():
     # the |alpha| bracket scales with the law, so c does not depend on its unit
     base = exp_lower_bound(ar_params([0.3, -0.2]), uniform(-1.0, 1.0))
