@@ -528,10 +528,12 @@ def pair_survival_frequency(params: ARParams, spec: InnovationSpec, n: int,
 
 
 class ReductionKind(Enum):
-    PAIR_SUM = "pair_sum"        # Z_n = X_n + X_{n-1} is AR(1) with coefficient a2
-    ROOT_SHIFT = "root_shift"    # Z_n = X_n - s2 X_{n-1} is AR(1) with -a2/s2
-    WALK_SUM = "walk_sum"        # S_n = X_n + a2 X_{n-1} is a random walk
-    INTEGRATED = "integrated"    # order-lifted coefficients give the running sum
+    # each kind factors one real root s out of a characteristic polynomial:
+    # Z_n = V_n - s V_{n-1} is the AR process with the quotient's coefficients b
+    PAIR_SUM = "pair_sum"        # V = X, s = -1, b = (a2,)
+    ROOT_SHIFT = "root_shift"    # V = X, s = s2, b = (-a2/s2,), reported as rho
+    WALK_SUM = "walk_sum"        # V = X, s = -a2, b = (1,): a random walk
+    INTEGRATED = "integrated"    # V = W of integrate_params, s = 1, b = a: W sums X
 
 
 @dataclass(frozen=True)
@@ -552,31 +554,45 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
                              seed: int) -> ReductionReport:
     """Verify a process transform pathwise on shared innovations.
 
-    Simulates X and the transformed process from the same innovations and
-    asserts the transformed recursion entrywise to 1e-8 relative tolerance.
-    A non-finite entry on either side is a violation, and makes max_rel_err
-    inf.  Raises bounds.PreconditionError when the coefficients are outside the
-    transform's region of validity.
+    Every kind factors one real root s out of a characteristic polynomial,
+    so Z_n = V_n - s V_{n-1} is the AR process with the quotient's
+    coefficients b, driven by the innovations Y that drive V:
+
+    ==============  ==============================================  ===  =========
+    kind            V, the walked process                           s    b
+    ==============  ==============================================  ===  =========
+    ``pair_sum``    X                                               -1   (a2,)
+    ``walk_sum``    X                                               -a2  (1,)
+    ``root_shift``  X                                               s2   (-a2/s2,)
+    ``integrated``  W, the AR(p+1) of ``integrate_params(params)``  1    a
+    ==============  ==============================================  ===  =========
+
+    The walker steps V from the zero start, and the check asserts
+    Z_n = ar_step(b, Y_n, [Z_{n-1}, ..., Z_{n-q}]) entrywise to 1e-8
+    relative tolerance, with Z zero before step 1.  For ``integrated`` this
+    says that W is the running sum of X.  A non-finite entry on either side
+    is a violation, and makes max_rel_err inf.  ``root_shift`` reports
+    -a2/s2 as rho.  Raises bounds.PreconditionError when the coefficients
+    are outside the transform's region of validity.
     """
     kind = ReductionKind(kind)
     paths = _check_paths(paths)
     n_max = check_int(n_max, "n_max", lo=1)
     seed = _check_seed(seed)
     a = params.a
-    rho = None
+    walked, rho = params, None
     if kind is not ReductionKind.INTEGRATED:
         if params.p != 2:
             raise PreconditionError(f"{kind.value} applies to order-2 processes")
         a1, a2 = a
-    # the AR(1) kinds check Z_n = X_n - s X_{n-1} = r Z_{n-1} + Y_n
     if kind is ReductionKind.PAIR_SUM:
         if a2 != a1 + 1.0:
             raise PreconditionError(f"pair_sum needs a2 = a1 + 1, got {a}")
-        s, r = -1.0, a2
+        s, b = -1.0, (a2,)
     elif kind is ReductionKind.WALK_SUM:
         if a1 + a2 != 1.0:
             raise PreconditionError(f"walk_sum needs a1 + a2 = 1, got {a}")
-        s, r = -a2, 1.0
+        s, b = -a2, (1.0,)
     elif kind is ReductionKind.ROOT_SHIFT:
         sol = ar2_closed_form(a1, a2)
         ok = sol.branch is Branch.DISTINCT_REAL and (
@@ -586,29 +602,23 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
                 f"root_shift needs a1^2 + 4a2 > 0 and (a1, a2 < 0 or "
                 f"a2 > 0 with a1 + a2 < 1), got {a}")
         s = sol.s2.real
-        r = rho = -a2 / s
-    lifted = integrate_params(params).a if kind is ReductionKind.INTEGRATED else None
+        rho = -a2 / s
+        b = (rho,)
+    else:
+        walked, s, b = integrate_params(params), 1.0, a
+    q = len(b)
     violations, worst = 0, 0.0
-    for walk in _walks(params, spec, seed, 0, paths, n_max):
-        w_lags = [np.zeros(walk.ids.size)] * (params.p + 1)
-        z_prev = total = np.zeros((1, walk.ids.size))
+    for walk in _walks(walked, spec, seed, 0, paths, n_max):
+        z = np.zeros((q, walk.ids.size))    # z[-q:] is Z_{n-q} .. Z_{n-1} at a block's start
         while walk.j < n_max:
-            x_prev = walk.lags[0][None]
-            xs, ys = walk.block()
+            v_prev = walk.lags[0][None]
+            vs, ys = walk.block()
             walk.compact()
             # a non-finite entry is a violation, not a warning
             with np.errstate(invalid="ignore", over="ignore"):
-                if lifted is None:
-                    lhs = xs - s * np.concatenate([x_prev, xs[:-1]])
-                    rhs = ar_step((r,), ys, [np.concatenate([z_prev, lhs[:-1]])])
-                    z_prev = lhs[-1:]
-                else:
-                    lhs = np.empty_like(xs)         # W_n, the running sum of X
-                    for y, w in zip(ys, lhs):
-                        w_lags = [ar_step(lifted, y, w_lags, out=w)] + w_lags[:-1]
-                    # accumulate adds along time in the order a loop would
-                    rhs = np.add.accumulate(np.concatenate([total, xs]))[1:]
-                    total = rhs[-1:]
+                z = np.concatenate([z[-q:], vs - s * np.concatenate([v_prev, vs[:-1]])])
+                lhs = z[q:]
+                rhs = ar_step(b, ys, [z[q - k:len(z) - k] for k in range(1, q + 1)])
                 rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
             # NaN fails <= as well: it comes only from a non-finite entry
             violations += int(np.count_nonzero(~(rel <= _REL_TOL)))

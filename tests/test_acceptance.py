@@ -21,7 +21,7 @@ GATE_DIGESTS = {
     "C1": "a947638625c936471f1ca1413f9429a77c6dc59823c5332ebe0daaa8ebbe02d4",
     "O1": "281005f91f94875837a967bb6b9f3f356cca7559dabb0f597880ef72c14e90d0",
     "F1": "e64e5542a3a7b9c1a954997fdd8f8e7ac551408d89e88cb85e4f15ce3f968f85",
-    "R1": "ca5d56c6e86264cb4837ede41c2b3f7f0e50c304aa95a70ffac50b30b59c2388",
+    "R1": "0bad62248878de63a5db147d80b836045a1b279a35973c2bca76c9c98be3d980",
     "G1": "3c4d60c813c6419e434aac34a928b76ec159944a75519f1e801e5af8df00cd95",
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -1072,6 +1073,9 @@ def test_pair_frequency_spans_tiles(monkeypatch):
     ((-0.5, 0.5), ReductionKind.PAIR_SUM, None),
     ((0.5, 0.25), ReductionKind.ROOT_SHIFT, 0.8090169943749477),
     ((0.5, 0.5), ReductionKind.WALK_SUM, None),
+    ((0.5,), ReductionKind.INTEGRATED, None),
+    ((0.5, 0.25), ReductionKind.INTEGRATED, None),
+    ((0.3, -0.2, 0.1), ReductionKind.INTEGRATED, None),
 ])
 def test_reductions_hold_pathwise(a, kind, rho):
     rep = pathwise_reduction_check(ar_params(a), gaussian(), kind, 200, 400, 83)
@@ -1097,11 +1101,19 @@ def test_reduction_accepts_string_kind():
     assert rep.violations == 0
 
 
-def test_integration_identity():
-    for a in [[0.5], [0.5, 0.25], [0.3, -0.2, 0.1]]:
-        rep = pathwise_reduction_check(ar_params(a), gaussian(),
-                                       ReductionKind.INTEGRATED, 100, 500, 91)
-        assert rep.violations == 0, a
+@pytest.mark.parametrize("kind,target,nudge", [
+    ("integrated", "integrate_params", lambda w: ar_params([w.a[0] + 1e-6, *w.a[1:]])),
+    ("root_shift", "ar2_closed_form", lambda sol: dataclasses.replace(sol, s2=sol.s2 + 1e-6)),
+], ids=["integrated", "root_shift"])
+def test_reduction_catches_a_wrong_transform(monkeypatch, kind, target, nudge):
+    # the check can fail on finite paths: a transform off by 1e-6 in one
+    # coefficient breaks the identity on most entries
+    from arsurvival import mc
+
+    exact = getattr(mc, target)
+    monkeypatch.setattr(mc, target, lambda *args: nudge(exact(*args)))
+    rep = pathwise_reduction_check(ar_params([0.5, 0.25]), gaussian(), kind, 100, 500, 91)
+    assert rep.violations > 25_000 and math.isfinite(rep.max_rel_err)
 
 
 def test_reduction_sizes_must_be_positive():
