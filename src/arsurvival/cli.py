@@ -8,9 +8,10 @@ Subcommands:
     bounds     exponential lower bound (plus region extras) for coefficients
     verify     run the acceptance suite and print a pass/fail table
 
-Exit codes: 0 success, 2 malformed input, 3 invalid config/file,
-4 simulation marked invalid (or failed verification).  All outputs are
-deterministic for fixed inputs and seed; files are written atomically.
+Exit codes: 0 success, 2 malformed input, 3 invalid config/file or an
+output that cannot be written, 4 simulation marked invalid (or failed
+verification).  All outputs are deterministic for fixed inputs and seed;
+files are written atomically.
 """
 
 from __future__ import annotations
@@ -138,11 +139,16 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _write_atomic(out + ".json", _dump(curve.to_json_dict()))
-    _write_atomic(out + ".csv", curve.to_csv_text())
+    files = {out + ".json": _dump(curve.to_json_dict()), out + ".csv": curve.to_csv_text()}
     if cfg.get("gnuplot", False):
-        _write_atomic(out + ".gp", _GNUPLOT_TEMPLATE.format(
-            stem=os.path.basename(out), csv=os.path.basename(out) + ".csv"))
+        files[out + ".gp"] = _GNUPLOT_TEMPLATE.format(
+            stem=os.path.basename(out), csv=os.path.basename(out) + ".csv")
+    for path, text in files.items():
+        try:
+            _write_atomic(path, text)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_CONFIG
     if curve.invalid:
         print(f"error: {curve.nonfinite_paths} of {curve.paths} paths were "
               "non-finite; estimate marked invalid", file=sys.stderr)

@@ -175,23 +175,33 @@ def coeff_recursion(params: ARParams, n_max: int) -> np.ndarray:
     return np.array(c[p - 1:])
 
 
+def ar2_discriminant(a1: float, a2: float) -> tuple[float, int]:
+    """(a1^2 + 4 a2) / 4^k and k, the discriminant in a scale that cannot
+    overflow.
+
+    Where max(|a1|, sqrt|a2|) >= 2^500 it is formed from a1 / 2^k and
+    a2 / 4^k; a power of two scales exactly, and below 2^500 k = 0.  Its
+    sign is the discriminant's, also where a1 * a1 + 4 a2 unscaled would
+    overflow to inf - inf = NaN.
+    """
+    k = max(0, math.frexp(max(abs(a1), math.sqrt(abs(a2))))[1] - 500)
+    b1 = math.ldexp(a1, -k)
+    return b1 * b1 + 4.0 * math.ldexp(a2, -2 * k), k
+
+
 def ar2_closed_form(a1: float, a2: float) -> CoeffSolution:
     """Solve the order-2 difference equation for (c_n).
 
-    The branch is picked from the discriminant a1^2 + 4 a2: positive gives
-    two real roots, negative a conjugate pair, and anything within
-    1e-12 * max(1, a1^2) of zero is treated as a double root.
-
-    Where max(|a1|, sqrt|a2|) >= 2^500 the discriminant is formed from
-    a1 / 2^k and a2 / 4^k, so it cannot overflow; a power of two scales
-    exactly, and below 2^500 k = 0.  Where a1 +- h cancels more than 26 bits
+    The branch is picked from the discriminant a1^2 + 4 a2, in the scale of
+    ``ar2_discriminant``: positive gives two real roots, negative a
+    conjugate pair, and anything within 1e-12 * max(1, a1^2) of zero is
+    treated as a double root.  Where a1 +- h cancels more than 26 bits
     (a2 tiny against a1^2), the smaller real root is -a2 over the larger.
     """
     a1 = check_real(a1, "a1")
     a2 = check_real(a2, "a2")
-    k = max(0, math.frexp(max(abs(a1), math.sqrt(abs(a2))))[1] - 500)
+    disc, k = ar2_discriminant(a1, a2)
     b1, b2 = math.ldexp(a1, -k), math.ldexp(a2, -2 * k)
-    disc = b1 * b1 + 4.0 * b2
     if abs(disc) <= _DOUBLE_ROOT_RTOL * max(math.ldexp(1.0, -2 * k), b1 * b1):
         s = a1 / 2.0
         return CoeffSolution(a1, a2, Branch.DOUBLE_ROOT,

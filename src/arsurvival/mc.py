@@ -12,8 +12,9 @@ function of (seed, path, step): bit-identical for any worker count and any
 tiling, and runs at different barriers share their noise (common random
 numbers).  Each rule is stated where it is enforced: the worker processes
 in ``_fork_ranges``, the tiles and their one refill buffer in ``_walks``,
-a tile's blocks in ``_Walk``, the counting and dropping of paths in
-``_tile_counts``, and the survival certificate in ``_survival_level``.
+a tile's blocks, each handed out with the row before it, in ``_Walk``, the
+counting and dropping of paths in ``_tile_counts``, and the survival
+certificate in ``_survival_level``.
 """
 
 from __future__ import annotations
@@ -67,14 +68,16 @@ class _Walk:
     """Paths lo..hi-1 of one run, stepped together from the zero start.
 
     ``block()`` makes one rng call and steps the recursion through every
-    column it returned that the horizon reaches: it returns X and Y as
-    time-major (steps, live) blocks, row t holding step j + t + 1, and
+    column it returned that the horizon reaches.  It returns (prev, X, Y):
+    prev is X_j of the live paths before the block, and X and Y are
+    time-major (steps, live) blocks, row t holding step j + t + 1.  It
     leaves lags[k] = X_{j-k} for the new j, the steps taken.  ``out`` is the
     ``refill_buffer`` of a range that holds lo..hi-1.  X is written into its
     second array, which the refill no longer needs, so the next refill
-    overwrites both blocks: ``compact(live)``, called once after each block,
+    overwrites the blocks a caller was given; the walk copies its own lags
+    out of that array before it refills.  ``compact(live)`` drops paths: it
     keeps the rows where the boolean ``live`` is True, gathering each array
-    by one index of the kept rows, or, with no mask, copies the lags out.
+    by one index of the kept rows.
     """
 
     def __init__(self, params: ARParams, spec: InnovationSpec, seed: int,
@@ -88,7 +91,12 @@ class _Walk:
         self.out = out
         self.j = 0      # steps taken
 
-    def block(self) -> tuple[np.ndarray, np.ndarray]:
+    def block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lags = self.lags
+        # lags still in the last block's rows, with no compaction since: a
+        # dense refill draws its span over that array
+        if np.may_share_memory(lags[0], self.out[1]):
+            lags = [lag.copy() for lag in lags]
         u = path_uniform_block(self.seed, self.ids, self.j, self.n_max - self.j,
                                out=self.out)
         # columns past the horizon are drawn, not transformed: G1's walk to
@@ -96,23 +104,19 @@ class _Walk:
         u = u[:, :self.n_max - self.j]
         ys = self.spec.transform(u, out=u).T
         xs = self.out[1][:ys.size].reshape(ys.shape)
-        lags = self.lags
+        prev = lags[0]
         # a path stepped past its crossing may overflow; it is decided already
         with np.errstate(invalid="ignore", over="ignore"):
             for y, x in zip(ys, xs):
                 lags = [ar_step(self.a, y, lags, out=x)] + lags[:-1]
         self.lags = lags
         self.j += len(ys)
-        return xs, ys
+        return prev, xs, ys
 
-    def compact(self, live=None) -> None:
-        if live is None:
-            # a dense refill draws its span over the array that holds X
-            self.lags = [lag.copy() for lag in self.lags]
-        else:
-            keep = np.flatnonzero(live)
-            self.ids = self.ids.take(keep)
-            self.lags = [lag.take(keep) for lag in self.lags]
+    def compact(self, live) -> None:
+        keep = np.flatnonzero(live)
+        self.ids = self.ids.take(keep)
+        self.lags = [lag.take(keep) for lag in self.lags]
 
 
 def _walks(params: ARParams, spec: InnovationSpec, seed: int, lo: int, hi: int,
@@ -191,7 +195,7 @@ def _tile_counts(walk: _Walk, x: float, level: float | None, grid: np.ndarray,
     hist[-1] += walk.ids.size
     while walk.ids.size and walk.j < walk.n_max:
         n0, paths = walk.j, walk.ids.size
-        xs, _ = walk.block()
+        _, xs, _ = walk.block()
         # NaN fails <= x, so a path leaves at its first crossing or NaN
         below = xs <= x
         live = below[0].copy()
@@ -517,10 +521,8 @@ def pair_survival_frequency(params: ARParams, spec: InnovationSpec, n: int,
     hits = 0
     for walk in _walks(params, spec, seed, 0, paths, n):
         while walk.j < n:
-            prev = walk.lags[0]
-            xs, _ = walk.block()
-            walk.compact()
-        # X_{n-1} is the last block's next-to-last row, or the block before ends on it
+            prev, xs, _ = walk.block()
+        # X_{n-1} is the last block's next-to-last row, or the row before the block
         before = xs[-2] if len(xs) > 1 else prev
         hits += int(np.count_nonzero((before <= 0.0) & (xs[-1] <= 0.0)))
     freq = hits / paths
@@ -611,12 +613,10 @@ def pathwise_reduction_check(params: ARParams, spec: InnovationSpec,
     for walk in _walks(walked, spec, seed, 0, paths, n_max):
         z = np.zeros((q, walk.ids.size))    # z[-q:] is Z_{n-q} .. Z_{n-1} at a block's start
         while walk.j < n_max:
-            v_prev = walk.lags[0][None]
-            vs, ys = walk.block()
-            walk.compact()
+            v_prev, vs, ys = walk.block()
             # a non-finite entry is a violation, not a warning
             with np.errstate(invalid="ignore", over="ignore"):
-                z = np.concatenate([z[-q:], vs - s * np.concatenate([v_prev, vs[:-1]])])
+                z = np.concatenate([z[-q:], vs - s * np.vstack([v_prev, vs[:-1]])])
                 lhs = z[q:]
                 rhs = ar_step(b, ys, [z[q - k:len(z) - k] for k in range(1, q + 1)])
                 rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))

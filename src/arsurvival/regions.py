@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .coeffs import check_real
+from .coeffs import ar2_discriminant, check_real
 
 __all__ = [
     "Region",
@@ -67,7 +67,8 @@ def classify_ar2(a1: float, a2: float) -> Region:
         raise ValueError("coefficients must be finite")
     if a1 + a2 == 1.0 and -1.0 <= a2 <= 1.0:
         return Region.P
-    disc = a1 * a1 + 4.0 * a2
+    # scaled, so that it cannot overflow; only its sign is compared
+    disc, _ = ar2_discriminant(a1, a2)
     in_c = ((a1 >= 2.0 and disc > 0.0)
             or (0.0 < a1 < 2.0 and a1 + a2 > 1.0)
             or (disc == 0.0 and a1 > 2.0)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,22 @@ def test_write_atomic_leaves_no_temporary_file_when_it_fails(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("module, name", [(tempfile, "mkstemp"), (os, "replace")],
+                         ids=["no-temporary-file", "no-rename"])
+def test_simulate_unwritable_output_exit_3(tmp_path, monkeypatch, capsys, module, name):
+    # chmod does not stop root, so the write fails by hand: at the temporary
+    # file, or at its rename to the output's name
+    def fail(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    cfg = _write_config(tmp_path)
+    monkeypatch.setattr(module, name, fail)
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 3 and out == ""
+    assert err == f"error: cannot write {tmp_path / 'curve.json'}: Permission denied\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_fit_of_an_invalid_curve_is_inconclusive(tmp_path, capsys):
     # (2.5, -0.5) lies in C, but a2 < 0 leaves it outside the survival
     # certificate: paths that never cross run off to -inf and turn NaN, and
@@ -414,6 +431,14 @@ def test_bounds_reports_region_extras(capsys):
     assert code == 0
     assert obj["region"] == "E/E1"
     assert obj["e1_rate_bound"] == math.log(2.0)
+
+
+def test_region_where_the_discriminant_overflows(capsys):
+    # a1^2 and 4 a2 both overflow at (1e155, -1e308); the point is in C
+    code, out, _ = run_cli(capsys, "classify", "--a1=1e155", "--a2=-1e308")
+    assert code == 0 and json.loads(out)["region"] == "C"
+    code, out, _ = run_cli(capsys, "bounds", "--a=1e155,-1e308")
+    assert code == 0 and json.loads(out)["region"] == "C"
 
 
 @pytest.mark.parametrize("a, index", [("1,-0.25000001", 15707),

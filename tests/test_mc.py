@@ -136,14 +136,16 @@ def test_engine_matches_scalar_reference(a, spec, x):
     y = innovations(spec, 99, np.arange(300, dtype=np.uint64), 64)
     tau_scalar = np.array([crossing_time_from_innovations(params, x, row) for row in y])
     assert counts.tolist() == reference_counts(tau_scalar, 64)
-    # a walk that keeps every row crosses first at the same step on every row
+    # a walk that keeps every row, with no compaction, crosses first at the
+    # same step on every row, and hands out the row before each block
     walk = _Walk(params, spec, 99, 0, 300, 64, refill_buffer(300))
-    crossed = []
+    crossed, last = [], np.zeros(300)
     while walk.j < 64:
-        xs, _ = walk.block()
+        prev, xs, _ = walk.block()
         assert np.shares_memory(xs, walk.out[1])
+        assert prev.tobytes() == last.tobytes()
         crossed.append(xs > x)
-        walk.compact()
+        last = xs[-1].copy()
     crossed = np.concatenate(crossed).T
     tau_walk = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 65)
     assert (tau_walk == tau_scalar).all()
@@ -187,16 +189,18 @@ def test_compact_keeps_each_live_paths_own_draws():
     walk.compact(np.arange(3000) % 10 == 0)
     ids0 = walk.ids
     tau = np.full(ids0.size, n + 1)
-    widths = []
+    widths, last = [], np.zeros(ids0.size)
     while walk.ids.size and walk.j < n:
         j = walk.j
-        xs, ys = walk.block()
+        prev, xs, ys = walk.block()
         widths.append(len(xs))
         assert np.shares_memory(xs, walk.out[1])
+        assert prev.tobytes() == last.tobytes()
         assert (ys == innovations(spec, seed, walk.ids, walk.j)[:, j:].T).all()
         crossed = (xs > x).any(axis=0)
         tau[np.searchsorted(ids0, walk.ids[crossed])] = j + 1 + (xs[:, crossed] > x).argmax(axis=0)
         walk.compact(~crossed)
+        last = xs[-1, ~crossed].copy()
     # a refill looks no further ahead than the walk has come
     assert widths[:3] == [4, 4, 8] and max(widths) > 8
     y = innovations(spec, seed, ids0, n)
@@ -262,9 +266,9 @@ def test_a_block_transforms_only_the_columns_it_walks(monkeypatch):
         return real_transform(self, u, out=out)
 
     def block(self):
-        xs, ys = real_block(self)
+        prev, xs, ys = real_block(self)
         walked.append(xs.size)
-        return xs, ys
+        return prev, xs, ys
 
     monkeypatch.setattr(InnovationSpec, "transform", transform)
     monkeypatch.setattr(_Walk, "block", block)
@@ -289,7 +293,8 @@ class BlockWalk:
     """Hand-built X in place of a ``_Walk``, with no rng: the blocks are the
     rows of the time-major (steps, paths) array ``xs`` cut into runs of the
     given lengths, of the columns still walked.  ``kept`` lists the ids each
-    compaction keeps; lags before step 1 are 0, as from the zero start."""
+    compaction keeps; lags before step 1 are 0, as from the zero start.
+    ``block()`` hands out X alone, the one array ``_tile_counts`` reads."""
 
     def __init__(self, xs, lengths, p):
         self.xs = np.asarray(xs, dtype=float)
@@ -306,7 +311,7 @@ class BlockWalk:
         cols = self.xs[:, self.ids]
         self.lags = [cols[self.j - 1 - k] if self.j > k else np.zeros(self.ids.size)
                      for k in range(self.p)]
-        return cols[start:self.j], None
+        return None, cols[start:self.j], None
 
     def compact(self, live):
         self.ids = self.ids[live]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,15 @@ def test_boundary_semantics_are_exact():
     assert classify_ar2(2.0, 0.1) is Region.C
     # origin is E2 (closed quadrant)
     assert classify_ar2(0.0, 0.0) is Region.E2
+
+
+@pytest.mark.parametrize("a1, a2, region", [(1e155, -1e308, Region.C),
+                                             (2e154, -1.5e308, Region.E3)])
+def test_discriminant_keeps_its_sign_where_it_overflows(a1, a2, region):
+    # a1^2 and 4 a2 overflow with opposite signs: unscaled, inf - inf is NaN
+    # and fails every comparison; the exact sign decides C against E3
+    assert (Fraction(a1) ** 2 + 4 * Fraction(a2) > 0) == (region is Region.C)
+    assert classify_ar2(a1, a2) is region
 
 
 def test_classify_rejects_non_finite():
